@@ -14,26 +14,17 @@ structure within the trans-Sasakian taxonomy.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    ChartDomain,
-    MetricField,
-    OneFormField,
-    SingularMetricError,
-    TensorField11,
-    VectorField,
-)
-from .report import ResidualReport, ResidualTracker
-from .tensor import (
-    divergence,
-    exterior_d_oneform,
-    lie_bracket,
-    nabla_matrix,
-    probe_vectors,
-)
+from .expr import by_rows, jet_sum, outer, skipping
+from .fields import ChartDomain, MetricField, OneFormField, SingularMetricError, TensorField11
+from .fields import VectorField, dot, gnorm, mv, vm, vnorm
+from .report import ResidualReport, ResidualTracker, stats
+from .tensor import _as_vector_field, divergence, exterior_d_oneform, lie_bracket, nabla_matrix
+from .tensor import probe_vectors
 
 __all__ = [
     "AcmStructure",
@@ -66,6 +57,7 @@ COSYMPLECTIC = "cosymplectic"
 TRANS_SASAKIAN = "trans-Sasakian"
 NOT_NORMAL = "not-normal"
 
+# coordinate directions, shared with :mod:`cornergeo.corner`
 _BASIS = [np.eye(3)[k] for k in range(3)]
 
 
@@ -91,53 +83,47 @@ class AcmStructure:
         )
 
 
-def _coerce_vec(X) -> VectorField:
-    if isinstance(X, VectorField):
-        return X
-    return VectorField.constant(X)
-
-
+@by_rows
 def check_axioms(s: AcmStructure, points, tol: float = 1e-8) -> ResidualReport:
     """Max residuals of the three axioms and the two derived identities.
 
     Singular-metric points are skipped and counted in the report details.
     """
     tracker = ResidualTracker()
-    skipped = 0
-    for p in np.atleast_2d(points):
-        try:
-            G = s.g.matrix(p)
-            Ginv = s.g.inverse(p)
-        except SingularMetricError:
-            skipped += 1
-            continue
+    p = np.atleast_2d(points)
+    G = s.g.matrix(p)
+    used = ~(np.abs(np.linalg.det(G)) < s.g.det_guard)
+    skipped = int(np.count_nonzero(~used))
+    p, G = p[used], G[used]
+    if len(p):
+        Ginv = np.linalg.inv(G)
         P = s.phi.matrix(p)
         xi = s.xi.values(p)
         eta = s.eta.values(p)
-        tracker.update("eta_xi", abs(eta @ xi - 1.0), p)
+        tracker.update("eta_xi", np.abs(dot(eta, xi) - 1.0), p)
         tracker.update(
             "phi_square",
-            np.linalg.norm(P @ P + np.eye(3) - np.outer(xi, eta), 2),
+            np.linalg.norm(P @ P + np.eye(3) - outer(xi, eta), 2, axis=(-2, -1)),
             p,
         )
         tracker.update(
             "metric_compat",
-            np.linalg.norm(P.T @ G @ P - G + np.outer(eta, eta), 2),
+            np.linalg.norm(np.swapaxes(P, -1, -2) @ G @ P - G + outer(eta, eta), 2, axis=(-2, -1)),
             p,
         )
-        pxi = P @ xi
-        tracker.update("phi_xi", np.sqrt(max(pxi @ G @ pxi, 0.0)), p)
-        tracker.update("eta_phi", np.linalg.norm(eta @ P), p)
+        pxi = mv(P, xi)
+        tracker.update("phi_xi", gnorm(G, pxi), p)
+        tracker.update("eta_phi", vnorm(vm(eta, P)), p)
         # eta must be the metric dual of xi (derived, but cheap to verify)
-        tracker.update("eta_sharp_xi", np.linalg.norm(Ginv @ eta - xi), p)
+        tracker.update("eta_sharp_xi", vnorm(mv(Ginv, eta) - xi), p)
     return tracker.report("axioms", tol, details={"skipped_points": skipped})
 
 
-def fundamental_two_form(s: AcmStructure, X, Y, p) -> float:
+def fundamental_two_form(s: AcmStructure, X, Y, p):
     """Phi(X, Y) = g(X, phi Y)."""
-    xv = _coerce_vec(X).values(p)
-    yv = _coerce_vec(Y).values(p)
-    return float(xv @ s.g.matrix(p) @ s.phi.matrix(p) @ yv)
+    xv = _as_vector_field(X).values(p)
+    yv = _as_vector_field(Y).values(p)
+    return dot(vm(vm(xv, s.g.matrix(p)), s.phi.matrix(p)), yv)
 
 
 def fundamental_two_form_matrix(s: AcmStructure, p) -> np.ndarray:
@@ -147,52 +133,45 @@ def fundamental_two_form_matrix(s: AcmStructure, p) -> np.ndarray:
 
 def fundamental_two_form_fields(s: AcmStructure):
     """The coefficients Phi_ij as scalar fields (for exterior derivatives)."""
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc = None
-            for k in range(3):
-                term = s.g.entries[i][k] * s.phi.entries[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
+    g, phi = s.g.entries, s.phi.entries
+    return [
+        [jet_sum(g[i][k] * phi[k][j] for k in range(3)) for j in range(3)] for i in range(3)
+    ]
 
 
 def nijenhuis(s: AcmStructure, X, Y, p) -> np.ndarray:
     """The Nijenhuis torsion of phi on (X, Y) at p."""
-    Xf, Yf = _coerce_vec(X), _coerce_vec(Y)
+    Xf, Yf = _as_vector_field(X), _as_vector_field(Y)
     phiX = s.phi.apply(Xf)
     phiY = s.phi.apply(Yf)
     P = s.phi.matrix(p)
     br = lie_bracket(Xf, Yf, p)
     return (
-        P @ (P @ br)
+        mv(P, mv(P, br))
         + lie_bracket(phiX, phiY, p)
-        - P @ lie_bracket(phiX, Yf, p)
-        - P @ lie_bracket(Xf, phiY, p)
+        - mv(P, lie_bracket(phiX, Yf, p))
+        - mv(P, lie_bracket(Xf, phiY, p))
     )
 
 
 def n1_tensor(s: AcmStructure, X, Y, p) -> np.ndarray:
     """N^(1)(X, Y) = N_phi(X, Y) + 2 d eta(X, Y) xi (normality tensor)."""
-    Xf, Yf = _coerce_vec(X), _coerce_vec(Y)
+    Xf, Yf = _as_vector_field(X), _as_vector_field(Y)
     deta = exterior_d_oneform(s.eta, Xf, Yf, p)
-    return nijenhuis(s, Xf, Yf, p) + 2.0 * deta * s.xi.values(p)
+    return nijenhuis(s, Xf, Yf, p) + (2.0 * deta)[..., None] * s.xi.values(p)
 
 
 def n3_tensor(s: AcmStructure, X, p) -> np.ndarray:
     """N^(3)(X) = phi[X, xi] - [phi X, xi]."""
-    Xf = _coerce_vec(X)
+    Xf = _as_vector_field(X)
     phiX = s.phi.apply(Xf)
-    return s.phi.matrix(p) @ lie_bracket(Xf, s.xi, p) - lie_bracket(phiX, s.xi, p)
+    return mv(s.phi.matrix(p), lie_bracket(Xf, s.xi, p)) - lie_bracket(phiX, s.xi, p)
 
 
-def olszak_alpha_beta(s: AcmStructure, p) -> tuple[float, float]:
+def olszak_alpha_beta(s: AcmStructure, p):
     """The normality functions: 2 alpha = tr(phi . nabla xi), 2 beta = div xi."""
     A = nabla_matrix(s.g, s.xi, p)
-    alpha = 0.5 * float(np.trace(s.phi.matrix(p) @ A))
+    alpha = 0.5 * np.trace(s.phi.matrix(p) @ A, axis1=-2, axis2=-1)
     beta = 0.5 * divergence(s.g, s.xi, p)
     return alpha, beta
 
@@ -202,38 +181,49 @@ def trans_sasakian_residual(
 ) -> ResidualReport:
     """Worst g-norm of ``nabla_X xi + alpha phi X + beta phi^2 X`` over probes.
 
-    ``alpha`` and ``beta`` may be numbers or callables of the point.  Probe
+    ``alpha`` and ``beta`` may be numbers or callables of one point.  Probe
     directions are the g-normalized coordinate axes, xi itself, and optional
     seeded random unit vectors.
     """
-    a_fn = alpha if callable(alpha) else (lambda _p, _a=float(alpha): _a)
-    b_fn = beta if callable(beta) else (lambda _p, _b=float(beta): _b)
+    p = np.atleast_2d(points)
+    a = _per_point(alpha, p)
+    b = _per_point(beta, p)
     tracker = ResidualTracker()
-    for p in np.atleast_2d(points):
-        G = s.g.matrix(p)
-        P = s.phi.matrix(p)
-        P2 = P @ P
-        A = nabla_matrix(s.g, s.xi, p)
-        a, b = a_fn(p), b_fn(p)
-        R = A + a * P + b * P2
-        for x in probe_vectors(s.g, p, rng, n_random, extra=[s.xi.values(p)]):
-            r = R @ x
-            tracker.update("trans_sasakian", np.sqrt(max(r @ G @ r, 0.0)), p)
+    G = s.g.matrix(p)
+    P = s.phi.matrix(p)
+    P2 = P @ P
+    A = nabla_matrix(s.g, s.xi, p)
+    R = A + a[:, None, None] * P + b[:, None, None] * P2
+    probes, kept = probe_vectors(s.g, p, rng, n_random, extra=[s.xi.values(p)])
+    res = gnorm(G[:, None], mv(R[:, None], probes))
+    tracker.update("trans_sasakian", res[kept], p[np.nonzero(kept)[0]])
     return tracker.report("trans_sasakian")
 
 
+def _per_point(f, points) -> np.ndarray:
+    """A number, or a callable of one point, evaluated at every point."""
+    if callable(f):
+        return np.array([float(f(q)) for q in points])
+    return np.full(len(points), float(f))
+
+
+@by_rows
 def normality_residual(s: AcmStructure, points) -> tuple[float, np.ndarray | None]:
     """Max g-norm of N^(1) over coordinate basis pairs and sample points."""
-    worst, arg = 0.0, None
-    for p in np.atleast_2d(points):
-        G = s.g.matrix(p)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                v = n1_tensor(s, _BASIS[i], _BASIS[j], p)
-                norm = float(np.sqrt(max(v @ G @ v, 0.0)))
-                if norm > worst:
-                    worst, arg = norm, np.asarray(p, dtype=float)
-    return worst, arg
+    p = np.atleast_2d(points)
+    G = s.g.matrix(p)
+    norms = []
+    for i in range(3):
+        for j in range(i + 1, 3):
+            v = n1_tensor(s, _BASIS[i], _BASIS[j], p)
+            norms.append(gnorm(G, v))
+    # the first strict maximum in sample order; NaN never counts
+    norms = np.stack(norms, axis=-1).reshape(-1)
+    norms = np.where(np.isnan(norms), -np.inf, norms)
+    k = int(np.argmax(norms))
+    if not norms[k] > 0.0:
+        return 0.0, None
+    return float(norms[k]), np.asarray(p[k // 3], dtype=float)
 
 
 @dataclass
@@ -241,14 +231,8 @@ class ClassificationReport:
     """Verdict plus the (alpha, beta) statistics that produced it."""
 
     verdict: str
-    alpha_mean: float
-    alpha_std: float
-    alpha_min: float
-    alpha_max: float
-    beta_mean: float
-    beta_std: float
-    beta_min: float
-    beta_max: float
+    alpha: dict  # mean, std, min and max over the points used
+    beta: dict
     normality: float
     normality_argmax: list | None
     points_used: int
@@ -256,26 +240,9 @@ class ClassificationReport:
     notes: dict
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "alpha": {
-                "mean": self.alpha_mean,
-                "std": self.alpha_std,
-                "min": self.alpha_min,
-                "max": self.alpha_max,
-            },
-            "beta": {
-                "mean": self.beta_mean,
-                "std": self.beta_std,
-                "min": self.beta_min,
-                "max": self.beta_max,
-            },
-            "normality_residual": self.normality,
-            "normality_argmax": self.normality_argmax,
-            "points_used": self.points_used,
-            "thresholds": self.thresholds,
-            "notes": self.notes,
-        }
+        out = dataclasses.asdict(self)
+        out["normality_residual"] = out.pop("normality")
+        return out
 
 
 def classify(
@@ -296,28 +263,20 @@ def classify(
         points = s.domain.sample(samples, seed)
     points = np.atleast_2d(points)
 
-    alphas, betas, skipped = [], [], 0
-    for p in points:
-        try:
-            a, b = olszak_alpha_beta(s, p)
-        except SingularMetricError:
-            skipped += 1
-            continue
-        alphas.append(a)
-        betas.append(b)
-    if not alphas:
+    used, alpha_beta = skipping(lambda q: olszak_alpha_beta(s, q), points, SingularMetricError)
+    skipped = int(np.count_nonzero(~used))
+    if alpha_beta is None:
         raise SingularMetricError(points[0], 0.0)
-    alphas = np.array(alphas)
-    betas = np.array(betas)
+    alphas, betas = alpha_beta
 
     normality, arg = normality_residual(s, points)
 
+    alpha, beta = stats(alphas), stats(betas)
     a_zero = np.max(np.abs(alphas)) < zero_tol
     b_zero = np.max(np.abs(betas)) < zero_tol
-    a_const = np.std(alphas) < const_tol
-    b_const = np.std(betas) < const_tol
-    a_mean = float(np.mean(alphas))
-    b_mean = float(np.mean(betas))
+    a_const = alpha["std"] < const_tol
+    b_const = beta["std"] < const_tol
+    a_mean, b_mean = alpha["mean"], beta["mean"]
 
     if normality >= zero_tol:
         verdict = NOT_NORMAL
@@ -340,14 +299,8 @@ def classify(
 
     return ClassificationReport(
         verdict=verdict,
-        alpha_mean=a_mean,
-        alpha_std=float(np.std(alphas)),
-        alpha_min=float(np.min(alphas)),
-        alpha_max=float(np.max(alphas)),
-        beta_mean=b_mean,
-        beta_std=float(np.std(betas)),
-        beta_min=float(np.min(betas)),
-        beta_max=float(np.max(betas)),
+        alpha=alpha,
+        beta=beta,
         normality=float(normality),
         normality_argmax=None if arg is None else [float(v) for v in arg],
         points_used=len(alphas),

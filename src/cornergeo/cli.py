@@ -11,6 +11,7 @@ degenerate frame, non-positive deformation factor, unknown preset).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from dataclasses import dataclass, field
@@ -20,8 +21,9 @@ import numpy as np
 from . import acms, construct, corner, family
 from .conventions import CONVENTION_BANNER, SCHEMA_VERSION
 from .corner import CornerFields, DegenerateCornerError
-from .expr import EvalDomainError, ParseError
-from .fields import ChartDomain, SingularMetricError
+from .expr import EvalDomainError, ParseError, skipping
+from .fields import ChartDomain, SingularMetricError, max_abs
+from .report import seq_max, seq_min
 from .tensor import d_oneform_matrix
 
 __all__ = ["ConfigError", "SceneConfig", "run", "scan_sigma", "main"]
@@ -77,14 +79,15 @@ class SceneConfig:
         cfg.preset = data.get("preset")
         cfg.family = data.get("family")
         cfg.structure = data.get("structure")
-        if "box" in data:
-            cfg.box = tuple(tuple(b) for b in data["box"])
+        cfg.box = data.get("box", cfg.box)
         cfg.samples = data.get("samples", cfg.samples)
         cfg.seed = data.get("seed", cfg.seed)
         if "suites" in data:
             cfg.suites = tuple(data["suites"])
         cfg.f = data.get("f", cfg.f)
         if "tolerances" in data:
+            if not isinstance(data["tolerances"], dict):
+                raise ConfigError("tolerances must be a JSON object")
             tols = dict(DEFAULT_TOLERANCES)
             tols.update(data["tolerances"])
             cfg.tolerances = tols
@@ -108,6 +111,8 @@ class SceneConfig:
         return cfg
 
     def validate(self) -> None:
+        if not isinstance(self.samples, int) or isinstance(self.samples, bool):
+            raise ConfigError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
         if not isinstance(self.seed, int):
@@ -115,10 +120,15 @@ class SceneConfig:
         sources = [x is not None for x in (self.preset, self.family, self.structure)]
         if sum(sources) > 1:
             raise ConfigError("give only one of preset / family / structure")
+        if self.preset is not None and not isinstance(self.preset, str):
+            raise ConfigError(f"preset must be a name, got {self.preset!r}")
+        for name in ("family", "structure"):
+            if getattr(self, name) is not None and not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be a JSON object")
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {name!r}")
-            if not (isinstance(value, (int, float)) and value > 0.0):
+            if isinstance(value, bool) or not (isinstance(value, (int, float)) and value > 0.0):
                 raise ConfigError(f"tolerance {name!r} must be positive")
         unknown = [s for s in self.suites if s not in ALL_SUITES]
         if unknown:
@@ -126,9 +136,12 @@ class SceneConfig:
                 f"unknown suites {unknown}; available: {', '.join(ALL_SUITES)}"
             )
         try:
+            self.box = tuple(tuple(b) for b in self.box)
             ChartDomain(self.box)
         except ValueError as err:
             raise ConfigError(str(err)) from None
+        except TypeError:
+            raise ConfigError(f"box must be three [low, high] pairs, got {self.box!r}") from None
 
     def domain(self) -> ChartDomain:
         return ChartDomain(self.box)
@@ -147,28 +160,31 @@ class SceneConfig:
         }
 
 
+def _family_params(cfg: SceneConfig):
+    for key in ("tau", "kappa", "mu"):
+        if key not in cfg.family:
+            raise ConfigError(f"family config needs {key!r}")
+    return family.FamilyParams.of(
+        cfg.family["tau"], cfg.family["kappa"], cfg.family["mu"], domain=cfg.domain()
+    )
+
+
+def _preset_params(cfg: SceneConfig, name: str):
+    """The named preset and its generators on the scene's box."""
+    try:
+        pre = family.preset(name)
+    except KeyError as err:
+        raise ConfigError(str(err.args[0])) from None
+    return pre, dataclasses.replace(pre.params, domain=cfg.domain())
+
+
 def _build_structure(cfg: SceneConfig):
     """Returns (structure, preset-or-None). Raises ConfigError when no source."""
     if cfg.preset is not None:
-        try:
-            pre = family.preset(cfg.preset)
-        except KeyError as err:
-            raise ConfigError(str(err.args[0])) from None
-        params = family.FamilyParams(
-            tau=pre.params.tau,
-            kappa=pre.params.kappa,
-            mu=pre.params.mu,
-            domain=cfg.domain(),
-        )
+        pre, params = _preset_params(cfg, cfg.preset)
         return family.build_family(params), pre
     if cfg.family is not None:
-        for key in ("tau", "kappa", "mu"):
-            if key not in cfg.family:
-                raise ConfigError(f"family config needs {key!r}")
-        params = family.FamilyParams.of(
-            cfg.family["tau"], cfg.family["kappa"], cfg.family["mu"], domain=cfg.domain()
-        )
-        return family.build_family(params), None
+        return family.build_family(_family_params(cfg)), None
     if cfg.structure is not None:
         for key in ("phi", "xi", "eta", "g"):
             if key not in cfg.structure:
@@ -242,17 +258,16 @@ def _suite_twins(s, pts, cfg, pre) -> dict:
     cf = CornerFields(s)
     out: dict = {"suite": "twins"}
     passed = True
-    if cfg.twin_kind in ("v", "both"):
-        verdict = construct.thken_check(s, pts, tol=cls_tol, fields=cf)
-        t = construct.twin(s, construct.TwinKind.V, fields=cf)
+    for kind, check in (
+        (construct.TwinKind.V, construct.thken_check),
+        (construct.TwinKind.PHI_V, construct.thcos_check),
+    ):
+        if cfg.twin_kind not in (kind.value, "both"):
+            continue
+        verdict = check(s, pts, tol=cls_tol, fields=cf)
+        t = construct.twin(s, kind, fields=cf)
         ax = acms.check_axioms(t, pts, tol=kernel)
-        out["v_twin"] = {"theorem": verdict.to_dict(), "axioms": ax.to_dict()}
-        passed = passed and verdict.routes_agree and ax.passed
-    if cfg.twin_kind in ("phi_v", "both"):
-        verdict = construct.thcos_check(s, pts, tol=cls_tol, fields=cf)
-        t = construct.twin(s, construct.TwinKind.PHI_V, fields=cf)
-        ax = acms.check_axioms(t, pts, tol=kernel)
-        out["phi_v_twin"] = {"theorem": verdict.to_dict(), "axioms": ax.to_dict()}
+        out[f"{kind.value}_twin"] = {"theorem": verdict.to_dict(), "axioms": ax.to_dict()}
         passed = passed and verdict.routes_agree and ax.passed
     out["passed"] = passed
     return out
@@ -357,17 +372,13 @@ def scan_sigma(params_list, samples: int = 100, seed: int = 0) -> dict:
         cf = CornerFields(s)
         max_domega = max_sigma = 0.0
         min_gap = None
-        degenerate = 0
-        for p in pts:
-            try:
-                f = cf.frame(p)
-            except DegenerateCornerError:
-                degenerate += 1
-                continue
-            max_domega = max(max_domega, float(np.max(np.abs(d_oneform_matrix(cf.omega, p)))))
-            max_sigma = max(max_sigma, abs(f.sigma))
-            gap = abs(f.sigma - f.e_rho)
-            min_gap = gap if min_gap is None else min(min_gap, gap)
+        kept, f = skipping(cf.frame, pts, DegenerateCornerError)
+        degenerate = int(np.count_nonzero(~kept))
+        pts = pts[kept]
+        if f is not None:
+            max_domega = seq_max(max_abs(d_oneform_matrix(cf.omega, pts)), 0.0)
+            max_sigma = seq_max(np.abs(f.sigma), 0.0)
+            min_gap = seq_min(np.abs(f.sigma - f.e_rho))
         entry = {
             "tau": str(params.tau),
             "kappa": str(params.kappa),
@@ -384,39 +395,13 @@ def scan_sigma(params_list, samples: int = 100, seed: int = 0) -> dict:
 
 
 def _scan_command(cfg: SceneConfig) -> dict:
-    params_list = []
     if cfg.preset is None and cfg.family is None and cfg.structure is None:
-        # no explicit member: sweep every bundled preset
-        for name in family.PRESET_NAMES:
-            pre = family.preset(name)
-            params_list.append(
-                family.FamilyParams(
-                    tau=pre.params.tau,
-                    kappa=pre.params.kappa,
-                    mu=pre.params.mu,
-                    domain=cfg.domain(),
-                )
-            )
-    if cfg.preset is not None:
-        try:
-            pre = family.preset(cfg.preset)
-        except KeyError as err:
-            raise ConfigError(str(err.args[0])) from None
-        params_list.append(
-            family.FamilyParams(
-                tau=pre.params.tau,
-                kappa=pre.params.kappa,
-                mu=pre.params.mu,
-                domain=cfg.domain(),
-            )
-        )
+        names = family.PRESET_NAMES  # no explicit member: sweep every bundled preset
+    else:
+        names = [] if cfg.preset is None else [cfg.preset]
+    params_list = [_preset_params(cfg, name)[1] for name in names]
     if cfg.family is not None:
-        params_list.append(
-            family.FamilyParams.of(
-                cfg.family["tau"], cfg.family["kappa"], cfg.family["mu"],
-                domain=cfg.domain(),
-            )
-        )
+        params_list.append(_family_params(cfg))
     rng = np.random.default_rng([cfg.seed, 10_000])
     for _ in range(cfg.draws):
         params_list.append(family.random_family(rng, corner=True, domain=cfg.domain()))

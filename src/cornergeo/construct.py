@@ -27,6 +27,7 @@ is trans-Sasakian of type (alpha~, beta~) with
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,9 +47,10 @@ from .acms import (
     olszak_alpha_beta,
 )
 from .corner import CornerFields
-from .expr import ScalarExpr, as_expr
-from .fields import MetricField, OneFormField, ScalarField, TensorField11
-from .report import ResidualReport, ResidualTracker
+from .expr import ScalarExpr, as_expr, by_rows
+from .fields import MetricField, OneFormField, ScalarField, TensorField11, dot, first_row
+from .fields import max_abs, mv, vm
+from .report import ResidualReport, ResidualTracker, seq_max, stats
 from .tensor import d_oneform_matrix, d_twoform_coeff, wedge12_coeff
 
 __all__ = [
@@ -128,27 +130,15 @@ class TwinTheoremVerdict:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "conditions_hold": self.conditions_hold,
-            "condition_residuals": self.condition_residuals,
-            "twin_matches": self.twin_matches,
-            "twin_verdict": self.twin_verdict,
-            "twin_residuals": self.twin_residuals,
-            "routes_agree": self.routes_agree,
-            "tolerance": self.tolerance,
-        }
+        return dataclasses.asdict(self)
 
 
 def _twin_olszak_errors(t: AcmStructure, points, beta_target=None):
-    """Pointwise |alpha| and |beta - target| maxima for a twin structure."""
-    a_max = b_err = 0.0
-    for p in np.atleast_2d(points):
-        a, b = olszak_alpha_beta(t, p)
-        a_max = max(a_max, abs(a))
-        target = 0.0 if beta_target is None else beta_target(p)
-        b_err = max(b_err, abs(b - target))
-    return a_max, b_err
+    """Pointwise |alpha| and |beta - target| maxima for a twin structure;
+    ``beta_target`` gives one target value per point."""
+    a, b = olszak_alpha_beta(t, np.atleast_2d(points))
+    target = 0.0 if beta_target is None else beta_target
+    return seq_max(np.abs(a), 0.0), seq_max(np.abs(b - target), 0.0)
 
 
 def thken_check(
@@ -156,42 +146,7 @@ def thken_check(
 ) -> TwinTheoremVerdict:
     """V-twin theorem: beta-Kenmotsu with beta = e^rho iff
     div V = 2 e^rho and sigma = phiV(rho) = 0."""
-    cf = fields if fields is not None else CornerFields(s)
-    points = np.atleast_2d(points)
-
-    cond = {"div_v_minus_2_erho": 0.0, "sigma": 0.0, "phi_v_rho": 0.0}
-    frames = [cf.frame(p) for p in points]
-    for f in frames:
-        cond["div_v_minus_2_erho"] = max(
-            cond["div_v_minus_2_erho"], abs(f.div_v - 2.0 * f.e_rho)
-        )
-        cond["sigma"] = max(cond["sigma"], abs(f.sigma))
-        cond["phi_v_rho"] = max(cond["phi_v_rho"], abs(f.phi_v_rho))
-    conditions_hold = all(v < tol for v in cond.values())
-
-    t = twin(s, TwinKind.V, fields=cf)
-    normality, _ = normality_residual(t, points)
-    e_rho_at = {p.tobytes(): f.e_rho for p, f in zip(points, frames)}
-    a_max, b_err = _twin_olszak_errors(
-        t, points, beta_target=lambda p: e_rho_at[np.asarray(p).tobytes()]
-    )
-    twin_matches = normality < tol and a_max < tol and b_err < tol
-    verdict = classify(t, points=points).verdict
-
-    return TwinTheoremVerdict(
-        theorem="v_twin_beta_kenmotsu",
-        conditions_hold=conditions_hold,
-        condition_residuals=cond,
-        twin_matches=twin_matches,
-        twin_verdict=verdict,
-        twin_residuals={
-            "normality": float(normality),
-            "alpha": float(a_max),
-            "beta_minus_erho": float(b_err),
-        },
-        routes_agree=conditions_hold == twin_matches,
-        tolerance=tol,
-    )
+    return _twin_theorem(s, points, tol, fields, TwinKind.V)
 
 
 def thcos_check(
@@ -199,33 +154,41 @@ def thcos_check(
 ) -> TwinTheoremVerdict:
     """phiV-twin theorem: cosymplectic iff div V = e^rho and
     sigma = phiV(rho) = 0."""
+    return _twin_theorem(s, points, tol, fields, TwinKind.PHI_V)
+
+
+def _twin_theorem(s, points, tol, fields, kind: TwinKind) -> TwinTheoremVerdict:
     cf = fields if fields is not None else CornerFields(s)
     points = np.atleast_2d(points)
 
-    cond = {"div_v_minus_erho": 0.0, "sigma": 0.0, "phi_v_rho": 0.0}
-    for p in points:
-        f = cf.frame(p)
-        cond["div_v_minus_erho"] = max(cond["div_v_minus_erho"], abs(f.div_v - f.e_rho))
-        cond["sigma"] = max(cond["sigma"], abs(f.sigma))
-        cond["phi_v_rho"] = max(cond["phi_v_rho"], abs(f.phi_v_rho))
+    f = cf.frame(points)
+    if kind is TwinKind.V:
+        theorem, div_name, div_target = "v_twin_beta_kenmotsu", "div_v_minus_2_erho", 2.0 * f.e_rho
+        beta_name, beta_target = "beta_minus_erho", f.e_rho
+    else:
+        theorem, div_name, div_target = "phiv_twin_cosymplectic", "div_v_minus_erho", f.e_rho
+        beta_name, beta_target = "beta", None
+    cond = {
+        div_name: seq_max(np.abs(f.div_v - div_target), 0.0),
+        "sigma": seq_max(np.abs(f.sigma), 0.0),
+        "phi_v_rho": seq_max(np.abs(f.phi_v_rho), 0.0),
+    }
     conditions_hold = all(v < tol for v in cond.values())
 
-    t = twin(s, TwinKind.PHI_V, fields=cf)
+    t = twin(s, kind, fields=cf)
     normality, _ = normality_residual(t, points)
-    a_max, b_max = _twin_olszak_errors(t, points)
-    twin_matches = normality < tol and a_max < tol and b_max < tol
+    a_max, b_err = _twin_olszak_errors(t, points, beta_target=beta_target)
+    twin_matches = normality < tol and a_max < tol and b_err < tol
     verdict = classify(t, points=points).verdict
 
     return TwinTheoremVerdict(
-        theorem="phiv_twin_cosymplectic",
+        theorem=theorem,
         conditions_hold=conditions_hold,
         condition_residuals=cond,
         twin_matches=twin_matches,
         twin_verdict=verdict,
         twin_residuals={
-            "normality": float(normality),
-            "alpha": float(a_max),
-            "beta": float(b_max),
+            "normality": float(normality), "alpha": float(a_max), beta_name: float(b_err)
         },
         routes_agree=conditions_hold == twin_matches,
         tolerance=tol,
@@ -260,10 +223,15 @@ class DeformationParams:
         return cls(f=as_expr(f))
 
     def validate(self, domain, check_points: int = 50) -> None:
-        for p in domain.sample(check_points, seed_or_rng=0):
-            v = self.f.value(p)
-            if not v > 0.0:
-                raise NonPositiveFError(p, v)
+        _check_positive(self.f, domain.sample(check_points, seed_or_rng=0))
+
+
+@by_rows
+def _check_positive(f: ScalarExpr, points) -> None:
+    v = f.value(points)
+    bad = first_row(points, ~(v > 0.0))
+    if bad is not None:
+        raise NonPositiveFError(bad[1], np.reshape(v, -1)[bad[0]])
 
 
 def deform(
@@ -322,30 +290,40 @@ def ntilde_identity_residual(
     """
     cf = fields if fields is not None else CornerFields(s)
     deformed = deform(s, params, fields=cf)
+    return _ntilde_residual(s, points, deformed, cf, rng, pairs_per_point, tol)
+
+
+@by_rows
+def _ntilde_residual(s, points, deformed, cf, rng, pairs_per_point, tol) -> ResidualReport:
     tracker = ResidualTracker()
-    for p in np.atleast_2d(points):
-        f = cf.frame(p)
-        P = s.phi.matrix(p)
-        xi = s.xi.values(p)
-        deta = d_oneform_matrix(s.eta, p)
-        th2 = f.theta2
-        factor = 2.0 * (1.0 - f.sigma / f.e_rho)
-        n_pairs = max(1, pairs_per_point)
-        for _ in range(n_pairs):
-            if rng is None:
-                x, y = np.eye(3)[0], np.eye(3)[1]
-            else:
-                x, y = rng.standard_normal(3), rng.standard_normal(3)
-            px, py = P @ x, P @ y
-            scalar = (
-                x @ deta @ y
-                - (px @ deta @ xi) * (th2 @ py)
-                - (xi @ deta @ py) * (th2 @ px)
-            )
-            closed = factor * scalar * xi
-            brute = n1_tensor(deformed, x, y, p)
-            tracker.update("ntilde_closed_vs_brute", np.max(np.abs(closed - brute)), p)
-            tracker.update("ntilde_max", np.max(np.abs(brute)), p)
+    p = np.atleast_2d(points)
+    f = cf.frame(p)
+    P = s.phi.matrix(p)
+    xi = s.xi.values(p)
+    deta = d_oneform_matrix(s.eta, p)
+    th2 = f.theta2
+    factor = 2.0 * (1.0 - f.sigma / f.e_rho)
+    n_pairs = max(1, pairs_per_point)
+    if rng is None:
+        draws = np.broadcast_to(np.eye(3)[:2], (len(p), n_pairs, 2, 3))
+    else:
+        draws = rng.standard_normal((len(p), n_pairs, 2, 3))
+    gaps = np.empty((len(p), n_pairs))
+    sizes = np.empty((len(p), n_pairs))
+    for k in range(n_pairs):
+        x, y = draws[:, k, 0], draws[:, k, 1]
+        px, py = mv(P, x), mv(P, y)
+        scalar = (
+            dot(vm(x, deta), y)
+            - dot(vm(px, deta), xi) * dot(th2, py)
+            - dot(vm(xi, deta), py) * dot(th2, px)
+        )
+        closed = (factor * scalar)[:, None] * xi
+        brute = n1_tensor(deformed, x, y, p)
+        gaps[:, k] = np.max(np.abs(closed - brute), axis=-1)
+        sizes[:, k] = np.max(np.abs(brute), axis=-1)
+    tracker.update("ntilde_closed_vs_brute", gaps, p)
+    tracker.update("ntilde_max", sizes, p)
     tolerances = {"ntilde_closed_vs_brute": tol, "ntilde_max": None}
     return tracker.report("ntilde_identity", tolerances)
 
@@ -362,23 +340,14 @@ class DeformedTypeReport:
 
     def to_dict(self) -> dict:
         return {
-            "alpha": _stats(self.alphas),
-            "beta": _stats(self.betas),
+            "alpha": stats(self.alphas),
+            "beta": stats(self.betas),
             "residuals": self.residuals.to_dict(),
             "normal_gate": {
                 "sigma_minus_erho_max": self.gate_residual_max,
                 "holds": self.gate_holds,
             },
         }
-
-
-def _stats(arr: np.ndarray) -> dict:
-    return {
-        "mean": float(np.mean(arr)),
-        "std": float(np.std(arr)),
-        "min": float(np.min(arr)),
-        "max": float(np.max(arr)),
-    }
 
 
 def deformed_type(
@@ -407,46 +376,7 @@ def deformed_type(
     """
     cf = fields if fields is not None else CornerFields(s)
     deformed = deform(s, params, fields=cf)
-    phi_t_fields = fundamental_two_form_fields(deformed)
-    tracker = ResidualTracker()
-    alphas, betas = [], []
-    gate = 0.0
-    for p in np.atleast_2d(points):
-        f = cf.frame(p)
-        fj = params.f.eval_jet2(p)
-        xi = s.xi.values(p)
-        dlnf = fj.grad / fj.value
-        xi_lnf = float(xi @ dlnf)
-
-        phi_mat = fundamental_two_form_matrix(s, p)
-        phi_t_mat = fundamental_two_form_matrix(deformed, p)
-        eta_t = deformed.eta.values(p)
-        deta = d_oneform_matrix(s.eta, p)
-        deta_t = d_oneform_matrix(deformed.eta, p)
-
-        tracker.update(
-            "phi_scaling", np.max(np.abs(phi_t_mat - fj.value * phi_mat)), p
-        )
-        eta_wedge = wedge12_coeff(eta_t, phi_t_mat)
-        tracker.update(
-            "lemma_dlnf_wedge",
-            abs(wedge12_coeff(dlnf, phi_t_mat) - xi_lnf * eta_wedge),
-            p,
-        )
-        rhs = (1.0 - f.sigma / f.e_rho) * deta + (
-            (f.div_v - f.e_rho) / (2.0 * fj.value)
-        ) * phi_t_mat
-        tracker.update("d_eta_tilde", np.max(np.abs(deta_t - rhs)), p)
-        tracker.update(
-            "d_phi_tilde",
-            abs(d_twoform_coeff(phi_t_fields, p) - xi_lnf * eta_wedge),
-            p,
-        )
-
-        alphas.append((f.div_v - f.e_rho) / (2.0 * fj.value))
-        betas.append(0.5 * xi_lnf)
-        gate = max(gate, abs(f.sigma - f.e_rho))
-
+    tracker, alphas, betas, gate = _type_rows(s, points, params, deformed, cf)
     tolerances = {
         "phi_scaling": kernel_tol / 10.0,
         "lemma_dlnf_wedge": kernel_tol,
@@ -454,12 +384,50 @@ def deformed_type(
         "d_phi_tilde": kernel_tol * 10.0,
     }
     return DeformedTypeReport(
-        alphas=np.array(alphas),
-        betas=np.array(betas),
+        alphas=alphas,
+        betas=betas,
         residuals=tracker.report("deformed_type", tolerances),
         gate_residual_max=float(gate),
         gate_holds=gate < gate_tol,
     )
+
+
+@by_rows
+def _type_rows(s: AcmStructure, points, params, deformed, cf):
+    """The residuals, type functions and gate distance of :func:`deformed_type`."""
+    phi_t_fields = fundamental_two_form_fields(deformed)
+    tracker = ResidualTracker()
+    p = np.atleast_2d(points)
+    f = cf.frame(p)
+    fj = params.f.eval_jet2(p)
+    xi = s.xi.values(p)
+    dlnf = fj.grad / fj.value[:, None]
+    xi_lnf = dot(xi, dlnf)
+
+    phi_mat = fundamental_two_form_matrix(s, p)
+    phi_t_mat = fundamental_two_form_matrix(deformed, p)
+    eta_t = deformed.eta.values(p)
+    deta = d_oneform_matrix(s.eta, p)
+    deta_t = d_oneform_matrix(deformed.eta, p)
+
+    tracker.update(
+        "phi_scaling", max_abs(phi_t_mat - fj.value[:, None, None] * phi_mat), p
+    )
+    eta_wedge = wedge12_coeff(eta_t, phi_t_mat)
+    tracker.update(
+        "lemma_dlnf_wedge",
+        np.abs(wedge12_coeff(dlnf, phi_t_mat) - xi_lnf * eta_wedge),
+        p,
+    )
+    alphas = (f.div_v - f.e_rho) / (2.0 * fj.value)
+    rhs = (1.0 - f.sigma / f.e_rho)[:, None, None] * deta + alphas[:, None, None] * phi_t_mat
+    tracker.update("d_eta_tilde", max_abs(deta_t - rhs), p)
+    tracker.update(
+        "d_phi_tilde",
+        np.abs(d_twoform_coeff(phi_t_fields, p) - xi_lnf * eta_wedge),
+        p,
+    )
+    return tracker, alphas, 0.5 * xi_lnf, seq_max(np.abs(f.sigma - f.e_rho), 0.0)
 
 
 def corollary_case(
@@ -512,19 +480,16 @@ def corollary_gate(
     """Check sigma = e^rho; only then evaluate the special-case corollary."""
     cf = fields if fields is not None else CornerFields(s)
     points = np.atleast_2d(points)
-    gate = 0.0
-    cases = set()
-    for p in points:
-        f = cf.frame(p)
-        gate = max(gate, abs(f.sigma - f.e_rho))
+    f = cf.frame(points)
+    gate = seq_max(np.abs(f.sigma - f.e_rho), 0.0)
     gate_holds = gate < tol
     case = None
+    cases = set()
     if gate_holds:
-        for p in points:
-            f = cf.frame(p)
-            fj = params.f.eval_jet2(p)
-            xi_f = float(s.xi.values(p) @ fj.grad)
-            cases.add(corollary_case(f.e_rho, f.div_v, fj.value, xi_f, tol))
+        fj = params.f.eval_jet2(points)
+        xi_f = dot(s.xi.values(points), fj.grad)
+        for n in range(len(points)):
+            cases.add(corollary_case(f.e_rho[n], f.div_v[n], fj.value[n], xi_f[n], tol))
         # a mixed bag of pointwise cases is only generically trans-Sasakian
         case = next(iter(cases)) if len(cases) == 1 else TRANS_SASAKIAN
     return GateReport(

@@ -19,17 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acms import AcmStructure, fundamental_two_form_fields, fundamental_two_form_matrix, nijenhuis
-from .expr import jet_log, jet_sqrt
-from .fields import OneFormField, ScalarField, VectorField, as_point, jet_partial
+from .acms import _BASIS, AcmStructure, fundamental_two_form_fields, fundamental_two_form_matrix
+from .acms import nijenhuis
+from .expr import as_points, by_rows, jet_log, jet_sqrt, jet_sum, skipping
+from .fields import OneFormField, ScalarField, VectorField, batch_key, dot, first_row, jet_partial
+from .fields import gnorm, max_abs, mv, vm
 from .report import ResidualReport, ResidualTracker
-from .tensor import (
-    d_oneform_matrix,
-    d_twoform_coeff,
-    nabla_matrix,
-    probe_vectors,
-    wedge11_matrix,
-)
+from .tensor import d_oneform_matrix, d_twoform_coeff, nabla_matrix, probe_vectors, wedge11_matrix
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -49,8 +45,6 @@ __all__ = [
 # |psi| at or below this counts as a degenerate corner point (frame undefined)
 DEGENERACY_TOL = 1e-8
 
-_BASIS = [np.eye(3)[k] for k in range(3)]
-
 
 class DegenerateCornerError(RuntimeError):
     """|psi| fell under the degeneracy threshold; the frame is undefined."""
@@ -66,7 +60,11 @@ class DegenerateCornerError(RuntimeError):
 
 @dataclass(frozen=True)
 class CornerFrame:
-    """Pointwise fundamental frame data of a corner structure."""
+    """Fundamental frame data of a corner structure at a point or a sample.
+
+    For a sample of N points every field carries the sample axis in front:
+    scalars are ``(N,)`` arrays, vectors and covectors ``(N, 3)``.
+    """
 
     point: np.ndarray
     psi: np.ndarray
@@ -83,7 +81,7 @@ class CornerFrame:
 
 
 class _Bundle:
-    """Jets of the derived frame quantities at one point."""
+    """Jets of the derived frame quantities over one batch of points."""
 
     __slots__ = (
         "xi", "eta", "psi", "omega", "norm2", "e_rho", "rho",
@@ -96,38 +94,40 @@ def _psi_omega_jets(s: AcmStructure, p):
     xi = s.xi.jets(p)
     gam = s.g.christoffel_jets(p)
     g_jets = s.g.jets(p)
-    psi = []
-    for k in range(3):
-        acc = None
-        for i in range(3):
-            inner = jet_partial(xi[k], i)
-            for j in range(3):
-                inner = inner + gam[k][i][j] * xi[j]
-            term = xi[i] * inner
-            acc = term if acc is None else acc + term
-        psi.append(-acc)
-    omega = []
-    for j in range(3):
-        acc = None
-        for k in range(3):
-            term = g_jets[j][k] * psi[k]
-            acc = term if acc is None else acc + term
-        omega.append(acc)
+    psi = [
+        -jet_sum(
+            xi[i] * jet_sum([jet_partial(xi[k], i)] + [gam[k][i][j] * xi[j] for j in range(3)])
+            for i in range(3)
+        )
+        for k in range(3)
+    ]
+    omega = [jet_sum(g_jets[j][k] * psi[k] for k in range(3)) for j in range(3)]
     return xi, psi, omega
 
 
+def _values(jets) -> np.ndarray:
+    return np.stack([j.value for j in jets], axis=-1)
+
+
+def _quad(G, a, b):
+    return dot(vm(a, G), b)
+
+
 class CornerFields:
-    """Derived frame fields of a corner structure, memoized per point.
+    """Derived frame fields of a corner structure, evaluated a batch at a time.
 
     The accessors (``v``, ``phi_v``, ``theta1``, ``theta2``, ``rho``, ...)
-    are ordinary field objects whose jets read from the per-point bundle, so
-    they compose with every operation in :mod:`cornergeo.tensor`.
+    are ordinary field objects whose jets read from the bundle of jets of
+    the batch being evaluated, so they compose with every operation in
+    :mod:`cornergeo.tensor`.  The bundle of the last batch is kept: the
+    many fields built on these accessors (twins, deformations) all read
+    one bundle per sample.
     """
 
     def __init__(self, s: AcmStructure, degeneracy_tol: float = DEGENERACY_TOL):
         self.structure = s
         self.degeneracy_tol = float(degeneracy_tol)
-        self._bundles: dict = {}
+        self._last = None  # (batch key, bundle)
 
         def vec(pick):
             return VectorField(
@@ -147,49 +147,36 @@ class CornerFields:
         self.theta2 = form(lambda b: b.theta2)
         self.rho = ScalarField(lambda p: self.bundle(p).rho)
 
+    @by_rows
     def bundle(self, p) -> _Bundle:
-        key = as_point(p).tobytes()
-        hit = self._bundles.get(key)
-        if hit is not None:
-            return hit
+        key = batch_key(p)
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
 
         s = self.structure
         b = _Bundle()
         b.xi, b.psi, b.omega = _psi_omega_jets(s, p)
         b.eta = s.eta.jets(p)
 
-        norm2 = None
-        for k in range(3):
-            term = b.psi[k] * b.omega[k]
-            norm2 = term if norm2 is None else norm2 + term
+        norm2 = jet_sum(b.psi[k] * b.omega[k] for k in range(3))
         b.norm2 = norm2
-        if norm2.value <= self.degeneracy_tol**2:
-            raise DegenerateCornerError(p, float(np.sqrt(max(norm2.value, 0.0))))
+        bad = first_row(p, norm2.value <= self.degeneracy_tol**2)
+        if bad is not None:
+            value = np.reshape(norm2.value, -1)[bad[0]]
+            raise DegenerateCornerError(bad[1], float(np.sqrt(max(value, 0.0))))
 
         b.e_rho = jet_sqrt(norm2)
         b.rho = jet_log(norm2) * 0.5
         b.v = [b.psi[k] / b.e_rho for k in range(3)]
         phi = s.phi.jets(p)
-        b.phi_v = []
-        for k in range(3):
-            acc = None
-            for j in range(3):
-                term = phi[k][j] * b.v[j]
-                acc = term if acc is None else acc + term
-            b.phi_v.append(acc)
+        b.phi_v = [jet_sum(phi[k][j] * b.v[j] for j in range(3)) for k in range(3)]
         b.theta1 = [b.omega[j] / b.e_rho for j in range(3)]
-        b.theta2 = []
-        for j in range(3):
-            acc = None
-            for k in range(3):
-                term = b.omega[k] * phi[k][j]
-                acc = term if acc is None else acc + term
-            b.theta2.append(-acc / b.e_rho)
+        b.theta2 = [-jet_sum(b.omega[k] * phi[k][j] for k in range(3)) / b.e_rho for j in range(3)]
 
-        self._bundles[key] = b
+        self._last = (key, b)
         return b
 
-    # -- pointwise frame scalars -------------------------------------------
+    # -- frame scalars -----------------------------------------------------
 
     def frame(self, p) -> CornerFrame:
         b = self.bundle(p)
@@ -197,26 +184,26 @@ class CornerFields:
         G = s.g.matrix(p)
         gam = s.g.christoffel(p)
 
-        xi_v = np.array([j.value for j in b.xi])
-        v = np.array([j.value for j in b.v])
-        phi_v = np.array([j.value for j in b.phi_v])
-        jac_v = np.array([j.grad for j in b.v])
+        xi_v = _values(b.xi)
+        v = _values(b.v)
+        phi_v = _values(b.phi_v)
+        jac_v = np.stack([j.grad for j in b.v], axis=-2)
 
-        nabla_xi_v = jac_v @ xi_v + np.einsum("kij,i,j->k", gam, xi_v, v)
-        sigma = float(nabla_xi_v @ G @ phi_v)
-        div_v = float(np.trace(jac_v) + np.einsum("kki,i->", gam, v))
-        phi_v_rho = float(phi_v @ b.rho.grad)
+        nabla_xi_v = mv(jac_v, xi_v) + np.einsum("...kij,...i,...j->...k", gam, xi_v, v)
+        sigma = dot(vm(nabla_xi_v, G), phi_v)
+        div_v = np.trace(jac_v, axis1=-2, axis2=-1) + np.einsum("...kki,...i->...", gam, v)
+        phi_v_rho = dot(phi_v, b.rho.grad)
 
         return CornerFrame(
-            point=as_point(p),
-            psi=np.array([j.value for j in b.psi]),
-            omega=np.array([j.value for j in b.omega]),
+            point=as_points(p),
+            psi=_values(b.psi),
+            omega=_values(b.omega),
             rho=b.rho.value,
             e_rho=b.e_rho.value,
             v=v,
             phi_v=phi_v,
-            theta1=np.array([j.value for j in b.theta1]),
-            theta2=np.array([j.value for j in b.theta2]),
+            theta1=_values(b.theta1),
+            theta2=_values(b.theta2),
             sigma=sigma,
             div_v=div_v,
             phi_v_rho=phi_v_rho,
@@ -224,14 +211,11 @@ class CornerFields:
 
 
 def corner_frame(s: AcmStructure, p) -> CornerFrame:
-    """The fundamental frame at one point (degenerate points raise)."""
+    """The fundamental frame at one point or a sample (degenerate points raise)."""
     return CornerFields(s).frame(p)
 
 
-def _gnorm(G, v) -> float:
-    return float(np.sqrt(max(v @ G @ v, 0.0)))
-
-
+@by_rows
 def corner_residual(
     s: AcmStructure, points, rng=None, n_random: int = 4, tol: float = 1e-8
 ) -> ResidualReport:
@@ -242,19 +226,23 @@ def corner_residual(
     scores zero; no frame is required.
     """
     tracker = ResidualTracker()
-    for p in np.atleast_2d(points):
-        G = s.g.matrix(p)
-        P = s.phi.matrix(p)
-        eta = s.eta.values(p)
-        xi = s.xi.values(p)
-        A = nabla_matrix(s.g, s.xi, p)
-        psi = -(A @ xi)
-        for x in probe_vectors(s.g, p, rng, n_random, extra=[xi]):
-            tracker.update("nabla_xi", _gnorm(G, A @ x + (eta @ x) * psi), p)
-            tracker.update("nabla_phi_xi", _gnorm(G, A @ (P @ x)), p)
+    p = np.atleast_2d(points)
+    G = s.g.matrix(p)
+    P = s.phi.matrix(p)
+    eta = s.eta.values(p)
+    xi = s.xi.values(p)
+    A = nabla_matrix(s.g, s.xi, p)
+    psi = -mv(A, xi)
+    x, kept = probe_vectors(s.g, p, rng, n_random, extra=[xi])
+    at = p[np.nonzero(kept)[0]]
+    A, G, P = A[:, None], G[:, None], P[:, None]
+    r1 = mv(A, x) + dot(eta[:, None], x)[..., None] * psi[:, None]
+    tracker.update("nabla_xi", gnorm(G, r1)[kept], at)
+    tracker.update("nabla_phi_xi", gnorm(G, mv(A, mv(P, x)))[kept], at)
     return tracker.report("corner", tol)
 
 
+@by_rows
 def corner_residual_forms(s: AcmStructure, points, tol: float = 1e-7) -> ResidualReport:
     """Worst violation of the form characterization ``d eta = omega ^ eta``,
     ``d Phi = 0``, ``N_phi = 0``.
@@ -264,27 +252,27 @@ def corner_residual_forms(s: AcmStructure, points, tol: float = 1e-7) -> Residua
     """
     tracker = ResidualTracker()
     phi_fields = fundamental_two_form_fields(s)
-    for p in np.atleast_2d(points):
-        G = s.g.matrix(p)
-        eta = s.eta.values(p)
-        xi = s.xi.values(p)
-        A = nabla_matrix(s.g, s.xi, p)
-        omega = G @ (-(A @ xi))
-        deta = d_oneform_matrix(s.eta, p)
-        tracker.update(
-            "d_eta_vs_omega_wedge_eta",
-            np.max(np.abs(deta - wedge11_matrix(omega, eta))),
-            p,
-        )
-        tracker.update("d_phi", abs(d_twoform_coeff(phi_fields, p)), p)
-        worst = 0.0
-        for i in range(3):
-            for j in range(i + 1, 3):
-                worst = max(worst, _gnorm(G, nijenhuis(s, _BASIS[i], _BASIS[j], p)))
-        tracker.update("nijenhuis", worst, p)
+    p = np.atleast_2d(points)
+    G = s.g.matrix(p)
+    eta = s.eta.values(p)
+    xi = s.xi.values(p)
+    A = nabla_matrix(s.g, s.xi, p)
+    omega = mv(G, -mv(A, xi))
+    deta = d_oneform_matrix(s.eta, p)
+    tracker.update(
+        "d_eta_vs_omega_wedge_eta", max_abs(deta - wedge11_matrix(omega, eta)), p
+    )
+    tracker.update("d_phi", np.abs(d_twoform_coeff(phi_fields, p)), p)
+    worst = np.zeros(len(p))
+    for i in range(3):
+        for j in range(i + 1, 3):
+            norm = gnorm(G, nijenhuis(s, _BASIS[i], _BASIS[j], p))
+            worst = np.where(norm > worst, norm, worst)
+    tracker.update("nijenhuis", worst, p)
     return tracker.report("corner_forms", tol)
 
 
+@by_rows
 def connection_table_residuals(
     s: AcmStructure, points, rng=None, n_random: int = 2, tol: float = 1e-8
 ) -> ResidualReport:
@@ -297,44 +285,32 @@ def connection_table_residuals(
     """
     cf = CornerFields(s)
     tracker = ResidualTracker()
-    for p in np.atleast_2d(points):
-        f = cf.frame(p)
-        G = s.g.matrix(p)
-        xi = s.xi.values(p)
-        eta = s.eta.values(p)
-        A = nabla_matrix(s.g, s.xi, p)
-        Mv = nabla_matrix(s.g, cf.v, p)
-        Mpv = nabla_matrix(s.g, cf.phi_v, p)
+    p = np.atleast_2d(points)
+    f = cf.frame(p)
+    G = s.g.matrix(p)
+    xi = s.xi.values(p)
+    eta = s.eta.values(p)
+    A = nabla_matrix(s.g, s.xi, p)
+    Mv = nabla_matrix(s.g, cf.v, p)
+    Mpv = nabla_matrix(s.g, cf.phi_v, p)
 
-        for x in probe_vectors(s.g, p, rng, n_random, extra=[xi]):
-            tracker.update(
-                "nabla_xi", _gnorm(G, A @ x + f.e_rho * (eta @ x) * f.v), p
-            )
-        tracker.update(
-            "nabla_xi_v", _gnorm(G, Mv @ xi - f.e_rho * xi - f.sigma * f.phi_v), p
-        )
-        tracker.update(
-            "nabla_v_v", _gnorm(G, Mv @ f.v - f.phi_v_rho * f.phi_v), p
-        )
-        tracker.update(
-            "nabla_phiv_v",
-            _gnorm(G, Mv @ f.phi_v - (f.div_v - f.e_rho) * f.phi_v),
-            p,
-        )
-        tracker.update(
-            "nabla_xi_phiv", _gnorm(G, Mpv @ xi + f.sigma * f.v), p
-        )
-        tracker.update(
-            "nabla_v_phiv", _gnorm(G, Mpv @ f.v + f.phi_v_rho * f.v), p
-        )
-        tracker.update(
-            "nabla_phiv_phiv",
-            _gnorm(G, Mpv @ f.phi_v - (f.e_rho - f.div_v) * f.v),
-            p,
-        )
+    x, kept = probe_vectors(s.g, p, rng, n_random, extra=[xi])
+    r = mv(A[:, None], x) + (f.e_rho[:, None] * dot(eta[:, None], x))[..., None] * f.v[:, None]
+    tracker.update("nabla_xi", gnorm(G[:, None], r)[kept], p[np.nonzero(kept)[0]])
+    rows = {
+        "nabla_xi_v": mv(Mv, xi) - f.e_rho[:, None] * xi - f.sigma[:, None] * f.phi_v,
+        "nabla_v_v": mv(Mv, f.v) - f.phi_v_rho[:, None] * f.phi_v,
+        "nabla_phiv_v": mv(Mv, f.phi_v) - (f.div_v - f.e_rho)[:, None] * f.phi_v,
+        "nabla_xi_phiv": mv(Mpv, xi) + f.sigma[:, None] * f.v,
+        "nabla_v_phiv": mv(Mpv, f.v) + f.phi_v_rho[:, None] * f.v,
+        "nabla_phiv_phiv": mv(Mpv, f.phi_v) - (f.e_rho - f.div_v)[:, None] * f.v,
+    }
+    for name, r in rows.items():
+        tracker.update(name, gnorm(G, r), p)
     return tracker.report("connection_table", tol)
 
 
+@by_rows
 def frame_residuals(
     s: AcmStructure, points, tol: float = 1e-9, grad_tol: float = 1e-7
 ) -> ResidualReport:
@@ -342,48 +318,47 @@ def frame_residuals(
     reconstruction of grad rho from its frame components."""
     cf = CornerFields(s)
     tracker = ResidualTracker()
-    for p in np.atleast_2d(points):
-        b = cf.bundle(p)
-        f = cf.frame(p)
-        G = s.g.matrix(p)
-        xi = s.xi.values(p)
-        eta = s.eta.values(p)
+    p = np.atleast_2d(points)
+    b = cf.bundle(p)
+    f = cf.frame(p)
+    G = s.g.matrix(p)
+    xi = s.xi.values(p)
+    eta = s.eta.values(p)
 
-        tracker.update("v_unit", abs(f.v @ G @ f.v - 1.0), p)
-        tracker.update("phiv_unit", abs(f.phi_v @ G @ f.phi_v - 1.0), p)
-        tracker.update("xi_v_orth", abs(xi @ G @ f.v), p)
-        tracker.update("xi_phiv_orth", abs(xi @ G @ f.phi_v), p)
-        tracker.update("v_phiv_orth", abs(f.v @ G @ f.phi_v), p)
-        tracker.update("eta_v", abs(eta @ f.v), p)
-        tracker.update("eta_phiv", abs(eta @ f.phi_v), p)
-        tracker.update("theta1_v", abs(f.theta1 @ f.v - 1.0), p)
-        tracker.update("theta1_phiv", abs(f.theta1 @ f.phi_v), p)
-        tracker.update("theta1_xi", abs(f.theta1 @ xi), p)
-        tracker.update("theta2_v", abs(f.theta2 @ f.v), p)
-        tracker.update("theta2_phiv", abs(f.theta2 @ f.phi_v - 1.0), p)
-        tracker.update("theta2_xi", abs(f.theta2 @ xi), p)
-        tracker.update(
-            "phi_v_coherent", _gnorm(G, s.phi.matrix(p) @ f.v - f.phi_v), p
-        )
+    unit = {
+        "v_unit": _quad(G, f.v, f.v) - 1.0,
+        "phiv_unit": _quad(G, f.phi_v, f.phi_v) - 1.0,
+        "xi_v_orth": _quad(G, xi, f.v),
+        "xi_phiv_orth": _quad(G, xi, f.phi_v),
+        "v_phiv_orth": _quad(G, f.v, f.phi_v),
+        "eta_v": dot(eta, f.v),
+        "eta_phiv": dot(eta, f.phi_v),
+        "theta1_v": dot(f.theta1, f.v) - 1.0,
+        "theta1_phiv": dot(f.theta1, f.phi_v),
+        "theta1_xi": dot(f.theta1, xi),
+        "theta2_v": dot(f.theta2, f.v),
+        "theta2_phiv": dot(f.theta2, f.phi_v) - 1.0,
+        "theta2_xi": dot(f.theta2, xi),
+        "phi_v_coherent": gnorm(G, mv(s.phi.matrix(p), f.v) - f.phi_v),
+    }
+    for name, r in unit.items():
+        tracker.update(name, np.abs(r), p)
 
-        grad_rho = b.rho.grad
-        sharp = s.g.inverse(p) @ grad_rho
-        frame_sum = (
-            float(xi @ grad_rho) * xi
-            + float(f.v @ grad_rho) * f.v
-            + f.phi_v_rho * f.phi_v
-        )
-        tracker.update("grad_rho_frame", _gnorm(G, frame_sum - sharp), p)
+    grad_rho = b.rho.grad
+    sharp = mv(s.g.inverse(p), grad_rho)
+    frame_sum = (
+        dot(xi, grad_rho)[:, None] * xi
+        + dot(f.v, grad_rho)[:, None] * f.v
+        + f.phi_v_rho[:, None] * f.phi_v
+    )
+    tracker.update("grad_rho_frame", gnorm(G, frame_sum - sharp), p)
 
-    tolerances = {r: tol for r in [
-        "v_unit", "phiv_unit", "xi_v_orth", "xi_phiv_orth", "v_phiv_orth",
-        "eta_v", "eta_phiv", "theta1_v", "theta1_phiv", "theta1_xi",
-        "theta2_v", "theta2_phiv", "theta2_xi", "phi_v_coherent",
-    ]}
+    tolerances = dict.fromkeys(unit, tol)
     tolerances["grad_rho_frame"] = grad_tol
     return tracker.report("frame", tolerances)
 
 
+@by_rows
 def form_identities_residuals(s: AcmStructure, points, tol: float = 1e-8) -> ResidualReport:
     """Structure equations of the coframe.
 
@@ -395,63 +370,59 @@ def form_identities_residuals(s: AcmStructure, points, tol: float = 1e-8) -> Res
     """
     cf = CornerFields(s)
     tracker = ResidualTracker()
-    for p in np.atleast_2d(points):
-        f = cf.frame(p)
-        eta = s.eta.values(p)
-        phi_mat = fundamental_two_form_matrix(s, p)
-        deta = d_oneform_matrix(s.eta, p)
-        dth1 = d_oneform_matrix(cf.theta1, p)
-        dth2 = d_oneform_matrix(cf.theta2, p)
-        w_eta_th2 = wedge11_matrix(eta, f.theta2)
-        w_eta_th1 = wedge11_matrix(eta, f.theta1)
-        w_th1_th2 = wedge11_matrix(f.theta1, f.theta2)
+    p = np.atleast_2d(points)
+    f = cf.frame(p)
+    eta = s.eta.values(p)
+    phi_mat = fundamental_two_form_matrix(s, p)
+    deta = d_oneform_matrix(s.eta, p)
+    dth1 = d_oneform_matrix(cf.theta1, p)
+    dth2 = d_oneform_matrix(cf.theta2, p)
+    w_eta_th2 = wedge11_matrix(eta, f.theta2)
+    w_eta_th1 = wedge11_matrix(eta, f.theta1)
+    w_th1_th2 = wedge11_matrix(f.theta1, f.theta2)
+    sigma, e_minus_div = f.sigma[:, None, None], (f.e_rho - f.div_v)[:, None, None]
 
-        tracker.update(
-            "phi_as_two_theta2_theta1",
-            np.max(np.abs(phi_mat - 2.0 * wedge11_matrix(f.theta2, f.theta1))),
-            p,
-        )
-        tracker.update(
-            "d_theta1",
-            np.max(np.abs(dth1 - f.sigma * w_eta_th2 - f.phi_v_rho * w_th1_th2)),
-            p,
-        )
-        tracker.update(
-            "d_theta2",
-            np.max(
-                np.abs(dth2 + f.sigma * w_eta_th1 + (f.e_rho - f.div_v) * w_th1_th2)
-            ),
-            p,
-        )
-        tracker.update(
-            "d_theta2_via_d_eta",
-            np.max(
-                np.abs(
-                    dth2
-                    - (f.sigma / f.e_rho) * deta
-                    - 0.5 * (f.e_rho - f.div_v) * phi_mat
-                )
-            ),
-            p,
-        )
+    tracker.update(
+        "phi_as_two_theta2_theta1",
+        max_abs(phi_mat - 2.0 * wedge11_matrix(f.theta2, f.theta1)),
+        p,
+    )
+    tracker.update(
+        "d_theta1",
+        max_abs(dth1 - sigma * w_eta_th2 - f.phi_v_rho[:, None, None] * w_th1_th2),
+        p,
+    )
+    tracker.update(
+        "d_theta2",
+        max_abs(dth2 + sigma * w_eta_th1 + e_minus_div * w_th1_th2),
+        p,
+    )
+    tracker.update(
+        "d_theta2_via_d_eta",
+        max_abs(
+            dth2
+            - (f.sigma / f.e_rho)[:, None, None] * deta
+            - 0.5 * e_minus_div * phi_mat
+        ),
+        p,
+    )
     return tracker.report("form_identities", tol)
 
 
+@by_rows
 def closed_omega_check(
     s: AcmStructure, points, closed_tol: float = 1e-8, sigma_tol: float = 1e-6
 ) -> ResidualReport:
     """Check the implication: omega closed (d omega = 0) forces sigma = 0."""
     cf = CornerFields(s)
     tracker = ResidualTracker()
-    degenerate = 0
-    for p in np.atleast_2d(points):
-        try:
-            f = cf.frame(p)
-        except DegenerateCornerError:
-            degenerate += 1
-            continue
-        tracker.update("d_omega", np.max(np.abs(d_oneform_matrix(cf.omega, p))), p)
-        tracker.update("sigma", abs(f.sigma), p)
+    p = np.atleast_2d(points)
+    kept, f = skipping(cf.frame, p, DegenerateCornerError)
+    degenerate = int(np.count_nonzero(~kept))
+    p = p[kept]
+    if f is not None:
+        tracker.update("d_omega", max_abs(d_oneform_matrix(cf.omega, p)), p)
+        tracker.update("sigma", np.abs(f.sigma), p)
     report = tracker.report("closed_omega")
     d_max = report.max_abs("d_omega") if report.residuals else 0.0
     s_max = report.max_abs("sigma") if report.residuals else 0.0
@@ -468,6 +439,7 @@ def closed_omega_check(
     return report
 
 
+@by_rows
 def phi_derivative_residual(
     s: AcmStructure, points, rng=None, n_random: int = 2, tol: float = 1e-8
 ) -> ResidualReport:
@@ -478,31 +450,39 @@ def phi_derivative_residual(
     defining Eq-style residual stays canonical.
     """
     tracker = ResidualTracker()
-    for p in np.atleast_2d(points):
-        G = s.g.matrix(p)
-        P = s.phi.matrix(p)
-        eta = s.eta.values(p)
-        xi = s.xi.values(p)
-        gam = s.g.christoffel(p)
-        A = nabla_matrix(s.g, s.xi, p)
-        psi = -(A @ xi)
-        omega = G @ psi
-        phi_psi = P @ psi
-        # nabla phi as a (1,2)-tensor: D[i,k,j] = (nabla_i phi)^k_j
-        phi_jets = s.phi.jets(p)
-        dphi = np.empty((3, 3, 3))
-        for k in range(3):
-            for j in range(3):
-                dphi[:, k, j] = phi_jets[k][j].grad
-        D = (
-            dphi
-            + np.einsum("kim,mj->ikj", gam, P)
-            - np.einsum("mij,km->ikj", gam, P)
-        )
-        probes = probe_vectors(s.g, p, rng, n_random, extra=[xi])
-        for x in probes:
-            for y in probes:
-                lhs = np.einsum("ikj,i,j->k", D, x, y)
-                rhs = (eta @ x) * ((omega @ (P @ y)) * xi + (eta @ y) * phi_psi)
-                tracker.update("nabla_phi", _gnorm(G, lhs - rhs), p)
+    p = np.atleast_2d(points)
+    G = s.g.matrix(p)
+    P = s.phi.matrix(p)
+    eta = s.eta.values(p)
+    xi = s.xi.values(p)
+    gam = s.g.christoffel(p)
+    A = nabla_matrix(s.g, s.xi, p)
+    psi = -mv(A, xi)
+    omega = mv(G, psi)
+    phi_psi = mv(P, psi)
+    # nabla phi as a (1,2)-tensor: D[..., i, k, j] = (nabla_i phi)^k_j
+    phi_jets = s.phi.jets(p)
+    dphi = np.empty((len(p), 3, 3, 3))
+    for k in range(3):
+        for j in range(3):
+            dphi[:, :, k, j] = phi_jets[k][j].grad
+    D = (
+        dphi
+        + np.einsum("...kim,...mj->...ikj", gam, P)
+        - np.einsum("...mij,...km->...ikj", gam, P)
+    )
+    probes, kept = probe_vectors(s.g, p, rng, n_random, extra=[xi])
+    n = probes.shape[1]
+    res = np.empty((len(p), n, n))
+    for a in range(n):
+        x = probes[:, a]
+        for c in range(n):
+            y = probes[:, c]
+            lhs = np.einsum("...ikj,...i,...j->...k", D, x, y)
+            rhs = dot(eta, x)[:, None] * (
+                dot(omega, mv(P, y))[:, None] * xi + dot(eta, y)[:, None] * phi_psi
+            )
+            res[:, a, c] = gnorm(G, lhs - rhs)
+    pairs = kept[:, :, None] & kept[:, None, :]
+    tracker.update("nabla_phi", res[pairs], p[np.nonzero(pairs)[0]])
     return tracker.report("phi_derivative", tol)

@@ -25,6 +25,8 @@ subexpressions are folded at parse time.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -87,9 +89,76 @@ class AbsAtZeroWarning(RuntimeWarning):
 # jets
 # ---------------------------------------------------------------------------
 
+# elementwise libm pow: np.power rounds differently from Python's float pow
+_POW = np.frompyfunc(pow, 2, 1)
+# errors whose cause is one chart point; see :func:`by_rows`
+_POINT_ERRORS = (ArithmeticError, ValueError, RuntimeError)
+
+
+def as_points(p) -> np.ndarray:
+    """A float array of chart points: shape (3,) for one point, (..., 3) for a batch."""
+    x = np.asarray(p, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != 3:
+        x = x.reshape(3)
+    return x
+
+
+def by_rows(fn):
+    """Make ``fn(obj, points, ...)`` fail the way a point-by-point loop would:
+    a batch that raises is replayed one point at a time, in sample order,
+    and the first point that fails on its own raises its error."""
+
+    @functools.wraps(fn)
+    def wrapper(obj, points, *args, **kwargs):
+        try:
+            return fn(obj, points, *args, **kwargs)
+        except _POINT_ERRORS:
+            for row in np.reshape(points, (-1, 1, 3)):
+                fn(obj, row, *args, **kwargs)
+            raise
+
+    return wrapper
+
+
+def skipping(fn, points, error) -> tuple:
+    """``(kept, fn(points[kept]))``: ``fn`` over the ``(N, 3)`` points at which
+    it does not raise ``error`` (the result is None when it raises at all).
+
+    The batch is tried first.  If it fails, the points are taken one at a
+    time in sample order: those raising ``error`` are left out, and any
+    other error propagates from the first point that raises it.
+    """
+    kept = np.ones(len(points), dtype=bool)
+    try:
+        return kept, fn(points)
+    except _POINT_ERRORS:
+        pass
+    for i in range(len(points)):
+        try:
+            fn(points[i : i + 1])
+        except error:
+            kept[i] = False
+    return kept, fn(points[kept]) if kept.any() else None
+
+
+def jet_sum(terms):
+    """``t0 + t1 + ...`` added left to right, with no leading zero."""
+    return functools.reduce(operator.add, terms)
+
+
+def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.outer`` of each row of two ``(..., 3)`` arrays."""
+    return a[..., :, None] * b[..., None, :]
+
 
 class Jet2:
-    """Truncated Taylor data (value, gradient, Hessian) at a chart point.
+    """Truncated Taylor data (value, gradient, Hessian) over a batch of chart points.
+
+    ``value`` has the batch shape: ``()`` for one point, ``(N,)`` for a
+    sample of N points.  ``grad`` adds one trailing axis of length 3 and
+    ``hess`` two.  Every rule below acts row by row with the same floating
+    point operations whatever the batch size, so row n of a batch equals
+    the jet of point n alone, bit for bit.
 
     ``grad`` and ``hess`` may be None, meaning "not tracked to that order":
     arithmetic propagates exactly the orders present in *both* operands, so
@@ -100,27 +169,49 @@ class Jet2:
 
     __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value: float, grad=None, hess=None):
-        self.value = float(value)
+    def __init__(self, value, grad=None, hess=None):
+        value = np.asarray(value, dtype=float)
+        self.value = value[()] if value.ndim == 0 else value
         self.grad = None if grad is None else np.asarray(grad, dtype=float)
         self.hess = None if hess is None else np.asarray(hess, dtype=float)
 
     @classmethod
-    def constant(cls, value: float, order: int = 2) -> "Jet2":
-        g = np.zeros(3) if order >= 1 else None
-        h = np.zeros((3, 3)) if order >= 2 else None
-        return cls(value, g, h)
+    def constant(cls, value, order: int = 2, shape=None) -> "Jet2":
+        value = np.asarray(value, dtype=float)
+        shape = value.shape if shape is None else tuple(shape)
+        g = np.zeros(shape + (3,)) if order >= 1 else None
+        h = np.zeros(shape + (3, 3)) if order >= 2 else None
+        return cls(value if value.shape == shape else np.broadcast_to(value, shape), g, h)
 
     @classmethod
-    def variable(cls, index: int, value: float, order: int = 2) -> "Jet2":
+    def variable(cls, index: int, value, order: int = 2) -> "Jet2":
         if index not in (0, 1, 2):
             raise IndexError(f"coordinate index out of range: {index}")
+        shape = np.shape(value)
         g = None
         if order >= 1:
-            g = np.zeros(3)
-            g[index] = 1.0
-        h = np.zeros((3, 3)) if order >= 2 else None
+            g = np.zeros(shape + (3,))
+            g[..., index] = 1.0
+        h = np.zeros(shape + (3, 3)) if order >= 2 else None
         return cls(value, g, h)
+
+    def broadcast(self, shape) -> "Jet2":
+        """The same jet repeated over the batch shape ``shape``."""
+        if np.shape(self.value) == tuple(shape):
+            return self
+        return Jet2(
+            np.broadcast_to(self.value, shape),
+            None if self.grad is None else np.broadcast_to(self.grad, tuple(shape) + (3,)),
+            None if self.hess is None else np.broadcast_to(self.hess, tuple(shape) + (3, 3)),
+        )
+
+    def __getitem__(self, index) -> "Jet2":
+        """The jets at some of the batch's points, e.g. ``jet[n]`` at point n."""
+        return Jet2(
+            self.value[index],
+            None if self.grad is None else self.grad[index],
+            None if self.hess is None else self.hess[index],
+        )
 
     def __repr__(self) -> str:
         depth = 0 if self.grad is None else (1 if self.hess is None else 2)
@@ -156,85 +247,120 @@ class Jet2:
         o = _lift(other)
         g = h = None
         if self.grad is not None and o.grad is not None:
-            g = self.grad * o.value + self.value * o.grad
+            g = self.grad * o.value[..., None] + self.value[..., None] * o.grad
             if self.hess is not None and o.hess is not None:
-                cross = np.outer(self.grad, o.grad)
-                h = self.hess * o.value + self.value * o.hess + cross + cross.T
+                cross = outer(self.grad, o.grad)
+                h = (
+                    self.hess * o.value[..., None, None]
+                    + self.value[..., None, None] * o.hess
+                    + cross
+                    + np.swapaxes(cross, -1, -2)
+                )
         return Jet2(self.value * o.value, g, h)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet2":
         o = _lift(other)
-        if o.value == 0.0:
+        if np.any(o.value == 0.0):
             raise EvalDomainError("division by zero")
         v = self.value / o.value
         g = h = None
         if self.grad is not None and o.grad is not None:
-            g = (self.grad - v * o.grad) / o.value
+            g = (self.grad - v[..., None] * o.grad) / o.value[..., None]
             if self.hess is not None and o.hess is not None:
-                cross = np.outer(g, o.grad)
-                h = (self.hess - v * o.hess - cross - cross.T) / o.value
+                cross = outer(g, o.grad)
+                h = (
+                    self.hess - v[..., None, None] * o.hess - cross - np.swapaxes(cross, -1, -2)
+                ) / o.value[..., None, None]
         return Jet2(v, g, h)
 
     def __rtruediv__(self, other) -> "Jet2":
         return _lift(other) / self
 
     def __pow__(self, other) -> "Jet2":
-        if isinstance(other, Jet2):
-            if _is_const_jet(other):
-                return _pow_const(self, other.value)
+        if not isinstance(other, Jet2):
+            return _pow_const(self, float(other))
+        const = _const_rows(other)
+        c = np.reshape(other.value, -1)
+        if np.all(const) and (c.size == 1 or np.all(c == c[0])):
+            return _pow_const(self, float(c[0]))
+        if not np.any(const):
             # general exponent: a^b = exp(b ln a), requires a > 0
-            if self.value <= 0.0:
+            if np.any(self.value <= 0.0):
                 raise EvalDomainError(
                     "power with non-constant exponent requires a positive base"
                 )
             return jet_exp(other * jet_log(self))
-        return _pow_const(self, float(other))
+        # constant on some rows only: take each row on its own
+        shape = np.broadcast_shapes(np.shape(self.value), np.shape(other.value))
+        a, b = self.broadcast(shape), other.broadcast(shape)
+        rows = [a[i] ** b[i] for i in np.ndindex(shape)]
+        g = h = None
+        if all(r.grad is not None for r in rows):
+            g = np.reshape([r.grad for r in rows], shape + (3,))
+            if all(r.hess is not None for r in rows):
+                h = np.reshape([r.hess for r in rows], shape + (3, 3))
+        return Jet2(np.reshape([r.value for r in rows], shape), g, h)
 
 
 def _lift(value) -> Jet2:
     if isinstance(value, Jet2):
         return value
-    return Jet2.constant(float(value))
+    return Jet2.constant(value)
 
 
-def _is_const_jet(j: Jet2) -> bool:
+def _const_rows(j: Jet2) -> np.ndarray:
+    """Rows on which ``j`` has an all-zero gradient (and Hessian, if tracked)."""
     if j.grad is None:
-        return False
-    if np.any(j.grad != 0.0):
-        return False
-    return j.hess is None or not np.any(j.hess != 0.0)
+        return np.zeros(np.shape(j.value), dtype=bool)
+    const = ~np.any(j.grad != 0.0, axis=-1)
+    if j.hess is not None:
+        const = const & ~np.any(j.hess != 0.0, axis=(-2, -1))
+    return const
 
 
 def _pow_const(a: Jet2, c: float) -> Jet2:
     if c == 0.0:
+        shape = np.shape(a.value)
         return Jet2(
-            1.0,
-            None if a.grad is None else np.zeros(3),
-            None if a.hess is None else np.zeros((3, 3)),
+            np.ones(shape),
+            None if a.grad is None else np.zeros(shape + (3,)),
+            None if a.hess is None else np.zeros(shape + (3, 3)),
         )
     if c == 1.0:
         return Jet2(a.value, a.grad, a.hess)
-    v0 = a.value
-    if v0 == 0.0:
-        if c.is_integer() and c >= 2:
-            f1 = 0.0
-            f2 = 2.0 if c == 2.0 else 0.0
-            return _chain(a, 0.0, f1, f2)
-        raise EvalDomainError("zero raised to a negative or fractional power")
-    if v0 < 0.0 and not c.is_integer():
+    v0 = np.asarray(a.value)
+    zero = v0 == 0.0
+    # per point, in sample order: a zero base, then a negative one
+    bad_zero = zero & (not (c.is_integer() and c >= 2))
+    bad = np.reshape(bad_zero | ((v0 < 0.0) & (not c.is_integer())), -1)
+    if bad.any():
+        if np.reshape(bad_zero, -1)[np.argmax(bad)]:
+            raise EvalDomainError("zero raised to a negative or fractional power")
         raise EvalDomainError("negative base with fractional exponent")
-    return _chain(a, v0**c, c * v0 ** (c - 1.0), c * (c - 1.0) * v0 ** (c - 2.0))
+    v = _pow(v0, c)
+    f1 = c * _pow(v0, c - 1.0)
+    f2 = c * (c - 1.0) * _pow(v0, c - 2.0)
+    if zero.any():
+        v = np.where(zero, 0.0, v)
+        f1 = np.where(zero, 0.0, f1)
+        f2 = np.where(zero, 2.0 if c == 2.0 else 0.0, f2)
+    return _chain(a, v, f1, f2)
 
 
-def _chain(a: Jet2, v: float, f1: float, f2: float) -> Jet2:
+def _pow(base: np.ndarray, c: float) -> np.ndarray:
+    return np.asarray(_POW(base, c), dtype=float)
+
+
+def _chain(a: Jet2, v, f1, f2) -> Jet2:
     """Push the jet ``a`` through a scalar map with derivatives f1, f2 at a.value."""
+    f1, f2 = np.asarray(f1)[..., None], np.asarray(f2)[..., None, None]
     g = h = None
     if a.grad is not None:
         g = f1 * a.grad
         if a.hess is not None:
-            h = f1 * a.hess + f2 * np.outer(a.grad, a.grad)
+            h = f1[..., None] * a.hess + f2 * outer(a.grad, a.grad)
     return Jet2(v, g, h)
 
 
@@ -244,7 +370,7 @@ def jet_exp(a: Jet2) -> Jet2:
 
 
 def jet_log(a: Jet2) -> Jet2:
-    if a.value <= 0.0:
+    if np.any(a.value <= 0.0):
         raise EvalDomainError("ln of a non-positive value")
     v0 = a.value
     return _chain(a, np.log(v0), 1.0 / v0, -1.0 / (v0 * v0))
@@ -259,23 +385,23 @@ def jet_cos(a: Jet2) -> Jet2:
 
 
 def jet_sqrt(a: Jet2) -> Jet2:
-    if a.value <= 0.0:
+    if np.any(a.value <= 0.0):
         raise EvalDomainError("sqrt of a non-positive value")
     s = np.sqrt(a.value)
     return _chain(a, s, 0.5 / s, -0.25 / (s * a.value))
 
 
 def jet_abs(a: Jet2) -> Jet2:
-    if a.value == 0.0:
+    v = a.value
+    zero = v == 0.0
+    if np.any(zero):
         warnings.warn(
             "abs differentiated at zero; derivative taken as 0",
             AbsAtZeroWarning,
             stacklevel=2,
         )
-        sign = 0.0
-    else:
-        sign = 1.0 if a.value > 0.0 else -1.0
-    return _chain(a, abs(a.value), sign, 0.0)
+    sign = np.where(zero, 0.0, np.where(v > 0.0, 1.0, -1.0))
+    return _chain(a, np.abs(v), sign, 0.0)
 
 
 _FUNCTIONS: dict[str, Callable[[Jet2], Jet2]] = {
@@ -374,21 +500,22 @@ def _wrap(node: Node, min_level: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _eval(node: Node, x: np.ndarray, order: int) -> Jet2:
+def _walk(node: Node, x: np.ndarray, order: int) -> Jet2:
+    """One walk of the tree over the whole batch of points ``x``."""
     if isinstance(node, Const):
         return Jet2.constant(node.value, order)
     if isinstance(node, Var):
-        return Jet2.variable(node.index, x[node.index], order)
+        return Jet2.variable(node.index, x[..., node.index], order)
     try:
         if isinstance(node, Unary):
-            return -_eval(node.arg, x, order)
+            return -_walk(node.arg, x, order)
         if isinstance(node, Call):
-            return _FUNCTIONS[node.name](_eval(node.arg, x, order))
-        a = _eval(node.left, x, order)
+            return _FUNCTIONS[node.name](_walk(node.arg, x, order))
+        a = _walk(node.left, x, order)
         if node.op == "^" and isinstance(node.right, Const):
             # a literal exponent keeps integer powers of negative bases legal
             return a**node.right.value
-        b = _eval(node.right, x, order)
+        b = _walk(node.right, x, order)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -404,6 +531,11 @@ def _eval(node: Node, x: np.ndarray, order: int) -> Jet2:
         raise
 
 
+def _jets_at(root: Node, point, order: int) -> Jet2:
+    x = as_points(point)
+    return _walk(root, x, order).broadcast(x.shape[:-1])
+
+
 @dataclass(frozen=True)
 class ScalarExpr:
     """A parsed scalar expression in the chart coordinates.
@@ -414,13 +546,15 @@ class ScalarExpr:
 
     root: Node
 
+    @by_rows
     def eval_jet2(self, point) -> Jet2:
-        x = np.asarray(point, dtype=float).reshape(3)
-        return _eval(self.root, x, 2)
+        """The jet at ``point``, or over a ``(N, 3)`` batch of points."""
+        return _jets_at(self.root, point, 2)
 
-    def value(self, point) -> float:
-        x = np.asarray(point, dtype=float).reshape(3)
-        return _eval(self.root, x, 0).value
+    @by_rows
+    def value(self, point):
+        """The value at ``point`` (a float), or over a batch (an array)."""
+        return _jets_at(self.root, point, 0).value
 
     def __call__(self, point) -> float:
         return self.value(point)
@@ -467,10 +601,11 @@ def _coerce(obj) -> Node:
     return Const(float(obj))
 
 
+@by_rows
 def eval_jet2(expr: ScalarExpr, point, order: int = 2) -> Jet2:
-    """Evaluate an expression to a jet at ``point``; ``order`` trims depth."""
-    x = np.asarray(point, dtype=float).reshape(3)
-    return _eval(expr.root, x, order)
+    """Evaluate an expression to a jet at ``point`` or over a batch of points;
+    ``order`` trims depth."""
+    return _jets_at(expr.root, point, order)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +667,7 @@ def _fold_binary(op: str, left: Node, right: Node) -> Node:
     node = Binary(op, left, right)
     if isinstance(left, Const) and isinstance(right, Const):
         try:
-            return Const(_eval(node, np.zeros(3), 0).value)
+            return Const(float(_walk(node, np.zeros(3), 0).value))
         except EvalDomainError:
             return node
     return node
@@ -544,7 +679,7 @@ def _fold_call(name: str, arg: Node) -> Node:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", AbsAtZeroWarning)
-                return Const(_eval(node, np.zeros(3), 0).value)
+                return Const(float(_walk(node, np.zeros(3), 0).value))
         except EvalDomainError:
             return node
     return node

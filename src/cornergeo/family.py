@@ -17,14 +17,15 @@ and the derived frame quantities feed every construction downstream.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .acms import AcmStructure
-from .expr import Call, ScalarExpr, as_expr
-from .fields import ChartDomain, MetricField, OneFormField, TensorField11, VectorField
-from .report import ResidualReport
+from .expr import Call, ScalarExpr, as_expr, by_rows
+from .fields import ChartDomain, MetricField, OneFormField, TensorField11, VectorField, first_row
+from .report import ResidualReport, seq_max
 from .corner import corner_residual
 
 __all__ = [
@@ -62,16 +63,7 @@ class FamilyParams:
 def build_family(params: FamilyParams, check_points: int = 50) -> AcmStructure:
     """Assemble the structure; validates tau > 0 and tau*kappa*mu != 0 on a sample."""
     tau, kappa, mu = params.tau, params.kappa, params.mu
-    for p in params.domain.sample(check_points, seed_or_rng=0):
-        t, k, m = tau.value(p), kappa.value(p), mu.value(p)
-        if not t > 0.0:
-            raise ValueError(
-                f"family requires tau > 0; tau({p.tolist()}) = {t:.3e}"
-            )
-        if abs(t * k * m) < 1e-9:
-            raise ValueError(
-                f"family requires tau*kappa*mu != 0; value at {p.tolist()} = {t * k * m:.3e}"
-            )
+    _check_generators(params, params.domain.sample(check_points, seed_or_rng=0))
 
     zero = as_expr(0)
     one = as_expr(1)
@@ -90,6 +82,21 @@ def build_family(params: FamilyParams, check_points: int = 50) -> AcmStructure:
     )
 
 
+@by_rows
+def _check_generators(params: FamilyParams, points) -> None:
+    t, k, m = params.tau.value(points), params.kappa.value(points), params.mu.value(points)
+    bad = first_row(points, ~(t > 0.0) | (np.abs(t * k * m) < 1e-9))
+    if bad is None:
+        return
+    i, p = bad
+    t, tkm = np.reshape(t, -1)[i], np.reshape(t * k * m, -1)[i]
+    if not t > 0.0:
+        raise ValueError(f"family requires tau > 0; tau({p.tolist()}) = {t:.3e}")
+    raise ValueError(
+        f"family requires tau*kappa*mu != 0; value at {p.tolist()} = {tkm:.3e}"
+    )
+
+
 @dataclass
 class FamilyCriterionReport:
     """The x1-independence criterion versus the connection-level residual."""
@@ -104,16 +111,7 @@ class FamilyCriterionReport:
     residual_tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "max_kappa1": self.max_kappa1,
-            "max_mu1": self.max_mu1,
-            "criterion_holds": self.criterion_holds,
-            "corner_residual_max": self.corner_residual_max,
-            "corner_holds": self.corner_holds,
-            "consistent": self.consistent,
-            "criterion_tol": self.criterion_tol,
-            "residual_tol": self.residual_tol,
-        }
+        return dataclasses.asdict(self)
 
 
 def family_corner_criterion(
@@ -125,8 +123,8 @@ def family_corner_criterion(
 ) -> FamilyCriterionReport:
     """Evaluate d(kappa)/dx1 and d(mu)/dx1 and cross-check the corner residual."""
     points = np.atleast_2d(points)
-    max_k1 = max(abs(params.kappa.eval_jet2(p).grad[0]) for p in points)
-    max_m1 = max(abs(params.mu.eval_jet2(p).grad[0]) for p in points)
+    max_k1 = seq_max(np.abs(params.kappa.eval_jet2(points).grad[:, 0]))
+    max_m1 = seq_max(np.abs(params.mu.eval_jet2(points).grad[:, 0]))
     criterion = max_k1 < criterion_tol and max_m1 < criterion_tol
 
     s = structure if structure is not None else build_family(params)

@@ -1,11 +1,16 @@
 """Field containers over a 3-dimensional chart.
 
 A *field* here is a lazily evaluated map from chart points to jets (see
-:mod:`cornergeo.expr`).  Fields built from parsed expressions carry exact
-value/gradient/Hessian; fields derived from them (e.g. Christoffel symbols,
-frame components) carry value/gradient.  The containers below are thin:
-component access plus the handful of evaluation shapes the geometry needs
-(values, Jacobians, jets).
+:mod:`cornergeo.expr`).  Every evaluation takes one point, shape ``(3,)``,
+or a whole sample, shape ``(N, 3)``, and evaluates each component once
+over the batch: values come back with the batch shape in front
+(``values`` gives ``(N, 3)``, ``matrix`` and ``jacobian`` ``(N, 3, 3)``).
+Fields built from parsed expressions carry exact value/gradient/Hessian;
+fields derived from them (e.g. Christoffel symbols, frame components)
+carry value/gradient.  The containers below are thin: component access
+plus the handful of evaluation shapes the geometry needs (values,
+Jacobians, jets), and the batched products (``mv``, ``vm``, ``dot``) that
+give each row the bits of the single-point ``@``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Jet2, ScalarExpr, as_expr, jet_exp, jet_log, jet_sqrt
+from .expr import Jet2, ScalarExpr, as_expr, as_points, by_rows, jet_sum
 
 __all__ = [
     "SingularMetricError",
@@ -79,19 +84,67 @@ class ChartDomain:
         hi = np.array([b[1] for b in self.bounds])
         return lo + (hi - lo) * rng.random((int(n), 3))
 
-    def contains(self, p) -> bool:
-        x = as_point(p)
-        return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, self.bounds))
 
-    def center(self) -> np.ndarray:
-        return np.array([(lo + hi) / 2.0 for lo, hi in self.bounds])
+def batch_key(p) -> tuple:
+    """Cache key of a point batch; non-finite coordinates raise as in :func:`as_point`."""
+    x = as_points(p)
+    if not np.isfinite(x).all():
+        row = first_row(x, ~np.all(np.isfinite(x), axis=-1))[1]
+        raise ValueError(f"chart point has non-finite coordinates: {row.tolist()}")
+    return x.shape, x.tobytes()
+
+
+def first_row(p, mask) -> tuple:
+    """``(index, point)`` of the first True row of ``mask``, or None."""
+    flat = np.reshape(mask, -1)
+    if not flat.any():
+        return None
+    i = int(np.argmax(flat))
+    return i, as_points(p).reshape(-1, 3)[i]
 
 
 def jet_partial(j: Jet2, i: int) -> Jet2:
     """The i-th coordinate derivative of a jet, one order shallower."""
     if j.grad is None:
         raise ValueError("jet carries no gradient; cannot take a partial")
-    return Jet2(j.grad[i], None if j.hess is None else j.hess[i], None)
+    return Jet2(j.grad[..., i], None if j.hess is None else j.hess[..., i, :], None)
+
+
+# Batched matrix products.  Each reproduces the per-point product of a
+# single point exactly: vector arguments become stacked 1-row or 1-column
+# matrices, so every row goes through the same BLAS call as ``a @ b``.
+
+
+def mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for matrices ``(..., 3, 3)`` and vectors ``(..., 3)``."""
+    return (a @ np.asarray(x)[..., None])[..., 0]
+
+
+def vm(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``x @ a`` for vectors ``(..., 3)`` and matrices ``(..., 3, 3)``."""
+    return (np.asarray(x)[..., None, :] @ a)[..., 0, :]
+
+
+def dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` for two vectors ``(..., 3)``."""
+    return (np.asarray(x)[..., None, :] @ np.asarray(y)[..., None])[..., 0, 0]
+
+
+def vnorm(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x)`` of vectors ``(..., 3)``."""
+    return np.sqrt(dot(x, x))
+
+
+def gnorm(G: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The g-length ``sqrt(max(v @ G @ v, 0.0))`` of vectors ``(..., 3)``;
+    like ``max``, it lets NaN and -0.0 through."""
+    sq = dot(vm(v, G), v)
+    return np.sqrt(np.where(sq < 0.0, 0.0, sq))
+
+
+def max_abs(m: np.ndarray) -> np.ndarray:
+    """``np.max(np.abs(m))`` of each matrix of a ``(..., 3, 3)`` array."""
+    return np.max(np.abs(m), axis=(-2, -1))
 
 
 class ScalarField:
@@ -108,9 +161,10 @@ class ScalarField:
         return cls(lambda p: expr.eval_jet2(p))
 
     @classmethod
-    def constant(cls, c: float) -> "ScalarField":
-        c = float(c)
-        return cls(lambda p: Jet2.constant(c))
+    def constant(cls, c) -> "ScalarField":
+        """A field with zero derivatives; ``c`` may give one value per sample point."""
+        c = np.asarray(c, dtype=float)
+        return cls(lambda p: Jet2.constant(c, shape=as_points(p).shape[:-1]))
 
     def jet(self, p) -> Jet2:
         return self._fn(p)
@@ -120,19 +174,6 @@ class ScalarField:
 
     def partial(self, i: int) -> "ScalarField":
         return ScalarField(lambda p: jet_partial(self.jet(p), i))
-
-    def cached(self) -> "ScalarField":
-        """Memoize evaluation per point (keyed by the point's bytes)."""
-        memo: dict = {}
-
-        def fn(p):
-            key = as_point(p).tobytes()
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = self._fn(p)
-            return hit
-
-        return ScalarField(fn)
 
     def __neg__(self):
         return ScalarField(lambda p: -self.jet(p))
@@ -165,15 +206,6 @@ class ScalarField:
         o = _as_field(other)
         return ScalarField(lambda p: o.jet(p) / self.jet(p))
 
-    def exp(self):
-        return ScalarField(lambda p: jet_exp(self.jet(p)))
-
-    def log(self):
-        return ScalarField(lambda p: jet_log(self.jet(p)))
-
-    def sqrt(self):
-        return ScalarField(lambda p: jet_sqrt(self.jet(p)))
-
 
 def _as_field(obj) -> ScalarField:
     if isinstance(obj, ScalarField):
@@ -195,15 +227,19 @@ class _ComponentsMixin:
 
     __slots__ = ()
 
+    @classmethod
+    def from_exprs(cls, comps):
+        return cls(comps)
+
     def jets(self, p) -> list:
         return [c.jet(p) for c in self.components]
 
     def values(self, p) -> np.ndarray:
-        return np.array([c.value(p) for c in self.components])
+        return np.stack([c.value(p) for c in self.components], axis=-1)
 
     def jacobian(self, p) -> np.ndarray:
-        """Matrix of partials ``J[k, i] = d_i comp_k``."""
-        return np.array([c.jet(p).grad for c in self.components])
+        """Matrix of partials ``J[..., k, i] = d_i comp_k``."""
+        return np.stack([c.jet(p).grad for c in self.components], axis=-2)
 
 
 class VectorField(_ComponentsMixin):
@@ -213,12 +249,13 @@ class VectorField(_ComponentsMixin):
         self.components = _component_fields(components, 3)
 
     @classmethod
-    def from_exprs(cls, comps) -> "VectorField":
-        return cls(comps)
-
-    @classmethod
     def constant(cls, vec) -> "VectorField":
-        return cls([float(v) for v in np.asarray(vec, dtype=float).reshape(3)])
+        """A field with constant components; ``vec`` is ``(3,)``, or ``(N, 3)``
+        for one direction per sample point."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.size == 3:
+            return cls([float(v) for v in vec.reshape(3)])
+        return cls([ScalarField.constant(vec[..., k]) for k in range(3)])
 
 
 class OneFormField(_ComponentsMixin):
@@ -226,10 +263,6 @@ class OneFormField(_ComponentsMixin):
 
     def __init__(self, components):
         self.components = _component_fields(components, 3)
-
-    @classmethod
-    def from_exprs(cls, comps) -> "OneFormField":
-        return cls(comps)
 
     def pair(self, X: VectorField) -> ScalarField:
         """The scalar field theta(X)."""
@@ -249,7 +282,7 @@ class TensorField11:
         self.entries = tuple(rows)
 
     def matrix(self, p) -> np.ndarray:
-        return np.array([[e.value(p) for e in row] for row in self.entries])
+        return _matrix(self.entries, p)
 
     def jets(self, p) -> list:
         return [[e.jet(p) for e in row] for row in self.entries]
@@ -267,16 +300,28 @@ class TensorField11:
         )
 
 
+def _stack3x3(grid) -> np.ndarray:
+    """A 3x3 nested list of same-shape arrays as one ``(..., 3, 3)`` array."""
+    return np.stack([np.stack(row, axis=-1) for row in grid], axis=-2)
+
+
+def _matrix(entries, p) -> np.ndarray:
+    """Values ``M[..., k, j]`` of a 3x3 grid of scalar fields."""
+    return _stack3x3([[e.value(p) for e in row] for row in entries])
+
+
 class MetricField:
     """A symmetric metric field with jet-level Christoffel symbols.
 
     Christoffel symbols are computed through jet arithmetic, so when the
     metric entries are expression-backed the symbols carry exact first
     derivatives (used for curvature-free frame derivatives downstream).
-    Results are memoized per point.
+    They are computed for a whole batch of points at once; the field keeps
+    the symbols of the last batch it saw, so the suites that reuse one
+    sample pay for them once.
     """
 
-    __slots__ = ("entries", "det_guard", "_cache")
+    __slots__ = ("entries", "det_guard", "_last")
 
     def __init__(self, entries, det_guard: float = DET_GUARD):
         rows = [_component_fields(row, 3) for row in entries]
@@ -284,7 +329,7 @@ class MetricField:
             raise ValueError("a metric field needs a 3x3 entry grid")
         self.entries = tuple(rows)
         self.det_guard = float(det_guard)
-        self._cache: dict = {}
+        self._last = None  # (batch key, Christoffel jets)
 
     @classmethod
     def diagonal(cls, d0, d1, d2) -> "MetricField":
@@ -300,41 +345,39 @@ class MetricField:
     # -- plain evaluation ---------------------------------------------------
 
     def matrix(self, p) -> np.ndarray:
-        return np.array([[e.value(p) for e in row] for row in self.entries])
+        return _matrix(self.entries, p)
 
     def jets(self, p) -> list:
         return [[e.jet(p) for e in row] for row in self.entries]
 
-    def det(self, p) -> float:
-        return float(np.linalg.det(self.matrix(p)))
+    def det(self, p):
+        return np.linalg.det(self.matrix(p))
 
     def inverse(self, p) -> np.ndarray:
         G = self.matrix(p)
-        det = float(np.linalg.det(G))
-        if abs(det) < self.det_guard:
-            raise SingularMetricError(p, det)
+        det = np.linalg.det(G)
+        bad = first_row(p, np.abs(det) < self.det_guard)
+        if bad is not None:
+            raise SingularMetricError(bad[1], np.reshape(det, -1)[bad[0]])
         return np.linalg.inv(G)
 
-    def inner(self, p, a, b) -> float:
-        return float(np.asarray(a) @ self.matrix(p) @ np.asarray(b))
-
-    def norm(self, p, a) -> float:
-        sq = self.inner(p, a, a)
-        return float(np.sqrt(max(sq, 0.0)))
+    def norm(self, p, a):
+        return gnorm(self.matrix(p), a)
 
     # -- Christoffel symbols ------------------------------------------------
 
+    @by_rows
     def christoffel_jets(self, p):
         """Nested list ``Gamma[k][i][j]`` of jets (value + gradient)."""
-        key = as_point(p).tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        key = batch_key(p)
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
 
         G = self.jets(p)
         det, Ginv = _invert3_jets(G)
-        if abs(det.value) < self.det_guard:
-            raise SingularMetricError(p, det.value)
+        bad = first_row(p, np.abs(det.value) < self.det_guard)
+        if bad is not None:
+            raise SingularMetricError(bad[1], np.reshape(det.value, -1)[bad[0]])
 
         # dg[a][i][j] = d_a g_ij, one jet order down from the metric entries
         dg = [
@@ -343,42 +386,41 @@ class MetricField:
         ]
         ginv_low = [[_drop_order(Ginv[i][j]) for j in range(3)] for i in range(3)]
 
-        gamma = []
-        for k in range(3):
-            rows = []
-            for i in range(3):
-                row = []
-                for j in range(3):
-                    acc = None
-                    for l in range(3):
-                        term = ginv_low[k][l] * (
-                            dg[i][j][l] + dg[j][i][l] - dg[l][i][j]
-                        )
-                        acc = term if acc is None else acc + term
-                    row.append(acc * 0.5)
-                rows.append(row)
-            gamma.append(rows)
+        gamma = [
+            [
+                [
+                    jet_sum(
+                        ginv_low[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
+                        for l in range(3)
+                    )
+                    * 0.5
+                    for j in range(3)
+                ]
+                for i in range(3)
+            ]
+            for k in range(3)
+        ]
 
-        self._cache[key] = gamma
+        self._last = (key, gamma)
         return gamma
 
     def christoffel(self, p) -> np.ndarray:
-        """Values ``Gamma[k, i, j]`` of the Levi-Civita connection."""
+        """Values ``Gamma[..., k, i, j]`` of the Levi-Civita connection."""
         jets = self.christoffel_jets(p)
-        return np.array(
-            [[[jets[k][i][j].value for j in range(3)] for i in range(3)] for k in range(3)]
+        return np.stack(
+            [_stack3x3([[j.value for j in row] for row in jets[k]]) for k in range(3)],
+            axis=-3,
         )
 
     def christoffel_partials(self, p) -> np.ndarray:
-        """Partials ``dGamma[a, k, i, j] = d_a Gamma^k_ij``."""
+        """Partials ``dGamma[..., a, k, i, j] = d_a Gamma^k_ij``."""
         jets = self.christoffel_jets(p)
-        out = np.empty((3, 3, 3, 3))
+        out = np.empty(np.shape(jets[0][0][0].value) + (3, 3, 3, 3))
         for k in range(3):
             for i in range(3):
                 for j in range(3):
-                    out[:, k, i, j] = jets[k][i][j].grad
+                    out[..., :, k, i, j] = jets[k][i][j].grad
         return out
-
 
 def _drop_order(j: Jet2) -> Jet2:
     """Forget the Hessian so products stay at (value, gradient) depth."""

@@ -1,4 +1,8 @@
-"""Residual bookkeeping: max-abs tracking with arg-max points and pass/fail."""
+"""Residual bookkeeping: max-abs tracking with arg-max points and pass/fail.
+
+A residual that is NaN or infinite is the worst value a tracker can see:
+it is kept whatever arrives after it, and it fails its tolerance.
+"""
 
 from __future__ import annotations
 
@@ -40,13 +44,28 @@ class ResidualTracker:
         self._worst: dict[str, tuple[float, list | None]] = {}
         self._order: list[str] = []
 
-    def update(self, name: str, value: float, point=None) -> None:
-        value = abs(float(value))
+    def update(self, name: str, value, point=None) -> None:
+        """Track ``value`` at ``point``, or a batch of values in sample order:
+        ``value`` then has the ``(N, 3)`` points' leading axis, possibly
+        followed by more (one entry per probe direction, say)."""
+        values = np.abs(np.asarray(value, dtype=float)).reshape(-1)
+        if values.size == 0:
+            return
+        # where a one-by-one update would end: the first non-finite value,
+        # else the first maximum
+        bad = ~np.isfinite(values)
+        i = int(np.argmax(bad)) if bad.any() else int(np.argmax(values))
+        if point is not None and np.ndim(point) > 1:
+            points = np.reshape(point, (-1, 3))
+            point = points[i // (values.size // len(points))]
+        value = float(values[i])
         if name not in self._worst:
             self._order.append(name)
-            self._worst[name] = (value, _point_list(point))
-        elif value > self._worst[name][0]:
-            self._worst[name] = (value, _point_list(point))
+        else:
+            worst = self._worst[name][0]
+            if not (value > worst or (np.isfinite(worst) and not np.isfinite(value))):
+                return
+        self._worst[name] = (value, _point_list(point))
 
     def max_abs(self, name: str) -> float:
         return self._worst[name][0]
@@ -60,6 +79,31 @@ class ResidualTracker:
             passed = None if tol is None else bool(worst < tol)
             residuals.append(Residual(name, worst, pt, tol, passed))
         return ResidualReport(suite, residuals, details or {})
+
+
+def seq_max(values, start=None) -> float:
+    """Python's ``max`` folded over ``values`` in order: a NaN never replaces
+    the running maximum, so it wins only as the start (or first value)."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if start is None:
+        start, values = values[0], values[1:]
+    rest = values[~np.isnan(values)]
+    return float(rest.max()) if rest.size and rest.max() > start else float(start)
+
+
+def seq_min(values) -> float:
+    """Python's ``min`` folded over ``values`` in order."""
+    return -seq_max(-np.asarray(values, dtype=float))
+
+
+def stats(values) -> dict:
+    """Mean, standard deviation, minimum and maximum of an array."""
+    return {
+        "mean": float(np.mean(values)),
+        "std": float(np.std(values)),
+        "min": float(np.min(values)),
+        "max": float(np.max(values)),
+    }
 
 
 def _point_list(point):
@@ -87,7 +131,9 @@ class ResidualReport:
         raise KeyError(name)
 
     def worst(self) -> float:
-        return max((r.max_abs for r in self.residuals), default=0.0)
+        """The largest residual; NaN whenever one is present."""
+        values = [float(r.max_abs) for r in self.residuals]
+        return float("nan") if np.isnan(values).any() else max(values, default=0.0)
 
     def to_dict(self) -> dict:
         return {
