@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import by_rows, jet_sum, outer, skipping
+from .expr import by_rows, outer, skipping
 from .fields import ChartDomain, MetricField, OneFormField, SingularMetricError, TensorField11
-from .fields import VectorField, dot, gnorm, mv, vm, vnorm
+from .fields import VectorField, contract, dot, first_order, gnorm, mv, vm, vnorm
 from .report import ResidualReport, ResidualTracker, stats
 from .tensor import _as_vector_field, divergence, exterior_d_oneform, lie_bracket, nabla_matrix
 from .tensor import probe_vectors
@@ -131,12 +131,9 @@ def fundamental_two_form_matrix(s: AcmStructure, p) -> np.ndarray:
     return s.g.matrix(p) @ s.phi.matrix(p)
 
 
-def fundamental_two_form_fields(s: AcmStructure):
-    """The coefficients Phi_ij as scalar fields (for exterior derivatives)."""
-    g, phi = s.g.entries, s.phi.entries
-    return [
-        [jet_sum(g[i][k] * phi[k][j] for k in range(3)) for j in range(3)] for i in range(3)
-    ]
+def fundamental_two_form_fields(s: AcmStructure) -> TensorField11:
+    """The coefficients Phi_ij as one field of 3x3 jets (for exterior derivatives)."""
+    return TensorField11(lambda p: contract(first_order(s.g.jets(p))[:, :, None], s.phi.jets(p)))
 
 
 def nijenhuis(s: AcmStructure, X, Y, p) -> np.ndarray:

@@ -43,12 +43,11 @@ from .acms import (
     fundamental_two_form_fields,
     fundamental_two_form_matrix,
     n1_tensor,
-    normality_residual,
     olszak_alpha_beta,
 )
 from .corner import CornerFields
-from .expr import ScalarExpr, as_expr, by_rows
-from .fields import MetricField, OneFormField, ScalarField, TensorField11, dot, first_row
+from .expr import Jet2, ScalarExpr, as_expr, by_rows
+from .fields import MetricField, OneFormField, TensorField11, dot, first_order, first_row
 from .fields import max_abs, mv, vm
 from .report import ResidualReport, ResidualTracker, seq_max, stats
 from .tensor import d_oneform_matrix, d_twoform_coeff, wedge12_coeff
@@ -82,32 +81,17 @@ def twin(s: AcmStructure, kind: TwinKind, fields: CornerFields | None = None) ->
     """Build the V-twin or the phiV-twin of a corner structure."""
     cf = fields if fields is not None else CornerFields(s)
     kind = TwinKind(kind)
+    # phi' at [k, j] is a_j b^k - c_j d^k
     if kind is TwinKind.V:
-        new_phi = [
-            [
-                cf.theta2.components[j] * s.xi.components[k]
-                - s.eta.components[j] * cf.phi_v.components[k]
-                for j in range(3)
-            ]
-            for k in range(3)
-        ]
-        new_xi, new_eta = cf.v, cf.theta1
+        (a, b, c, d), new_xi, new_eta = (cf.theta2, s.xi, s.eta, cf.phi_v), cf.v, cf.theta1
     else:
-        new_phi = [
-            [
-                s.eta.components[j] * cf.v.components[k]
-                - cf.theta1.components[j] * s.xi.components[k]
-                for j in range(3)
-            ]
-            for k in range(3)
-        ]
-        new_xi, new_eta = cf.phi_v, cf.theta2
+        (a, b, c, d), new_xi, new_eta = (s.eta, cf.v, cf.theta1, s.xi), cf.phi_v, cf.theta2
+
+    def phi(p):
+        return a.jets(p)[None] * b.jets(p)[:, None] - c.jets(p)[None] * d.jets(p)[:, None]
+
     return AcmStructure(
-        phi=TensorField11(new_phi),
-        xi=new_xi,
-        eta=OneFormField(list(new_eta.components)),
-        g=s.g,
-        domain=s.domain,
+        phi=TensorField11(phi), xi=new_xi, eta=new_eta, g=s.g, domain=s.domain
     )
 
 
@@ -131,14 +115,6 @@ class TwinTheoremVerdict:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-def _twin_olszak_errors(t: AcmStructure, points, beta_target=None):
-    """Pointwise |alpha| and |beta - target| maxima for a twin structure;
-    ``beta_target`` gives one target value per point."""
-    a, b = olszak_alpha_beta(t, np.atleast_2d(points))
-    target = 0.0 if beta_target is None else beta_target
-    return seq_max(np.abs(a), 0.0), seq_max(np.abs(b - target), 0.0)
 
 
 def thken_check(
@@ -167,7 +143,7 @@ def _twin_theorem(s, points, tol, fields, kind: TwinKind) -> TwinTheoremVerdict:
         beta_name, beta_target = "beta_minus_erho", f.e_rho
     else:
         theorem, div_name, div_target = "phiv_twin_cosymplectic", "div_v_minus_erho", f.e_rho
-        beta_name, beta_target = "beta", None
+        beta_name, beta_target = "beta", 0.0
     cond = {
         div_name: seq_max(np.abs(f.div_v - div_target), 0.0),
         "sigma": seq_max(np.abs(f.sigma), 0.0),
@@ -176,10 +152,11 @@ def _twin_theorem(s, points, tol, fields, kind: TwinKind) -> TwinTheoremVerdict:
     conditions_hold = all(v < tol for v in cond.values())
 
     t = twin(s, kind, fields=cf)
-    normality, _ = normality_residual(t, points)
-    a_max, b_err = _twin_olszak_errors(t, points, beta_target=beta_target)
+    classified = classify(t, points=points)
+    normality, verdict = classified.normality, classified.verdict
+    alpha, beta = olszak_alpha_beta(t, points)
+    a_max, b_err = seq_max(np.abs(alpha), 0.0), seq_max(np.abs(beta - beta_target), 0.0)
     twin_matches = normality < tol and a_max < tol and b_err < tol
-    verdict = classify(t, points=points).verdict
 
     return TwinTheoremVerdict(
         theorem=theorem,
@@ -214,7 +191,11 @@ class NonPositiveFError(ValueError):
 
 @dataclass(frozen=True)
 class DeformationParams:
-    """The conformal-like factor f (> 0) driving the deformation."""
+    """The conformal-like factor f (> 0) driving the deformation.
+
+    ``validate`` checks f on a fixed sample of the domain; the deformed
+    metric checks it again at every point it is evaluated at.
+    """
 
     f: ScalarExpr
 
@@ -223,15 +204,16 @@ class DeformationParams:
         return cls(f=as_expr(f))
 
     def validate(self, domain, check_points: int = 50) -> None:
-        _check_positive(self.f, domain.sample(check_points, seed_or_rng=0))
+        self.jet(domain.sample(check_points, seed_or_rng=0))
 
-
-@by_rows
-def _check_positive(f: ScalarExpr, points) -> None:
-    v = f.value(points)
-    bad = first_row(points, ~(v > 0.0))
-    if bad is not None:
-        raise NonPositiveFError(bad[1], np.reshape(v, -1)[bad[0]])
+    @by_rows
+    def jet(self, points) -> Jet2:
+        """The jet of f over ``points``; raises at the first point where f <= 0."""
+        fj = self.f.eval_jet2(points)
+        bad = first_row(points, ~(fj.value > 0.0))
+        if bad is not None:
+            raise NonPositiveFError(bad[1], np.reshape(fj.value, -1)[bad[0]])
+        return fj
 
 
 def deform(
@@ -244,25 +226,18 @@ def deform(
     cf = fields if fields is not None else CornerFields(s)
     if validate:
         params.validate(s.domain)
-    f = ScalarField.from_expr(params.f)
 
-    eta_t = [s.eta.components[j] - cf.theta2.components[j] for j in range(3)]
-    phi_t = [
-        [
-            s.phi.entries[k][j] + cf.theta1.components[j] * s.xi.components[k]
-            for j in range(3)
-        ]
-        for k in range(3)
-    ]
-    g_t = [
-        [
-            f * s.g.entries[i][j]
-            - f * s.eta.components[i] * s.eta.components[j]
-            + eta_t[i] * eta_t[j]
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
+    def eta_t(p):
+        return s.eta.jets(p) - cf.theta2.jets(p)
+
+    def phi_t(p):
+        return s.phi.jets(p) + cf.theta1.jets(p)[None] * s.xi.jets(p)[:, None]
+
+    def g_t(p):
+        # eta_t carries no Hessian, so g~ carries none: none is computed
+        f, eta, et = first_order(params.jet(p)), s.eta.jets(p), eta_t(p)
+        return f * s.g.jets(p) - (f * eta)[:, None] * eta[None] + et[:, None] * et[None]
+
     return AcmStructure(
         phi=TensorField11(phi_t),
         xi=s.xi,
@@ -399,7 +374,7 @@ def _type_rows(s: AcmStructure, points, params, deformed, cf):
     tracker = ResidualTracker()
     p = np.atleast_2d(points)
     f = cf.frame(p)
-    fj = params.f.eval_jet2(p)
+    fj = params.jet(p)
     xi = s.xi.values(p)
     dlnf = fj.grad / fj.value[:, None]
     xi_lnf = dot(xi, dlnf)
@@ -486,7 +461,7 @@ def corollary_gate(
     case = None
     cases = set()
     if gate_holds:
-        fj = params.f.eval_jet2(points)
+        fj = params.jet(points)
         xi_f = dot(s.xi.values(points), fj.grad)
         for n in range(len(points)):
             cases.add(corollary_case(f.e_rho[n], f.div_v[n], fj.value[n], xi_f[n], tol))

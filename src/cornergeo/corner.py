@@ -22,8 +22,8 @@ import numpy as np
 from .acms import _BASIS, AcmStructure, fundamental_two_form_fields, fundamental_two_form_matrix
 from .acms import nijenhuis
 from .expr import as_points, by_rows, jet_log, jet_sqrt, jet_sum, skipping
-from .fields import OneFormField, ScalarField, VectorField, batch_key, dot, first_row, jet_partial
-from .fields import gnorm, max_abs, mv, vm
+from .fields import OneFormField, ScalarField, VectorField, batch_first, batch_key, contract, dot
+from .fields import first_row, gnorm, jet_partials, max_abs, mv, vm
 from .report import ResidualReport, ResidualTracker
 from .tensor import d_oneform_matrix, d_twoform_coeff, nabla_matrix, probe_vectors, wedge11_matrix
 
@@ -89,26 +89,6 @@ class _Bundle:
     )
 
 
-def _psi_omega_jets(s: AcmStructure, p):
-    """Jets (value + gradient) of psi and omega; no degeneracy assumption."""
-    xi = s.xi.jets(p)
-    gam = s.g.christoffel_jets(p)
-    g_jets = s.g.jets(p)
-    psi = [
-        -jet_sum(
-            xi[i] * jet_sum([jet_partial(xi[k], i)] + [gam[k][i][j] * xi[j] for j in range(3)])
-            for i in range(3)
-        )
-        for k in range(3)
-    ]
-    omega = [jet_sum(g_jets[j][k] * psi[k] for k in range(3)) for j in range(3)]
-    return xi, psi, omega
-
-
-def _values(jets) -> np.ndarray:
-    return np.stack([j.value for j in jets], axis=-1)
-
-
 def _quad(G, a, b):
     return dot(vm(a, G), b)
 
@@ -128,23 +108,12 @@ class CornerFields:
         self.structure = s
         self.degeneracy_tol = float(degeneracy_tol)
         self._last = None  # (batch key, bundle)
-
-        def vec(pick):
-            return VectorField(
-                [ScalarField(lambda p, k=k: pick(self.bundle(p))[k]) for k in range(3)]
-            )
-
-        def form(pick):
-            return OneFormField(
-                [ScalarField(lambda p, k=k: pick(self.bundle(p))[k]) for k in range(3)]
-            )
-
-        self.psi = vec(lambda b: b.psi)
-        self.v = vec(lambda b: b.v)
-        self.phi_v = vec(lambda b: b.phi_v)
-        self.omega = form(lambda b: b.omega)
-        self.theta1 = form(lambda b: b.theta1)
-        self.theta2 = form(lambda b: b.theta2)
+        self.psi = VectorField(lambda p: self.bundle(p).psi)
+        self.v = VectorField(lambda p: self.bundle(p).v)
+        self.phi_v = VectorField(lambda p: self.bundle(p).phi_v)
+        self.omega = OneFormField(lambda p: self.bundle(p).omega)
+        self.theta1 = OneFormField(lambda p: self.bundle(p).theta1)
+        self.theta2 = OneFormField(lambda p: self.bundle(p).theta2)
         self.rho = ScalarField(lambda p: self.bundle(p).rho)
 
     @by_rows
@@ -155,10 +124,17 @@ class CornerFields:
 
         s = self.structure
         b = _Bundle()
-        b.xi, b.psi, b.omega = _psi_omega_jets(s, p)
+        xi = b.xi = s.xi.jets(p)
+        gam = s.g.christoffel_jets(p)
+        # psi^k = -xi^i (d_i xi^k + Gamma^k_ij xi^j);  omega_j = g_jk psi^k
+        inner = jet_sum(
+            [jet_partials(xi).transpose(1, 0)] + [gam[:, :, j] * xi[j] for j in range(3)]
+        )
+        b.psi = -contract(xi, inner)
+        b.omega = contract(s.g.jets(p), b.psi)
         b.eta = s.eta.jets(p)
 
-        norm2 = jet_sum(b.psi[k] * b.omega[k] for k in range(3))
+        norm2 = jet_sum(b.psi * b.omega)
         b.norm2 = norm2
         bad = first_row(p, norm2.value <= self.degeneracy_tol**2)
         if bad is not None:
@@ -167,11 +143,11 @@ class CornerFields:
 
         b.e_rho = jet_sqrt(norm2)
         b.rho = jet_log(norm2) * 0.5
-        b.v = [b.psi[k] / b.e_rho for k in range(3)]
+        b.v = b.psi / b.e_rho
         phi = s.phi.jets(p)
-        b.phi_v = [jet_sum(phi[k][j] * b.v[j] for j in range(3)) for k in range(3)]
-        b.theta1 = [b.omega[j] / b.e_rho for j in range(3)]
-        b.theta2 = [-jet_sum(b.omega[k] * phi[k][j] for k in range(3)) / b.e_rho for j in range(3)]
+        b.phi_v = contract(phi, b.v)
+        b.theta1 = b.omega / b.e_rho
+        b.theta2 = -jet_sum(b.omega[:, None] * phi) / b.e_rho
 
         self._last = (key, b)
         return b
@@ -184,10 +160,10 @@ class CornerFields:
         G = s.g.matrix(p)
         gam = s.g.christoffel(p)
 
-        xi_v = _values(b.xi)
-        v = _values(b.v)
-        phi_v = _values(b.phi_v)
-        jac_v = np.stack([j.grad for j in b.v], axis=-2)
+        xi_v = batch_first(b.xi.value, 1)
+        v = batch_first(b.v.value, 1)
+        phi_v = batch_first(b.phi_v.value, 1)
+        jac_v = batch_first(np.moveaxis(b.v.grad, -1, 1), 2)
 
         nabla_xi_v = mv(jac_v, xi_v) + np.einsum("...kij,...i,...j->...k", gam, xi_v, v)
         sigma = dot(vm(nabla_xi_v, G), phi_v)
@@ -196,14 +172,14 @@ class CornerFields:
 
         return CornerFrame(
             point=as_points(p),
-            psi=_values(b.psi),
-            omega=_values(b.omega),
+            psi=batch_first(b.psi.value, 1),
+            omega=batch_first(b.omega.value, 1),
             rho=b.rho.value,
             e_rho=b.e_rho.value,
             v=v,
             phi_v=phi_v,
-            theta1=_values(b.theta1),
-            theta2=_values(b.theta2),
+            theta1=batch_first(b.theta1.value, 1),
+            theta2=batch_first(b.theta2.value, 1),
             sigma=sigma,
             div_v=div_v,
             phi_v_rho=phi_v_rho,
@@ -461,11 +437,7 @@ def phi_derivative_residual(
     omega = mv(G, psi)
     phi_psi = mv(P, psi)
     # nabla phi as a (1,2)-tensor: D[..., i, k, j] = (nabla_i phi)^k_j
-    phi_jets = s.phi.jets(p)
-    dphi = np.empty((len(p), 3, 3, 3))
-    for k in range(3):
-        for j in range(3):
-            dphi[:, :, k, j] = phi_jets[k][j].grad
+    dphi = batch_first(np.moveaxis(s.phi.jets(p).grad, -1, 0), 3)
     D = (
         dphi
         + np.einsum("...kim,...mj->...ikj", gam, P)

@@ -154,11 +154,17 @@ def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Jet2:
     """Truncated Taylor data (value, gradient, Hessian) over a batch of chart points.
 
-    ``value`` has the batch shape: ``()`` for one point, ``(N,)`` for a
-    sample of N points.  ``grad`` adds one trailing axis of length 3 and
-    ``hess`` two.  Every rule below acts row by row with the same floating
-    point operations whatever the batch size, so row n of a batch equals
-    the jet of point n alone, bit for bit.
+    ``value`` has the jet's shape: its component axes first, the sample
+    axes after them.  A scalar at one point has shape ``()``, at a sample
+    of N points ``(N,)``; a vector field over the sample has ``(3, N)``, a
+    (1,1)-tensor ``(3, 3, N)``, the Christoffel symbols ``(3, 3, 3, N)``.
+    ``grad`` adds one trailing axis of length 3 and ``hess`` two.  So
+    ``jet[k]`` is the jet of component k, a jet iterates over its first
+    component axis, and arithmetic broadcasts a per-point scalar over the
+    components.  Every rule below acts element by element with the same
+    floating point operations whatever the shape, so row n of a batch
+    equals the jet of point n alone, bit for bit, and component k of a
+    tensor jet equals the jet computed for that component alone.
 
     ``grad`` and ``hess`` may be None, meaning "not tracked to that order":
     arithmetic propagates exactly the orders present in *both* operands, so
@@ -205,8 +211,34 @@ class Jet2:
             None if self.hess is None else np.broadcast_to(self.hess, tuple(shape) + (3, 3)),
         )
 
+    @classmethod
+    def stack(cls, jets, shape=(3,)) -> "Jet2":
+        """The jets, all of one shape, on new leading component axes of shape
+        ``shape``; an order is kept only if every jet carries it."""
+        jets = list(jets)
+
+        def stacked(arrays):
+            a = np.array(arrays, dtype=float)
+            return a.reshape(tuple(shape) + a.shape[1:])
+
+        g = h = None
+        if all(j.grad is not None for j in jets):
+            g = stacked([j.grad for j in jets])
+            if all(j.hess is not None for j in jets):
+                h = stacked([j.hess for j in jets])
+        return cls(stacked([j.value for j in jets]), g, h)
+
+    def transpose(self, *axes) -> "Jet2":
+        """The jet with its leading component axes permuted as by ``np.transpose``."""
+
+        def permute(a):
+            return None if a is None else np.transpose(a, axes + tuple(range(len(axes), a.ndim)))
+
+        return Jet2(permute(self.value), permute(self.grad), permute(self.hess))
+
     def __getitem__(self, index) -> "Jet2":
-        """The jets at some of the batch's points, e.g. ``jet[n]`` at point n."""
+        """Part of the jet, indexed on its leading axes: ``jet[k]`` is component
+        k of a tensor jet, ``jet[n]`` point n of a scalar one."""
         return Jet2(
             self.value[index],
             None if self.grad is None else self.grad[index],
@@ -295,13 +327,7 @@ class Jet2:
         # constant on some rows only: take each row on its own
         shape = np.broadcast_shapes(np.shape(self.value), np.shape(other.value))
         a, b = self.broadcast(shape), other.broadcast(shape)
-        rows = [a[i] ** b[i] for i in np.ndindex(shape)]
-        g = h = None
-        if all(r.grad is not None for r in rows):
-            g = np.reshape([r.grad for r in rows], shape + (3,))
-            if all(r.hess is not None for r in rows):
-                h = np.reshape([r.hess for r in rows], shape + (3, 3))
-        return Jet2(np.reshape([r.value for r in rows], shape), g, h)
+        return Jet2.stack((a[i] ** b[i] for i in np.ndindex(shape)), shape)
 
 
 def _lift(value) -> Jet2:
@@ -350,7 +376,10 @@ def _pow_const(a: Jet2, c: float) -> Jet2:
 
 
 def _pow(base: np.ndarray, c: float) -> np.ndarray:
-    return np.asarray(_POW(base, c), dtype=float)
+    try:
+        return np.asarray(_POW(base, c), dtype=float)
+    except OverflowError:
+        raise EvalDomainError("power overflows the float range") from None
 
 
 def _chain(a: Jet2, v, f1, f2) -> Jet2:
@@ -665,24 +694,22 @@ def _fold_unary(node: Node) -> Node:
 
 def _fold_binary(op: str, left: Node, right: Node) -> Node:
     node = Binary(op, left, right)
-    if isinstance(left, Const) and isinstance(right, Const):
-        try:
-            return Const(float(_walk(node, np.zeros(3), 0).value))
-        except EvalDomainError:
-            return node
-    return node
+    return _fold(node) if isinstance(left, Const) and isinstance(right, Const) else node
 
 
 def _fold_call(name: str, arg: Node) -> Node:
     node = Call(name, arg)
-    if isinstance(arg, Const):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", AbsAtZeroWarning)
-                return Const(float(_walk(node, np.zeros(3), 0).value))
-        except EvalDomainError:
-            return node
-    return node
+    return _fold(node) if isinstance(arg, Const) else node
+
+
+def _fold(node: Node) -> Node:
+    """A node with constant operands as its value, unless it leaves a domain."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AbsAtZeroWarning)
+            return Const(float(_walk(node, np.zeros(3), 0).value))
+    except EvalDomainError:
+        return node
 
 
 class _Parser:

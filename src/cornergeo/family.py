@@ -24,7 +24,8 @@ import numpy as np
 
 from .acms import AcmStructure
 from .expr import Call, ScalarExpr, as_expr, by_rows
-from .fields import ChartDomain, MetricField, OneFormField, TensorField11, VectorField, first_row
+from .fields import ChartDomain, MetricField, OneFormField, ScalarField, TensorField11, VectorField
+from .fields import first_row
 from .report import ResidualReport, seq_max
 from .corner import corner_residual
 
@@ -61,9 +62,19 @@ class FamilyParams:
 
 
 def build_family(params: FamilyParams, check_points: int = 50) -> AcmStructure:
-    """Assemble the structure; validates tau > 0 and tau*kappa*mu != 0 on a sample."""
+    """Assemble the structure; validates tau > 0 and tau*kappa*mu != 0 on a
+    sample, and tau > 0 again at every point the structure is evaluated at."""
     tau, kappa, mu = params.tau, params.kappa, params.mu
     _check_generators(params, params.domain.sample(check_points, seed_or_rng=0))
+
+    def checked(e):
+        """``e`` as a field that checks tau > 0 at every point it is evaluated at."""
+
+        def jet(p):
+            _require_tau(tau.value(p), p)
+            return e.eval_jet2(p)
+
+        return ScalarField(jet)
 
     zero = as_expr(0)
     one = as_expr(1)
@@ -75,11 +86,18 @@ def build_family(params: FamilyParams, check_points: int = 50) -> AcmStructure:
                 [zero, kappa / mu, zero],
             ]
         ),
-        xi=VectorField([one / tau, zero, zero]),
-        eta=OneFormField([tau, zero, zero]),
-        g=MetricField.diagonal(tau**2, kappa**2, mu**2),
+        xi=VectorField([checked(one / tau), zero, zero]),
+        eta=OneFormField([checked(tau), zero, zero]),
+        g=MetricField.diagonal(checked(tau**2), kappa**2, mu**2),
         domain=params.domain,
     )
+
+
+def _require_tau(t, points) -> None:
+    bad = first_row(points, ~(t > 0.0))
+    if bad is not None:
+        value = np.reshape(t, -1)[bad[0]]
+        raise ValueError(f"family requires tau > 0; tau({bad[1].tolist()}) = {value:.3e}")
 
 
 @by_rows
@@ -90,8 +108,7 @@ def _check_generators(params: FamilyParams, points) -> None:
         return
     i, p = bad
     t, tkm = np.reshape(t, -1)[i], np.reshape(t * k * m, -1)[i]
-    if not t > 0.0:
-        raise ValueError(f"family requires tau > 0; tau({p.tolist()}) = {t:.3e}")
+    _require_tau(t, p)
     raise ValueError(
         f"family requires tau*kappa*mu != 0; value at {p.tolist()} = {tkm:.3e}"
     )

@@ -1,16 +1,22 @@
 """Field containers over a 3-dimensional chart.
 
-A *field* here is a lazily evaluated map from chart points to jets (see
+A *field* here is a lazily evaluated map from chart points to one jet (see
 :mod:`cornergeo.expr`).  Every evaluation takes one point, shape ``(3,)``,
-or a whole sample, shape ``(N, 3)``, and evaluates each component once
-over the batch: values come back with the batch shape in front
-(``values`` gives ``(N, 3)``, ``matrix`` and ``jacobian`` ``(N, 3, 3)``).
-Fields built from parsed expressions carry exact value/gradient/Hessian;
-fields derived from them (e.g. Christoffel symbols, frame components)
-carry value/gradient.  The containers below are thin: component access
-plus the handful of evaluation shapes the geometry needs (values,
-Jacobians, jets), and the batched products (``mv``, ``vm``, ``dot``) that
-give each row the bits of the single-point ``@``.
+or a whole sample, shape ``(N, 3)``.  The jet puts the field's component
+axes first and the sample axes after them: ``jets`` gives ``(3, N)`` for
+a vector field or one-form, ``(3, 3, N)`` for a (1,1)-tensor or metric,
+and ``christoffel_jets`` ``(3, 3, 3, N)``.  So ``jets(p)[k]`` is the jet
+of component k, and tensor algebra is jet arithmetic with broadcasting.
+The plain arrays keep the sample axis first, in contiguous memory
+(``values`` gives ``(N, 3)``, ``matrix`` and ``jacobian`` ``(N, 3, 3)``,
+``christoffel`` ``(N, 3, 3, 3)``), and the batched products (``mv``,
+``vm``, ``dot``) give each row the bits of the single-point ``@``.
+
+A field is built from a grid of component fields (expressions, numbers
+or :class:`ScalarField`), or from one function of the points that returns
+its whole jet.  Fields built from parsed expressions carry exact
+value/gradient/Hessian; fields derived from them (e.g. Christoffel
+symbols, frame components) carry value/gradient.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from .expr import Jet2, ScalarExpr, as_expr, as_points, by_rows, jet_sum
 
 __all__ = [
     "SingularMetricError",
-    "as_point",
     "ChartDomain",
     "jet_partial",
     "ScalarField",
@@ -46,16 +51,6 @@ class SingularMetricError(RuntimeError):
         )
         self.point = np.asarray(point, dtype=float)
         self.det = float(det)
-
-
-def as_point(p) -> np.ndarray:
-    """Validate and normalize a chart point to a float array of shape (3,)."""
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (3,):
-        arr = arr.reshape(3)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"chart point has non-finite coordinates: {arr.tolist()}")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,7 @@ class ChartDomain:
 
 
 def batch_key(p) -> tuple:
-    """Cache key of a point batch; non-finite coordinates raise as in :func:`as_point`."""
+    """Cache key of a point batch; non-finite coordinates raise a ValueError."""
     x = as_points(p)
     if not np.isfinite(x).all():
         row = first_row(x, ~np.all(np.isfinite(x), axis=-1))[1]
@@ -108,6 +103,20 @@ def jet_partial(j: Jet2, i: int) -> Jet2:
     if j.grad is None:
         raise ValueError("jet carries no gradient; cannot take a partial")
     return Jet2(j.grad[..., i], None if j.hess is None else j.hess[..., i, :], None)
+
+
+def jet_partials(j: Jet2) -> Jet2:
+    """All three coordinate derivatives of a jet on a new leading axis
+    (``[a]`` is d_a), one order shallower."""
+    if j.grad is None:
+        raise ValueError("jet carries no gradient; cannot take a partial")
+    return Jet2(np.moveaxis(j.grad, -1, 0), None if j.hess is None else np.moveaxis(j.hess, -2, 0))
+
+
+def batch_first(a: np.ndarray, n: int) -> np.ndarray:
+    """``a`` with its ``n`` leading component axes moved behind the sample
+    axes, in contiguous memory: the layout ``@`` and ``einsum`` get."""
+    return np.ascontiguousarray(np.moveaxis(a, tuple(range(n)), tuple(range(-n, 0))))
 
 
 # Batched matrix products.  Each reproduces the per-point product of a
@@ -222,7 +231,62 @@ def _component_fields(entries, n: int) -> tuple:
     return comps
 
 
-class _ComponentsMixin:
+def contract(a: Jet2, b: Jet2) -> Jet2:
+    """The product ``a * b``, broadcast over the component axes, summed over
+    its second axis left to right: ``M x`` for a matrix ``M`` and a vector ``x``."""
+    prod = a * b
+    return jet_sum(prod[:, j] for j in range(3))
+
+
+def first_order(j: Jet2) -> Jet2:
+    """The jet without its Hessian, for products whose Hessian nothing reads."""
+    return Jet2(j.value, j.grad)
+
+
+def _stack(grid, p) -> Jet2:
+    """The jet of a grid of component fields, component axes first."""
+    if isinstance(grid[0], tuple):
+        return Jet2.stack((e.jet(p) for row in grid for e in row), (3, 3))
+    return Jet2.stack(e.jet(p) for e in grid)
+
+
+class _Field:
+    """A field of rank 1 or 2: one function from points to its whole jet
+    (component axes first), given as such or built from a grid of
+    component fields.  ``components`` (alias ``entries``) and indexing give
+    the component fields, and for rank 2 the rows."""
+
+    __slots__ = ("_fn", "_grid")
+    _rank, _kind = 1, ""
+
+    def __init__(self, entries):
+        self._grid = None
+        if callable(entries):
+            self._fn = entries
+            return
+        if self._rank == 1:
+            grid = _component_fields(entries, 3)
+        else:
+            grid = tuple(_component_fields(row, 3) for row in entries)
+            if len(grid) != 3:
+                raise ValueError(f"a {self._kind} needs a 3x3 entry grid")
+        self._grid = grid
+        self._fn = lambda p: _stack(grid, p)
+
+    @property
+    def components(self) -> tuple:
+        return self._grid if self._grid is not None else tuple(self[k] for k in range(3))
+
+    entries = components
+
+    def __getitem__(self, k):
+        if self._grid is not None:
+            return self._grid[k]
+        k = range(3)[k]  # out of range raises IndexError, which also ends iteration
+        return (ScalarField if self._rank == 1 else OneFormField)(lambda p: self.jets(p)[k])
+
+
+class _ComponentsMixin(_Field):
     """Shared evaluation helpers for rank-1 fields (vector / one-form)."""
 
     __slots__ = ()
@@ -231,86 +295,61 @@ class _ComponentsMixin:
     def from_exprs(cls, comps):
         return cls(comps)
 
-    def jets(self, p) -> list:
-        return [c.jet(p) for c in self.components]
+    def jets(self, p) -> Jet2:
+        return self._fn(p)
 
     def values(self, p) -> np.ndarray:
-        return np.stack([c.value(p) for c in self.components], axis=-1)
+        return batch_first(self.jets(p).value, 1)
 
     def jacobian(self, p) -> np.ndarray:
         """Matrix of partials ``J[..., k, i] = d_i comp_k``."""
-        return np.stack([c.jet(p).grad for c in self.components], axis=-2)
+        return batch_first(np.moveaxis(self.jets(p).grad, -1, 1), 2)
 
 
 class VectorField(_ComponentsMixin):
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        self.components = _component_fields(components, 3)
+    __slots__ = ()
 
     @classmethod
     def constant(cls, vec) -> "VectorField":
         """A field with constant components; ``vec`` is ``(3,)``, or ``(N, 3)``
         for one direction per sample point."""
         vec = np.asarray(vec, dtype=float)
-        if vec.size == 3:
-            return cls([float(v) for v in vec.reshape(3)])
+        vec = vec.reshape(3) if vec.size == 3 else vec
         return cls([ScalarField.constant(vec[..., k]) for k in range(3)])
 
 
 class OneFormField(_ComponentsMixin):
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        self.components = _component_fields(components, 3)
+    __slots__ = ()
 
     def pair(self, X: VectorField) -> ScalarField:
         """The scalar field theta(X)."""
-        c, xc = self.components, X.components
-        return c[0] * xc[0] + c[1] * xc[1] + c[2] * xc[2]
+        return ScalarField(lambda p: jet_sum(first_order(self.jets(p)) * X.jets(p)))
 
 
-class TensorField11:
-    """A (1,1)-tensor field; ``entries[k][j]`` maps input j to output k."""
+class TensorField11(_Field):
+    """A (1,1)-tensor field; component ``[k, j]`` maps input j to output k."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        rows = [_component_fields(row, 3) for row in entries]
-        if len(rows) != 3:
-            raise ValueError("a (1,1)-tensor field needs a 3x3 entry grid")
-        self.entries = tuple(rows)
+    __slots__ = ()
+    _rank, _kind = 2, "(1,1)-tensor field"
 
     def matrix(self, p) -> np.ndarray:
-        return _matrix(self.entries, p)
+        return batch_first(self.jets(p).value, 2)
 
-    def jets(self, p) -> list:
-        return [[e.jet(p) for e in row] for row in self.entries]
+    def jets(self, p) -> Jet2:
+        return self._fn(p)
 
     def apply(self, X: VectorField) -> VectorField:
-        """phi(X) as a vector field (components stay symbolic jets)."""
-        rows = self.entries
-        return VectorField(
-            [
-                rows[k][0] * X.components[0]
-                + rows[k][1] * X.components[1]
-                + rows[k][2] * X.components[2]
-                for k in range(3)
-            ]
-        )
+        """phi(X) as a vector field."""
+        return VectorField(lambda p: contract(first_order(self.jets(p)), X.jets(p)))
 
 
-def _stack3x3(grid) -> np.ndarray:
-    """A 3x3 nested list of same-shape arrays as one ``(..., 3, 3)`` array."""
-    return np.stack([np.stack(row, axis=-1) for row in grid], axis=-2)
+# cofactor (i, j) of a 3x3 matrix: the minor of rows (_R0[i], _R1[i]) and
+# columns (_R0[j], _R1[j]), with sign (-1)^(i + j)
+_R0, _R1 = np.array([1, 0, 0]), np.array([2, 2, 1])
+_COFACTOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
 
 
-def _matrix(entries, p) -> np.ndarray:
-    """Values ``M[..., k, j]`` of a 3x3 grid of scalar fields."""
-    return _stack3x3([[e.value(p) for e in row] for row in entries])
-
-
-class MetricField:
+class MetricField(_Field):
     """A symmetric metric field with jet-level Christoffel symbols.
 
     Christoffel symbols are computed through jet arithmetic, so when the
@@ -321,34 +360,25 @@ class MetricField:
     sample pay for them once.
     """
 
-    __slots__ = ("entries", "det_guard", "_last")
+    __slots__ = ("det_guard", "_last")
+    _rank, _kind = 2, "metric field"
 
     def __init__(self, entries, det_guard: float = DET_GUARD):
-        rows = [_component_fields(row, 3) for row in entries]
-        if len(rows) != 3:
-            raise ValueError("a metric field needs a 3x3 entry grid")
-        self.entries = tuple(rows)
+        super().__init__(entries)
         self.det_guard = float(det_guard)
-        self._last = None  # (batch key, Christoffel jets)
+        self._last = None  # (batch key, Christoffel jet)
 
     @classmethod
     def diagonal(cls, d0, d1, d2) -> "MetricField":
-        zero = ScalarField.constant(0.0)
-        return cls(
-            [
-                [_as_field(d0), zero, zero],
-                [zero, _as_field(d1), zero],
-                [zero, zero, _as_field(d2)],
-            ]
-        )
+        return cls([[d0, 0.0, 0.0], [0.0, d1, 0.0], [0.0, 0.0, d2]])
 
     # -- plain evaluation ---------------------------------------------------
 
     def matrix(self, p) -> np.ndarray:
-        return _matrix(self.entries, p)
+        return batch_first(self.jets(p).value, 2)
 
-    def jets(self, p) -> list:
-        return [[e.jet(p) for e in row] for row in self.entries]
+    def jets(self, p) -> Jet2:
+        return self._fn(p)
 
     def det(self, p):
         return np.linalg.det(self.matrix(p))
@@ -367,76 +397,40 @@ class MetricField:
     # -- Christoffel symbols ------------------------------------------------
 
     @by_rows
-    def christoffel_jets(self, p):
-        """Nested list ``Gamma[k][i][j]`` of jets (value + gradient)."""
+    def christoffel_jets(self, p) -> Jet2:
+        """The jet (value + gradient) of ``Gamma[k, i, j]``."""
         key = batch_key(p)
         if self._last is not None and self._last[0] == key:
             return self._last[1]
 
         G = self.jets(p)
-        det, Ginv = _invert3_jets(G)
+        g = first_order(G)
+        r0, r1 = _R0[:, None], _R1[:, None]
+        minor = g[r0, _R0] * g[r1, _R1] - g[r0, _R1] * g[r1, _R0]
+        # multiplying the arrays by +-1 is exact; a jet product would add
+        # value * 0 terms, which can turn a -0.0 gradient entry into +0.0
+        sign = _COFACTOR_SIGN.reshape((3, 3) + (1,) * (np.ndim(minor.value) - 2))
+        cof = Jet2(minor.value * sign, minor.grad * sign[..., None])
+        det = jet_sum(g[0] * cof[0])
+        ginv = cof.transpose(1, 0) / det
         bad = first_row(p, np.abs(det.value) < self.det_guard)
         if bad is not None:
             raise SingularMetricError(bad[1], np.reshape(det.value, -1)[bad[0]])
 
-        # dg[a][i][j] = d_a g_ij, one jet order down from the metric entries
-        dg = [
-            [[jet_partial(G[i][j], a) for j in range(3)] for i in range(3)]
-            for a in range(3)
-        ]
-        ginv_low = [[_drop_order(Ginv[i][j]) for j in range(3)] for i in range(3)]
-
-        gamma = [
-            [
-                [
-                    jet_sum(
-                        ginv_low[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                        for l in range(3)
-                    )
-                    * 0.5
-                    for j in range(3)
-                ]
-                for i in range(3)
-            ]
-            for k in range(3)
-        ]
+        # Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2, with D[a, i, j] = d_a g_ij
+        D = jet_partials(G)
+        gamma = jet_sum(
+            ginv[:, l, None, None] * (D[:, :, l] + D[:, :, l].transpose(1, 0) - D[l])
+            for l in range(3)
+        ) * 0.5
 
         self._last = (key, gamma)
         return gamma
 
     def christoffel(self, p) -> np.ndarray:
         """Values ``Gamma[..., k, i, j]`` of the Levi-Civita connection."""
-        jets = self.christoffel_jets(p)
-        return np.stack(
-            [_stack3x3([[j.value for j in row] for row in jets[k]]) for k in range(3)],
-            axis=-3,
-        )
+        return batch_first(self.christoffel_jets(p).value, 3)
 
     def christoffel_partials(self, p) -> np.ndarray:
         """Partials ``dGamma[..., a, k, i, j] = d_a Gamma^k_ij``."""
-        jets = self.christoffel_jets(p)
-        out = np.empty(np.shape(jets[0][0][0].value) + (3, 3, 3, 3))
-        for k in range(3):
-            for i in range(3):
-                for j in range(3):
-                    out[..., :, k, i, j] = jets[k][i][j].grad
-        return out
-
-def _drop_order(j: Jet2) -> Jet2:
-    """Forget the Hessian so products stay at (value, gradient) depth."""
-    return Jet2(j.value, j.grad, None)
-
-
-def _invert3_jets(G):
-    """Determinant and inverse of a 3x3 jet matrix via the adjugate."""
-    c = [[None] * 3 for _ in range(3)]  # cofactors
-    idx = ((1, 2), (0, 2), (0, 1))
-    for i in range(3):
-        r = idx[i]
-        for j in range(3):
-            s = idx[j]
-            minor = G[r[0]][s[0]] * G[r[1]][s[1]] - G[r[0]][s[1]] * G[r[1]][s[0]]
-            c[i][j] = minor if (i + j) % 2 == 0 else -minor
-    det = G[0][0] * c[0][0] + G[0][1] * c[0][1] + G[0][2] * c[0][2]
-    inv = [[c[j][i] / det for j in range(3)] for i in range(3)]
-    return det, inv
+        return batch_first(np.moveaxis(self.christoffel_jets(p).grad, -1, 0), 4)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import as_points, outer
-from .fields import MetricField, OneFormField, SingularMetricError, VectorField
+from .fields import MetricField, OneFormField, SingularMetricError, TensorField11, VectorField
 from .fields import dot, first_row, mv, vm
 
 __all__ = [
@@ -106,15 +106,14 @@ def wedge12_coeff(a, B):
     ) / 3.0
 
 
-def d_twoform_coeff(entries, p):
-    """dx1^dx2^dx3 coefficient of dB for a 2-form given as scalar-field entries.
+def d_twoform_coeff(B, p):
+    """dx1^dx2^dx3 coefficient of dB for a 2-form with coefficients B_ij.
 
-    ``entries[i][j]`` must be the (antisymmetric) coefficient fields B_ij.
+    ``B`` is a field of 3x3 jets, or the grid of (antisymmetric) coefficient
+    fields ``B[i][j]``.
     """
-    d1 = entries[1][2].jet(p).grad[..., 0]
-    d2 = entries[0][2].jet(p).grad[..., 1]
-    d3 = entries[0][1].jet(p).grad[..., 2]
-    return (d1 - d2 + d3) / 3.0
+    dB = (B if isinstance(B, TensorField11) else TensorField11(B)).jets(p).grad
+    return (dB[1, 2, ..., 0] - dB[0, 2, ..., 1] + dB[0, 1, ..., 2]) / 3.0
 
 
 def two_form_coeff(B, x, y):

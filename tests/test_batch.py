@@ -12,7 +12,15 @@ import pytest
 from oracles import fd_grad, fd_hess
 from test_expr import SWEEP
 
-from cornergeo.acms import check_axioms, classify
+from cornergeo.acms import check_axioms, classify, fundamental_two_form_fields
+from cornergeo.construct import (
+    DeformationParams,
+    TwinKind,
+    deform,
+    deformed_type,
+    ntilde_identity_residual,
+    twin,
+)
 from cornergeo.corner import (
     CornerFields,
     closed_omega_check,
@@ -22,9 +30,25 @@ from cornergeo.corner import (
     form_identities_residuals,
     frame_residuals,
 )
-from cornergeo.expr import EvalDomainError, parse
+from cornergeo.expr import EvalDomainError, Jet2, jet_sum, parse
 from cornergeo.family import FamilyParams, build_family, preset, random_family
-from cornergeo.fields import ChartDomain, SingularMetricError, dot, gnorm, max_abs, mv, vm, vnorm
+from cornergeo.fields import (
+    ChartDomain,
+    MetricField,
+    ScalarField,
+    SingularMetricError,
+    VectorField,
+    batch_first,
+    dot,
+    first_order,
+    gnorm,
+    jet_partial,
+    jet_partials,
+    max_abs,
+    mv,
+    vm,
+    vnorm,
+)
 from cornergeo.tensor import probe_vectors
 
 POINTS = ChartDomain().sample(12, 31)
@@ -136,6 +160,194 @@ def test_probe_vectors_row_by_row():
             assert same(a, b)
 
 
+def point(jet, n):
+    """Point n of a jet whose sample axis follows its component axes."""
+    return jet[(slice(None),) * (np.ndim(jet.value) - 1) + (n,)]
+
+
+def same_jet(a, b) -> bool:
+    """Bitwise equality of two jets, order by order."""
+    return all(
+        (x is None and y is None) or (x is not None and y is not None and same(x, y))
+        for x, y in ((a.value, b.value), (a.grad, b.grad), (a.hess, b.hess))
+    )
+
+
+DEFORMATION = DeformationParams.of("exp(x1)")
+
+
+def derived_structures(s):
+    return {
+        "v_twin": twin(s, TwinKind.V),
+        "phiv_twin": twin(s, TwinKind.PHI_V),
+        "deformed": deform(s, DEFORMATION),
+    }
+
+
+@pytest.mark.parametrize("params", [p for p, i in zip(PARAMS, IDS) if i != "C"],
+                         ids=[i for i in IDS if i != "C"])
+def test_twin_and_deformed_jets_row_by_row(params):
+    for name, t in derived_structures(build_family(params)).items():
+        for field in ("phi", "xi", "eta", "g"):
+            batch = getattr(t, field).jets(POINTS)
+            for n in range(len(POINTS)):
+                single = getattr(t, field).jets(POINTS[n : n + 1])
+                assert same_jet(point(batch, n), point(single, 0)), (name, field, n)
+
+
+@pytest.mark.parametrize("params", [PARAMS[3], PARAMS[5]], ids=["D", "random1"])
+def test_twin_and_deformed_jets_match_their_per_entry_formulas(params):
+    """Each entry of the tensor-level jets equals the same formula built from
+    component scalar fields, as the twin and the deformation define it."""
+    s = build_family(params)
+    cf = CornerFields(s)
+    f = ScalarField.from_expr(DEFORMATION.f)
+    xi, eta, phi, g = s.xi, s.eta, s.phi, s.g
+    v_twin, phiv_twin = twin(s, TwinKind.V, fields=cf), twin(s, TwinKind.PHI_V, fields=cf)
+    d = deform(s, DEFORMATION, fields=cf)
+    eta_t = [eta[j] - cf.theta2[j] for j in range(3)]
+    entries = {
+        "v_twin.phi": (v_twin.phi, lambda k, j: cf.theta2[j] * xi[k] - eta[j] * cf.phi_v[k]),
+        "phiv_twin.phi": (phiv_twin.phi, lambda k, j: eta[j] * cf.v[k] - cf.theta1[j] * xi[k]),
+        "deformed.phi": (d.phi, lambda k, j: phi[k][j] + cf.theta1[j] * xi[k]),
+        "deformed.g": (
+            d.g, lambda i, j: f * g[i][j] - f * eta[i] * eta[j] + eta_t[i] * eta_t[j]
+        ),
+    }
+    for name, (field, entry) in entries.items():
+        jet = field.jets(POINTS)
+        for k in range(3):
+            for j in range(3):
+                assert same_jet(jet[k, j], entry(k, j).jet(POINTS)), (name, k, j)
+    for k in range(3):
+        assert same_jet(d.eta.jets(POINTS)[k], eta_t[k].jet(POINTS))
+    assert v_twin.xi is cf.v and v_twin.eta is cf.theta1
+    assert phiv_twin.xi is cf.phi_v and phiv_twin.eta is cf.theta2
+
+
+def test_fields_given_by_one_jet_function_expose_their_components():
+    s = build_family(PARAMS[3])
+    cf = CornerFields(s)
+    v, phi_form = cf.v.jets(POINTS), fundamental_two_form_fields(s)
+    # indexing is bounded, so iterating a field ends after three components
+    assert len(list(cf.v)) == len(cf.theta2.components) == 3
+    with pytest.raises(IndexError):
+        cf.v[3]
+    for k in range(3):
+        assert same_jet(cf.v[k].jet(POINTS), v[k])
+        assert same_jet(cf.v.components[-1 - k].jet(POINTS), v[2 - k])
+        for j in range(3):
+            assert same_jet(phi_form[k][j].jet(POINTS), phi_form.jets(POINTS)[k, j])
+    assert same(VectorField(cf.v).values(POINTS), cf.v.values(POINTS))
+
+
+def christoffel_per_entry(g: MetricField, p):
+    """Gamma^k_ij entry by entry from the metric's component jets: the
+    adjugate inverse and g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
+    G = [[e.jet(p) for e in row] for row in g.entries]
+    idx = ((1, 2), (0, 2), (0, 1))
+    c = [[None] * 3 for _ in range(3)]
+    for i, r in enumerate(idx):
+        for j, q in enumerate(idx):
+            minor = G[r[0]][q[0]] * G[r[1]][q[1]] - G[r[0]][q[1]] * G[r[1]][q[0]]
+            c[i][j] = minor if (i + j) % 2 == 0 else -minor
+    det = G[0][0] * c[0][0] + G[0][1] * c[0][1] + G[0][2] * c[0][2]
+    inv = [[c[j][i] / det for j in range(3)] for i in range(3)]
+    dg = [[[jet_partial(G[i][j], a) for j in range(3)] for i in range(3)] for a in range(3)]
+    return [
+        [
+            [
+                jet_sum(
+                    inv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j]) for l in range(3)
+                )
+                * 0.5
+                for j in range(3)
+            ]
+            for i in range(3)
+        ]
+        for k in range(3)
+    ]
+
+
+DENSE = MetricField(
+    [
+        [2.0, "0.1*x1", "0.05*x2*x3"],
+        ["0.1*x1", "1 + x2^2", 0.1],
+        ["0.05*x2*x3", 0.1, "exp(x3)"],
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "g", [build_family(PARAMS[0]).g, build_family(PARAMS[3]).g, DENSE], ids=["A", "D", "dense"]
+)
+def test_christoffel_jet_matches_the_per_entry_formula(g):
+    want = christoffel_per_entry(g, POINTS)
+    jet = g.christoffel_jets(POINTS)
+    for k in range(3):
+        for i in range(3):
+            for j in range(3):
+                got = jet[k, i, j]
+                assert same(got.value, want[k][i][j].value) and same(got.grad, want[k][i][j].grad)
+                assert got.hess is None and want[k][i][j].hess is None
+
+
+def random_jet(rng, shape, order=2):
+    return Jet2(
+        rng.standard_normal(shape),
+        rng.standard_normal(shape + (3,)) if order >= 1 else None,
+        rng.standard_normal(shape + (3, 3)) if order >= 2 else None,
+    )
+
+
+def test_stack_puts_the_jets_on_leading_axes():
+    rng = np.random.default_rng(11)
+    jets = [random_jet(rng, (5,)) for _ in range(9)]
+    row = Jet2.stack(jets[:3])
+    grid = Jet2.stack(jets, (3, 3))
+    assert row.value.shape == (3, 5) and grid.hess.shape == (3, 3, 5, 3, 3)
+    for k in range(3):
+        assert same_jet(row[k], jets[k])
+        for j in range(3):
+            assert same_jet(grid[k, j], jets[3 * k + j])
+    # an order survives only if every jet carries it
+    shallow = Jet2.stack([jets[0], first_order(jets[1]), jets[2]])
+    assert shallow.hess is None and same(shallow.grad[1], jets[1].grad)
+
+
+def test_transpose_and_partials_match_their_per_entry_form():
+    rng = np.random.default_rng(12)
+    jet = random_jet(rng, (3, 3, 4))
+    t = jet.transpose(1, 0)
+    p = jet_partials(jet)
+    for i in range(3):
+        for j in range(3):
+            assert same_jet(t[i, j], jet[j, i])
+    for a in range(3):
+        assert same_jet(p[a], jet_partial(jet, a))
+    matrices = batch_first(jet.value, 2)
+    assert matrices.flags.c_contiguous
+    for n in range(4):
+        assert same(matrices[n], jet.value[:, :, n])
+
+
+def test_tensor_arithmetic_matches_its_per_entry_form():
+    """Broadcast jet arithmetic on component axes gives each entry the bits
+    of the same operation on the entry jets alone."""
+    rng = np.random.default_rng(13)
+    M, x, s = random_jet(rng, (3, 3, 6)), random_jet(rng, (3, 6)), random_jet(rng, (6,))
+    s.value = np.abs(s.value) + 0.5
+    results = {"mul": M * x, "add": M + x, "sub": M - x, "div": M / s, "scale": x * 0.5}
+    for k in range(3):
+        assert same_jet(results["scale"][k], x[k] * 0.5)
+        for j in range(3):
+            assert same_jet(results["mul"][k, j], M[k, j] * x[j])
+            assert same_jet(results["add"][k, j], M[k, j] + x[j])
+            assert same_jet(results["sub"][k, j], M[k, j] - x[j])
+            assert same_jet(results["div"][k, j], M[k, j] / s)
+    assert same_jet(jet_sum(x * x), x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+
+
 SUITES = {
     "axioms": lambda s, pts, rng: check_axioms(s, pts),
     "corner": lambda s, pts, rng: corner_residual(s, pts, rng),
@@ -144,6 +356,10 @@ SUITES = {
     "frame": lambda s, pts, rng: frame_residuals(s, pts),
     "identities": lambda s, pts, rng: form_identities_residuals(s, pts),
     "closed": lambda s, pts, rng: closed_omega_check(s, pts),
+    "v_twin_axioms": lambda s, pts, rng: check_axioms(twin(s, TwinKind.V), pts),
+    "phiv_twin_axioms": lambda s, pts, rng: check_axioms(twin(s, TwinKind.PHI_V), pts),
+    "deformed_type": lambda s, pts, rng: deformed_type(s, DEFORMATION, pts).residuals,
+    "ntilde": lambda s, pts, rng: ntilde_identity_residual(s, DEFORMATION, pts, rng),
 }
 
 

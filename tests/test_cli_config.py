@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from cornergeo.cli import main
@@ -46,3 +47,51 @@ def test_scan_family_without_kappa(tmp_path, capsys):
     assert code == 2
     assert payload["error"]["type"] == "ConfigError"
     assert "kappa" in payload["error"]["message"]
+
+
+# the first of the 200 sample points (seed 0) with x1 below the threshold
+THRESHOLD = 0.11191698835111949
+
+
+def first_point_below(threshold):
+    from cornergeo.fields import ChartDomain
+
+    pts = ChartDomain().sample(200, 0)
+    return pts[np.argmax(pts[:, 0] < threshold)].tolist()
+
+
+def test_f_is_checked_at_every_sample_point(capsys):
+    # f <= 0 at 2 of the 200 sample points, none of them in the 50-point pre-check
+    code = main(["deform", "--preset", "family:A", "--samples", "200", "--seed", "0",
+                 "--f", f"x1 - {THRESHOLD!r}"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"]["type"] == "NonPositiveFError"
+    assert str(first_point_below(THRESHOLD)) in payload["error"]["message"]
+
+
+def test_tau_is_checked_at_every_sample_point(tmp_path, capsys):
+    family = {"tau": f"(x1 - {THRESHOLD!r})*exp(x2)", "kappa": "1", "mu": "1"}
+    code, payload = run_config(
+        tmp_path, capsys, "check", {"family": family, "samples": 200, "seed": 0}
+    )
+    assert code == 2
+    assert payload["error"]["type"] == "ValueError"
+    assert "tau > 0" in payload["error"]["message"]
+    assert str(first_point_below(THRESHOLD)) in payload["error"]["message"]
+
+
+def test_overflow_in_an_expression_is_a_domain_error(tmp_path, capsys):
+    family = {"tau": "exp(800*x1*x2)", "kappa": "1", "mu": "1"}
+    code, payload = run_config(tmp_path, capsys, "check", {"family": family, "samples": 5})
+    assert code == 2
+    assert payload["error"]["type"] == "EvalDomainError"
+    assert "exp(800*x1*x2)^2" in payload["error"]["message"]
+
+
+def test_overflow_while_folding_constants_is_a_domain_error(capsys):
+    code = main(["deform", "--preset", "family:B", "--f", "10^400"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"]["type"] == "EvalDomainError"
+    assert "'10^400'" in payload["error"]["message"]

@@ -276,3 +276,31 @@ def test_corollary_gate_closed_on_presets(structures, points):
         assert rep.case is None
         # sigma = 0 on the presets, so the gate misses by e^rho
         assert rep.gate_residual_max > 0.5
+
+
+def test_twin_theorem_computes_normality_once(structures, points, monkeypatch):
+    from cornergeo import acms, construct
+
+    calls = []
+    original = acms.normality_residual
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(acms, "normality_residual", counted)
+    monkeypatch.setattr(construct, "normality_residual", counted, raising=False)
+    verdict = thken_check(structures["A"], points[:6])
+    assert len(calls) == 1
+    assert verdict.twin_residuals["normality"] == classify(
+        twin(structures["A"], TwinKind.V), points=points[:6]
+    ).normality
+
+
+def test_deformed_metric_checks_f_where_it_is_evaluated(structures):
+    # f > 0 on the 50-point pre-check sample, f < 0 at the second point below
+    d = deform(structures["B"], DeformationParams.of("x1 - 0.1"))
+    pts = np.array([[0.5, 0.5, 0.5], [0.05, 0.5, 0.5], [0.01, 0.5, 0.5]])
+    with pytest.raises(NonPositiveFError) as err:
+        d.g.matrix(pts)
+    np.testing.assert_array_equal(err.value.point, pts[1])

@@ -191,3 +191,11 @@ def test_subfamily_phi_v_of_squared_norm(points):
         assert closed == pytest.approx(
             2.0 * frame.e_rho**2 * frame.phi_v_rho, abs=1e-10
         )
+
+
+def test_tau_is_checked_where_the_structure_is_evaluated():
+    s = build_family(FamilyParams.of("x1 - 0.05", "1", "1"))
+    pts = np.array([[0.5, 0.5, 0.5], [0.01, 0.5, 0.5], [0.02, 0.5, 0.5]])
+    for field in (s.xi.values, s.eta.values, s.g.matrix):
+        with pytest.raises(ValueError, match=r"tau > 0; tau\(\[0.01, 0.5, 0.5\]\)"):
+            field(pts)
