@@ -21,7 +21,7 @@ import numpy as np
 
 from .expr import by_rows, outer, skipping
 from .fields import ChartDomain, MetricField, OneFormField, SingularMetricError, TensorField11
-from .fields import VectorField, contract, dot, first_order, gnorm, mv, vm, vnorm
+from .fields import DET_GUARD, VectorField, contract, dot, first_order, gnorm, mv, vm, vnorm
 from .report import ResidualReport, ResidualTracker, stats
 from .tensor import _as_vector_field, divergence, exterior_d_oneform, lie_bracket, nabla_matrix
 from .tensor import probe_vectors
@@ -92,7 +92,7 @@ def check_axioms(s: AcmStructure, points, tol: float = 1e-8) -> ResidualReport:
     tracker = ResidualTracker()
     p = np.atleast_2d(points)
     G = s.g.matrix(p)
-    used = ~(np.abs(np.linalg.det(G)) < s.g.det_guard)
+    used = ~(np.abs(np.linalg.det(G)) < DET_GUARD)
     skipped = int(np.count_nonzero(~used))
     p, G = p[used], G[used]
     if len(p):

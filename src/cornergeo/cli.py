@@ -83,6 +83,8 @@ class SceneConfig:
         cfg.samples = data.get("samples", cfg.samples)
         cfg.seed = data.get("seed", cfg.seed)
         if "suites" in data:
+            if not isinstance(data["suites"], list):
+                raise ConfigError(f"suites must be a list of suite names, got {data['suites']!r}")
             cfg.suites = tuple(data["suites"])
         cfg.f = data.get("f", cfg.f)
         if "tolerances" in data:
@@ -115,8 +117,9 @@ class SceneConfig:
             raise ConfigError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_expression(self.f, "f")
         sources = [x is not None for x in (self.preset, self.family, self.structure)]
         if sum(sources) > 1:
             raise ConfigError("give only one of preset / family / structure")
@@ -160,10 +163,23 @@ class SceneConfig:
         }
 
 
+def _check_expression(value, name: str, depth: int = 0) -> None:
+    """Raise a ConfigError unless ``value`` is an expression (a string or a
+    number), or for ``depth`` 1 and 2 a list, or list of lists, of them."""
+    if depth:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        for item in value:
+            _check_expression(item, name, depth - 1)
+    elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"{name} must be an expression string or a number, got {value!r}")
+
+
 def _family_params(cfg: SceneConfig):
     for key in ("tau", "kappa", "mu"):
         if key not in cfg.family:
             raise ConfigError(f"family config needs {key!r}")
+        _check_expression(cfg.family[key], f"family {key!r}")
     return family.FamilyParams.of(
         cfg.family["tau"], cfg.family["kappa"], cfg.family["mu"], domain=cfg.domain()
     )
@@ -186,9 +202,10 @@ def _build_structure(cfg: SceneConfig):
     if cfg.family is not None:
         return family.build_family(_family_params(cfg)), None
     if cfg.structure is not None:
-        for key in ("phi", "xi", "eta", "g"):
+        for key, depth in (("phi", 2), ("xi", 1), ("eta", 1), ("g", 2)):
             if key not in cfg.structure:
                 raise ConfigError(f"structure config needs {key!r}")
+            _check_expression(cfg.structure[key], f"structure {key!r}", depth)
         s = acms.AcmStructure.from_expressions(
             cfg.structure["phi"],
             cfg.structure["xi"],
@@ -255,7 +272,6 @@ def _suite_classify(s, pts, cfg, pre) -> dict:
 def _suite_twins(s, pts, cfg, pre) -> dict:
     cls_tol = cfg.tolerances["classification"]
     kernel = cfg.tolerances["kernel"]
-    cf = CornerFields(s)
     out: dict = {"suite": "twins"}
     passed = True
     for kind, check in (
@@ -264,8 +280,8 @@ def _suite_twins(s, pts, cfg, pre) -> dict:
     ):
         if cfg.twin_kind not in (kind.value, "both"):
             continue
-        verdict = check(s, pts, tol=cls_tol, fields=cf)
-        t = construct.twin(s, kind, fields=cf)
+        verdict = check(s, pts, tol=cls_tol)
+        t = construct.twin(s, kind)
         ax = acms.check_axioms(t, pts, tol=kernel)
         out[f"{kind.value}_twin"] = {"theorem": verdict.to_dict(), "axioms": ax.to_dict()}
         passed = passed and verdict.routes_agree and ax.passed
@@ -280,17 +296,14 @@ def _suite_deform(s, pts, cfg, pre) -> dict:
         params = construct.DeformationParams.of(cfg.f)
     except ParseError as err:
         raise ConfigError(f"bad deformation factor: {err}") from None
-    cf = CornerFields(s)
-    deformed = construct.deform(s, params, fields=cf)
+    deformed = construct.deform(s, params)
 
     ax = acms.check_axioms(deformed, pts, tol=kernel)
-    typ = construct.deformed_type(
-        s, params, pts, kernel_tol=kernel, gate_tol=cls_tol, fields=cf
-    )
+    typ = construct.deformed_type(s, params, pts, kernel_tol=kernel, gate_tol=cls_tol)
     ntilde = construct.ntilde_identity_residual(
-        s, params, pts, rng=_rng(cfg, "deform"), tol=kernel * 10.0, fields=cf
+        s, params, pts, rng=_rng(cfg, "deform"), tol=kernel * 10.0
     )
-    gate = construct.corollary_gate(s, params, pts, tol=cls_tol, fields=cf)
+    gate = construct.corollary_gate(s, params, pts, tol=cls_tol)
     cls = acms.classify(deformed, points=pts, zero_tol=cls_tol, const_tol=cls_tol)
 
     return {

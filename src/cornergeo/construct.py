@@ -77,9 +77,9 @@ class TwinKind(str, Enum):
     PHI_V = "phi_v"
 
 
-def twin(s: AcmStructure, kind: TwinKind, fields: CornerFields | None = None) -> AcmStructure:
+def twin(s: AcmStructure, kind: TwinKind) -> AcmStructure:
     """Build the V-twin or the phiV-twin of a corner structure."""
-    cf = fields if fields is not None else CornerFields(s)
+    cf = CornerFields(s)
     kind = TwinKind(kind)
     # phi' at [k, j] is a_j b^k - c_j d^k
     if kind is TwinKind.V:
@@ -117,27 +117,22 @@ class TwinTheoremVerdict:
         return dataclasses.asdict(self)
 
 
-def thken_check(
-    s: AcmStructure, points, tol: float = 1e-6, fields: CornerFields | None = None
-) -> TwinTheoremVerdict:
+def thken_check(s: AcmStructure, points, tol: float = 1e-6) -> TwinTheoremVerdict:
     """V-twin theorem: beta-Kenmotsu with beta = e^rho iff
     div V = 2 e^rho and sigma = phiV(rho) = 0."""
-    return _twin_theorem(s, points, tol, fields, TwinKind.V)
+    return _twin_theorem(s, points, tol, TwinKind.V)
 
 
-def thcos_check(
-    s: AcmStructure, points, tol: float = 1e-6, fields: CornerFields | None = None
-) -> TwinTheoremVerdict:
+def thcos_check(s: AcmStructure, points, tol: float = 1e-6) -> TwinTheoremVerdict:
     """phiV-twin theorem: cosymplectic iff div V = e^rho and
     sigma = phiV(rho) = 0."""
-    return _twin_theorem(s, points, tol, fields, TwinKind.PHI_V)
+    return _twin_theorem(s, points, tol, TwinKind.PHI_V)
 
 
-def _twin_theorem(s, points, tol, fields, kind: TwinKind) -> TwinTheoremVerdict:
-    cf = fields if fields is not None else CornerFields(s)
+def _twin_theorem(s, points, tol, kind: TwinKind) -> TwinTheoremVerdict:
     points = np.atleast_2d(points)
 
-    f = cf.frame(points)
+    f = CornerFields(s).frame(points)
     if kind is TwinKind.V:
         theorem, div_name, div_target = "v_twin_beta_kenmotsu", "div_v_minus_2_erho", 2.0 * f.e_rho
         beta_name, beta_target = "beta_minus_erho", f.e_rho
@@ -151,7 +146,7 @@ def _twin_theorem(s, points, tol, fields, kind: TwinKind) -> TwinTheoremVerdict:
     }
     conditions_hold = all(v < tol for v in cond.values())
 
-    t = twin(s, kind, fields=cf)
+    t = twin(s, kind)
     classified = classify(t, points=points)
     normality, verdict = classified.normality, classified.verdict
     alpha, beta = olszak_alpha_beta(t, points)
@@ -193,7 +188,7 @@ class NonPositiveFError(ValueError):
 class DeformationParams:
     """The conformal-like factor f (> 0) driving the deformation.
 
-    ``validate`` checks f on a fixed sample of the domain; the deformed
+    ``validate`` checks f on 50 fixed points of the domain; the deformed
     metric checks it again at every point it is evaluated at.
     """
 
@@ -203,8 +198,8 @@ class DeformationParams:
     def of(cls, f) -> "DeformationParams":
         return cls(f=as_expr(f))
 
-    def validate(self, domain, check_points: int = 50) -> None:
-        self.jet(domain.sample(check_points, seed_or_rng=0))
+    def validate(self, domain) -> None:
+        self.jet(domain.sample(50, seed_or_rng=0))
 
     @by_rows
     def jet(self, points) -> Jet2:
@@ -216,16 +211,10 @@ class DeformationParams:
         return fj
 
 
-def deform(
-    s: AcmStructure,
-    params: DeformationParams,
-    fields: CornerFields | None = None,
-    validate: bool = True,
-) -> AcmStructure:
+def deform(s: AcmStructure, params: DeformationParams) -> AcmStructure:
     """The deformed structure (phi~, xi, eta~, g~) of a corner structure."""
-    cf = fields if fields is not None else CornerFields(s)
-    if validate:
-        params.validate(s.domain)
+    cf = CornerFields(s)
+    params.validate(s.domain)
 
     def eta_t(p):
         return s.eta.jets(p) - cf.theta2.jets(p)
@@ -254,7 +243,6 @@ def ntilde_identity_residual(
     rng=None,
     pairs_per_point: int = 2,
     tol: float = 1e-7,
-    fields: CornerFields | None = None,
 ) -> ResidualReport:
     """Closed form of the deformed normality tensor versus brute force.
 
@@ -263,16 +251,14 @@ def ntilde_identity_residual(
     The brute-force route evaluates the Nijenhuis tensor of the deformed phi
     plus its d(eta~) correction.  The residual is the max-abs component gap.
     """
-    cf = fields if fields is not None else CornerFields(s)
-    deformed = deform(s, params, fields=cf)
-    return _ntilde_residual(s, points, deformed, cf, rng, pairs_per_point, tol)
+    return _ntilde_residual(s, points, deform(s, params), rng, pairs_per_point, tol)
 
 
 @by_rows
-def _ntilde_residual(s, points, deformed, cf, rng, pairs_per_point, tol) -> ResidualReport:
+def _ntilde_residual(s, points, deformed, rng, pairs_per_point, tol) -> ResidualReport:
     tracker = ResidualTracker()
     p = np.atleast_2d(points)
-    f = cf.frame(p)
+    f = CornerFields(s).frame(p)
     P = s.phi.matrix(p)
     xi = s.xi.values(p)
     deta = d_oneform_matrix(s.eta, p)
@@ -331,7 +317,6 @@ def deformed_type(
     points,
     kernel_tol: float = 1e-8,
     gate_tol: float = 1e-6,
-    fields: CornerFields | None = None,
 ) -> DeformedTypeReport:
     """Type functions (alpha~, beta~) and the deformed structure equations.
 
@@ -349,9 +334,7 @@ def deformed_type(
     The "normal gate" records how far sigma is from e^rho; type functions are
     reported regardless, since they are defined whenever the gate holds.
     """
-    cf = fields if fields is not None else CornerFields(s)
-    deformed = deform(s, params, fields=cf)
-    tracker, alphas, betas, gate = _type_rows(s, points, params, deformed, cf)
+    tracker, alphas, betas, gate = _type_rows(s, points, params, deform(s, params))
     tolerances = {
         "phi_scaling": kernel_tol / 10.0,
         "lemma_dlnf_wedge": kernel_tol,
@@ -368,12 +351,12 @@ def deformed_type(
 
 
 @by_rows
-def _type_rows(s: AcmStructure, points, params, deformed, cf):
+def _type_rows(s: AcmStructure, points, params, deformed):
     """The residuals, type functions and gate distance of :func:`deformed_type`."""
     phi_t_fields = fundamental_two_form_fields(deformed)
     tracker = ResidualTracker()
     p = np.atleast_2d(points)
-    f = cf.frame(p)
+    f = CornerFields(s).frame(p)
     fj = params.jet(p)
     xi = s.xi.values(p)
     dlnf = fj.grad / fj.value[:, None]
@@ -446,16 +429,11 @@ class GateReport:
 
 
 def corollary_gate(
-    s: AcmStructure,
-    params: DeformationParams,
-    points,
-    tol: float = 1e-6,
-    fields: CornerFields | None = None,
+    s: AcmStructure, params: DeformationParams, points, tol: float = 1e-6
 ) -> GateReport:
     """Check sigma = e^rho; only then evaluate the special-case corollary."""
-    cf = fields if fields is not None else CornerFields(s)
     points = np.atleast_2d(points)
-    f = cf.frame(points)
+    f = CornerFields(s).frame(points)
     gate = seq_max(np.abs(f.sigma - f.e_rho), 0.0)
     gate_holds = gate < tol
     case = None

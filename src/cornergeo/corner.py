@@ -16,14 +16,15 @@ differencing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .acms import _BASIS, AcmStructure, fundamental_two_form_fields, fundamental_two_form_matrix
 from .acms import nijenhuis
 from .expr import as_points, by_rows, jet_log, jet_sqrt, jet_sum, skipping
-from .fields import OneFormField, ScalarField, VectorField, batch_first, batch_key, contract, dot
-from .fields import first_row, gnorm, jet_partials, max_abs, mv, vm
+from .fields import OneFormField, ScalarField, VectorField, batch_first, contract, dot, first_row
+from .fields import gnorm, jet_partials, last_batch, max_abs, mv, vm
 from .report import ResidualReport, ResidualTracker
 from .tensor import d_oneform_matrix, d_twoform_coeff, nabla_matrix, probe_vectors, wedge11_matrix
 
@@ -80,15 +81,6 @@ class CornerFrame:
     phi_v_rho: float
 
 
-class _Bundle:
-    """Jets of the derived frame quantities over one batch of points."""
-
-    __slots__ = (
-        "xi", "eta", "psi", "omega", "norm2", "e_rho", "rho",
-        "v", "phi_v", "theta1", "theta2",
-    )
-
-
 def _quad(G, a, b):
     return dot(vm(a, G), b)
 
@@ -99,15 +91,14 @@ class CornerFields:
     The accessors (``v``, ``phi_v``, ``theta1``, ``theta2``, ``rho``, ...)
     are ordinary field objects whose jets read from the bundle of jets of
     the batch being evaluated, so they compose with every operation in
-    :mod:`cornergeo.tensor`.  The bundle of the last batch is kept: the
-    many fields built on these accessors (twins, deformations) all read
-    one bundle per sample.
+    :mod:`cornergeo.tensor`.  The bundle is memoized like a field (see
+    :func:`cornergeo.fields.last_batch`): the many fields built on these
+    accessors (twins, deformations) all read one bundle per sample.
     """
 
-    def __init__(self, s: AcmStructure, degeneracy_tol: float = DEGENERACY_TOL):
+    def __init__(self, s: AcmStructure):
         self.structure = s
-        self.degeneracy_tol = float(degeneracy_tol)
-        self._last = None  # (batch key, bundle)
+        self._bundle = last_batch(self._compute_bundle)
         self.psi = VectorField(lambda p: self.bundle(p).psi)
         self.v = VectorField(lambda p: self.bundle(p).v)
         self.phi_v = VectorField(lambda p: self.bundle(p).phi_v)
@@ -117,13 +108,13 @@ class CornerFields:
         self.rho = ScalarField(lambda p: self.bundle(p).rho)
 
     @by_rows
-    def bundle(self, p) -> _Bundle:
-        key = batch_key(p)
-        if self._last is not None and self._last[0] == key:
-            return self._last[1]
+    def bundle(self, p) -> SimpleNamespace:
+        """The jets of ``xi``, ``eta`` and the frame quantities over one batch."""
+        return self._bundle(p)
 
+    def _compute_bundle(self, p) -> SimpleNamespace:
         s = self.structure
-        b = _Bundle()
+        b = SimpleNamespace()
         xi = b.xi = s.xi.jets(p)
         gam = s.g.christoffel_jets(p)
         # psi^k = -xi^i (d_i xi^k + Gamma^k_ij xi^j);  omega_j = g_jk psi^k
@@ -136,7 +127,7 @@ class CornerFields:
 
         norm2 = jet_sum(b.psi * b.omega)
         b.norm2 = norm2
-        bad = first_row(p, norm2.value <= self.degeneracy_tol**2)
+        bad = first_row(p, norm2.value <= DEGENERACY_TOL**2)
         if bad is not None:
             value = np.reshape(norm2.value, -1)[bad[0]]
             raise DegenerateCornerError(bad[1], float(np.sqrt(max(value, 0.0))))
@@ -148,8 +139,6 @@ class CornerFields:
         b.phi_v = contract(phi, b.v)
         b.theta1 = b.omega / b.e_rho
         b.theta2 = -jet_sum(b.omega[:, None] * phi) / b.e_rho
-
-        self._last = (key, b)
         return b
 
     # -- frame scalars -----------------------------------------------------

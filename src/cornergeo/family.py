@@ -61,11 +61,11 @@ class FamilyParams:
         )
 
 
-def build_family(params: FamilyParams, check_points: int = 50) -> AcmStructure:
-    """Assemble the structure; validates tau > 0 and tau*kappa*mu != 0 on a
-    sample, and tau > 0 again at every point the structure is evaluated at."""
+def build_family(params: FamilyParams) -> AcmStructure:
+    """Assemble the structure; validates tau > 0 and tau*kappa*mu != 0 on 50
+    fixed points, and tau > 0 again at every point the structure is evaluated at."""
     tau, kappa, mu = params.tau, params.kappa, params.mu
-    _check_generators(params, params.domain.sample(check_points, seed_or_rng=0))
+    _check_generators(params, params.domain.sample(50, seed_or_rng=0))
 
     def checked(e):
         """``e`` as a field that checks tau > 0 at every point it is evaluated at."""

@@ -14,14 +14,19 @@ The plain arrays keep the sample axis first, in contiguous memory
 
 A field is built from a grid of component fields (expressions, numbers
 or :class:`ScalarField`), or from one function of the points that returns
-its whole jet.  Fields built from parsed expressions carry exact
-value/gradient/Hessian; fields derived from them (e.g. Christoffel
-symbols, frame components) carry value/gradient.
+its whole jet.  Either way it is evaluated once per sample: it keeps the
+jet of the last batch of points it was asked for (see :func:`last_batch`)
+until it is asked for another, and every accessor reads that jet.
+Fields built from parsed expressions carry exact value/gradient/Hessian;
+fields derived from them (e.g. Christoffel symbols, frame components)
+carry value/gradient.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -89,6 +94,27 @@ def batch_key(p) -> tuple:
     return x.shape, x.tobytes()
 
 
+def last_batch(fn):
+    """``fn(p)``, remembering its last result: called again on equal points
+    (by :func:`batch_key`) it hands that result back without calling ``fn``.
+    Its arrays are made read-only, so no caller can change later reads."""
+    key = result = None
+
+    def memo(p):
+        nonlocal key, result
+        k = batch_key(p)
+        if k != key:
+            result = fn(p)
+            jets = vars(result).values() if isinstance(result, SimpleNamespace) else [result]
+            for a in (a for j in jets for a in (j.value, j.grad, j.hess)):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            key = k
+        return result
+
+    return memo
+
+
 def first_row(p, mask) -> tuple:
     """``(index, point)`` of the first True row of ``mask``, or None."""
     flat = np.reshape(mask, -1)
@@ -115,8 +141,11 @@ def jet_partials(j: Jet2) -> Jet2:
 
 def batch_first(a: np.ndarray, n: int) -> np.ndarray:
     """``a`` with its ``n`` leading component axes moved behind the sample
-    axes, in contiguous memory: the layout ``@`` and ``einsum`` get."""
-    return np.ascontiguousarray(np.moveaxis(a, tuple(range(n)), tuple(range(-n, 0))))
+    axes, in contiguous memory: the layout ``@`` and ``einsum`` get.  The
+    result is read-only, like the memoized jet it may be a view of."""
+    out = np.ascontiguousarray(np.moveaxis(a, tuple(range(n)), tuple(range(-n, 0))))
+    out.setflags(write=False)
+    return out
 
 
 # Batched matrix products.  Each reproduces the per-point product of a
@@ -243,45 +272,39 @@ def first_order(j: Jet2) -> Jet2:
     return Jet2(j.value, j.grad)
 
 
-def _stack(grid, p) -> Jet2:
-    """The jet of a grid of component fields, component axes first."""
-    if isinstance(grid[0], tuple):
-        return Jet2.stack((e.jet(p) for row in grid for e in row), (3, 3))
-    return Jet2.stack(e.jet(p) for e in grid)
+def _stack(fields, shape, p) -> Jet2:
+    """The jet of component fields (in row-major order), component axes first."""
+    return Jet2.stack((e.jet(p) for e in fields), shape)
 
 
 class _Field:
     """A field of rank 1 or 2: one function from points to its whole jet
     (component axes first), given as such or built from a grid of
-    component fields.  ``components`` (alias ``entries``) and indexing give
-    the component fields, and for rank 2 the rows."""
+    component fields, and memoized for the last batch of points.
+    ``components`` (alias ``entries``) and indexing slice that jet into
+    component fields, and for rank 2 into rows."""
 
-    __slots__ = ("_fn", "_grid")
+    __slots__ = ("_fn",)
     _rank, _kind = 1, ""
 
     def __init__(self, entries):
-        self._grid = None
-        if callable(entries):
-            self._fn = entries
-            return
-        if self._rank == 1:
-            grid = _component_fields(entries, 3)
-        else:
-            grid = tuple(_component_fields(row, 3) for row in entries)
-            if len(grid) != 3:
-                raise ValueError(f"a {self._kind} needs a 3x3 entry grid")
-        self._grid = grid
-        self._fn = lambda p: _stack(grid, p)
+        if not callable(entries):
+            if self._rank == 1:
+                grid, shape = _component_fields(entries, 3), (3,)
+            else:
+                grid, shape = sum((_component_fields(row, 3) for row in entries), ()), (3, 3)
+                if len(grid) != 9:
+                    raise ValueError(f"a {self._kind} needs a 3x3 entry grid")
+            entries = functools.partial(_stack, grid, shape)
+        self._fn = last_batch(entries)
 
     @property
     def components(self) -> tuple:
-        return self._grid if self._grid is not None else tuple(self[k] for k in range(3))
+        return tuple(self[k] for k in range(3))
 
     entries = components
 
     def __getitem__(self, k):
-        if self._grid is not None:
-            return self._grid[k]
         k = range(3)[k]  # out of range raises IndexError, which also ends iteration
         return (ScalarField if self._rank == 1 else OneFormField)(lambda p: self.jets(p)[k])
 
@@ -355,18 +378,17 @@ class MetricField(_Field):
     Christoffel symbols are computed through jet arithmetic, so when the
     metric entries are expression-backed the symbols carry exact first
     derivatives (used for curvature-free frame derivatives downstream).
-    They are computed for a whole batch of points at once; the field keeps
-    the symbols of the last batch it saw, so the suites that reuse one
+    They are computed for a whole batch of points at once and memoized like
+    the metric itself (see :func:`last_batch`), so the suites that reuse one
     sample pay for them once.
     """
 
-    __slots__ = ("det_guard", "_last")
+    __slots__ = ("_gamma",)
     _rank, _kind = 2, "metric field"
 
-    def __init__(self, entries, det_guard: float = DET_GUARD):
+    def __init__(self, entries):
         super().__init__(entries)
-        self.det_guard = float(det_guard)
-        self._last = None  # (batch key, Christoffel jet)
+        self._gamma = last_batch(self._christoffel)
 
     @classmethod
     def diagonal(cls, d0, d1, d2) -> "MetricField":
@@ -386,7 +408,7 @@ class MetricField(_Field):
     def inverse(self, p) -> np.ndarray:
         G = self.matrix(p)
         det = np.linalg.det(G)
-        bad = first_row(p, np.abs(det) < self.det_guard)
+        bad = first_row(p, np.abs(det) < DET_GUARD)
         if bad is not None:
             raise SingularMetricError(bad[1], np.reshape(det, -1)[bad[0]])
         return np.linalg.inv(G)
@@ -399,10 +421,9 @@ class MetricField(_Field):
     @by_rows
     def christoffel_jets(self, p) -> Jet2:
         """The jet (value + gradient) of ``Gamma[k, i, j]``."""
-        key = batch_key(p)
-        if self._last is not None and self._last[0] == key:
-            return self._last[1]
+        return self._gamma(p)
 
+    def _christoffel(self, p) -> Jet2:
         G = self.jets(p)
         g = first_order(G)
         r0, r1 = _R0[:, None], _R1[:, None]
@@ -413,19 +434,16 @@ class MetricField(_Field):
         cof = Jet2(minor.value * sign, minor.grad * sign[..., None])
         det = jet_sum(g[0] * cof[0])
         ginv = cof.transpose(1, 0) / det
-        bad = first_row(p, np.abs(det.value) < self.det_guard)
+        bad = first_row(p, np.abs(det.value) < DET_GUARD)
         if bad is not None:
             raise SingularMetricError(bad[1], np.reshape(det.value, -1)[bad[0]])
 
         # Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2, with D[a, i, j] = d_a g_ij
         D = jet_partials(G)
-        gamma = jet_sum(
+        return jet_sum(
             ginv[:, l, None, None] * (D[:, :, l] + D[:, :, l].transpose(1, 0) - D[l])
             for l in range(3)
         ) * 0.5
-
-        self._last = (key, gamma)
-        return gamma
 
     def christoffel(self, p) -> np.ndarray:
         """Values ``Gamma[..., k, i, j]`` of the Levi-Civita connection."""

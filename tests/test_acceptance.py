@@ -133,7 +133,7 @@ def test_criterion_06_deformation_structure_equations():
         s = preset_structure(name)
         cf = CornerFields(s)
         for fsrc in ("1", "exp(x1)", "1 + x2^2"):
-            rep = deformed_type(s, DeformationParams.of(fsrc), POINTS, fields=cf)
+            rep = deformed_type(s, DeformationParams.of(fsrc), POINTS)
             r = rep.residuals
             assert r.max_abs("phi_scaling") < 1e-9, (name, fsrc)
             assert r.max_abs("lemma_dlnf_wedge") < 1e-8, (name, fsrc)

@@ -6,13 +6,15 @@ point n bit for bit, and the domain checks must skip or raise exactly as a
 point-by-point loop would.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracles import fd_grad, fd_hess
 from test_expr import SWEEP
 
-from cornergeo.acms import check_axioms, classify, fundamental_two_form_fields
+from cornergeo.acms import check_axioms, classify, fundamental_two_form_fields, nijenhuis
 from cornergeo.construct import (
     DeformationParams,
     TwinKind,
@@ -37,6 +39,7 @@ from cornergeo.fields import (
     MetricField,
     ScalarField,
     SingularMetricError,
+    TensorField11,
     VectorField,
     batch_first,
     dot,
@@ -203,8 +206,8 @@ def test_twin_and_deformed_jets_match_their_per_entry_formulas(params):
     cf = CornerFields(s)
     f = ScalarField.from_expr(DEFORMATION.f)
     xi, eta, phi, g = s.xi, s.eta, s.phi, s.g
-    v_twin, phiv_twin = twin(s, TwinKind.V, fields=cf), twin(s, TwinKind.PHI_V, fields=cf)
-    d = deform(s, DEFORMATION, fields=cf)
+    v_twin, phiv_twin = twin(s, TwinKind.V), twin(s, TwinKind.PHI_V)
+    d = deform(s, DEFORMATION)
     eta_t = [eta[j] - cf.theta2[j] for j in range(3)]
     entries = {
         "v_twin.phi": (v_twin.phi, lambda k, j: cf.theta2[j] * xi[k] - eta[j] * cf.phi_v[k]),
@@ -221,8 +224,10 @@ def test_twin_and_deformed_jets_match_their_per_entry_formulas(params):
                 assert same_jet(jet[k, j], entry(k, j).jet(POINTS)), (name, k, j)
     for k in range(3):
         assert same_jet(d.eta.jets(POINTS)[k], eta_t[k].jet(POINTS))
-    assert v_twin.xi is cf.v and v_twin.eta is cf.theta1
-    assert phiv_twin.xi is cf.phi_v and phiv_twin.eta is cf.theta2
+    assert same_jet(v_twin.xi.jets(POINTS), cf.v.jets(POINTS))
+    assert same_jet(v_twin.eta.jets(POINTS), cf.theta1.jets(POINTS))
+    assert same_jet(phiv_twin.xi.jets(POINTS), cf.phi_v.jets(POINTS))
+    assert same_jet(phiv_twin.eta.jets(POINTS), cf.theta2.jets(POINTS))
 
 
 def test_fields_given_by_one_jet_function_expose_their_components():
@@ -465,3 +470,72 @@ def test_the_first_failing_point_raises():
         expr.eval_jet2(pts)
     with pytest.raises(EvalDomainError, match="ln"):
         expr.eval_jet2(pts[::-1])
+
+
+# -- the last-batch memo ------------------------------------------------------
+
+
+def counting(fn):
+    """``fn`` and a list that grows by one entry per call of it."""
+    calls = []
+
+    def counted(p):
+        calls.append(1)
+        return fn(p)
+
+    return counted, calls
+
+
+def test_a_field_evaluates_its_jet_once_per_sample():
+    s = build_family(PARAMS[3])
+    xi_jets, xi_calls = counting(s.xi.jets)
+    phi_jets, phi_calls = counting(s.phi.jets)
+    xi, phi = VectorField(xi_jets), TensorField11(phi_jets)
+    for _ in range(2):
+        xi.jets(POINTS), xi.values(POINTS), xi.jacobian(POINTS), xi[1].jet(POINTS)
+        phi.jets(POINTS), phi.matrix(POINTS), phi[2][0].jet(POINTS)
+    assert len(xi_calls) == len(phi_calls) == 1
+    xi.values(POINTS[:5])
+    assert len(xi_calls) == 2
+
+    # the Nijenhuis torsion reads phi through phi(X), phi(Y) and both brackets
+    base = dataclasses.replace(s, phi=phi)
+    nijenhuis(base, np.eye(3)[0], np.eye(3)[1], POINTS[:7])
+    assert len(phi_calls) == 2
+    assert same(nijenhuis(base, np.eye(3)[0], np.eye(3)[1], POINTS[:7]),
+                nijenhuis(s, np.eye(3)[0], np.eye(3)[1], POINTS[:7]))
+
+
+def test_the_memo_is_keyed_by_the_points_not_the_array():
+    fn, calls = counting(lambda p: parse("x1*x2 + x3").eval_jet2(p)[None] * np.ones((3, 1)))
+    field = VectorField(fn)
+    first = field.jets(POINTS)
+    assert field.jets(POINTS.copy()) is first and len(calls) == 1
+    moved = POINTS.copy()
+    moved[4, 1] += 1e-3
+    assert not same(field.values(moved), first.value.T) and len(calls) == 2
+    assert same(field.values(POINTS), first.value.T) and len(calls) == 3
+
+
+def test_a_non_finite_point_raises_at_plain_evaluation():
+    pts = POINTS.copy()
+    pts[3, 2] = np.nan
+    field = VectorField(["x1", "x2", "x3"])
+    for evaluate in (field.values, field.jets, field[0].jet):
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate(pts)
+
+
+def test_memoized_arrays_are_read_only():
+    s = build_family(PARAMS[3])
+    cf = CornerFields(s)
+    before = s.xi.values(POINTS).copy()
+    for arrays in (
+        (s.xi.values(POINTS), s.xi.values(POINTS[0]), s.g.matrix(POINTS)),
+        (s.xi.jets(POINTS).value, s.xi.jets(POINTS).grad, s.g.christoffel_jets(POINTS).grad),
+        (cf.bundle(POINTS).e_rho.value, cf.frame(POINTS).rho, cf.v.jacobian(POINTS)),
+    ):
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+    assert same(s.xi.values(POINTS), before)

@@ -49,6 +49,45 @@ def test_scan_family_without_kappa(tmp_path, capsys):
     assert "kappa" in payload["error"]["message"]
 
 
+FLAT = {"phi": [[0, 0, 0], [0, 0, -1], [0, 1, 0]], "xi": [1, 0, 0], "eta": [1, 0, 0],
+        "g": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "command, data, key",
+    [
+        ("check", {"preset": "family:B", "suites": 5}, "suites"),
+        ("check", {"family": {"tau": None, "kappa": "1", "mu": "1"}}, "tau"),
+        ("check", {"structure": {**FLAT, "phi": 5}}, "phi"),
+        ("check", {"structure": {**FLAT, "xi": [1, [0], 0]}}, "xi"),
+        ("deform", {"preset": "family:B", "f": [1]}, "f"),
+        ("check", {"preset": "family:B", "seed": True}, "seed"),
+    ],
+    ids=["suites-number", "family-null", "structure-number", "structure-nested", "f-list",
+         "seed-boolean"],
+)
+def test_a_value_of_the_wrong_json_type(tmp_path, capsys, command, data, key):
+    code, payload = run_config(tmp_path, capsys, command, {"samples": 5, **data})
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"]["type"] == "ConfigError"
+    assert key in payload["error"]["message"]
+
+
+def test_suites_given_as_a_string_are_not_split(tmp_path, capsys):
+    data = {"preset": "family:B", "suites": "axioms"}
+    code, payload = run_config(tmp_path, capsys, "check", data)
+    assert code == 2
+    assert payload["error"]["type"] == "ConfigError"
+    assert "suites must be a list" in payload["error"]["message"]
+
+
+def test_a_negative_seed_names_the_key(tmp_path, capsys):
+    code, payload = run_config(tmp_path, capsys, "check", {"preset": "family:B", "seed": -1})
+    assert code == 2
+    assert payload["error"]["type"] == "ConfigError"
+    assert "seed" in payload["error"]["message"]
+
+
 # the first of the 200 sample points (seed 0) with x1 below the threshold
 THRESHOLD = 0.11191698835111949
 

@@ -57,7 +57,7 @@ def test_v_twin_frozen_values(structures):
 def test_phi_v_twin_reeb(structures, points):
     s = structures["B"]
     cf = CornerFields(s)
-    t = twin(s, TwinKind.PHI_V, fields=cf)
+    t = twin(s, TwinKind.PHI_V)
     for p in points[:4]:
         f = cf.frame(p)
         np.testing.assert_allclose(t.xi.values(p), f.phi_v, atol=1e-13)
@@ -160,7 +160,7 @@ def test_d_eta_tilde_identity_by_finite_differences(structures):
     s = structures["D"]
     cf = CornerFields(s)
     params = DeformationParams.of("exp(x1)")
-    d = deform(s, params, fields=cf)
+    d = deform(s, params)
     fn = metric_fn_of(s.g)
     for p in [np.array([0.4, 0.5, 0.6]), np.array([0.8, 0.3, 0.9])]:
         frame = cf.frame(p)
@@ -188,7 +188,7 @@ def test_alpha_tilde_against_oracle(structures):
     cf = CornerFields(s)
     fn = metric_fn_of(s.g)
     pts = np.array([[0.4, 0.5, 0.6], [0.7, 0.2, 0.9]])
-    rep = deformed_type(s, DeformationParams.of("1"), pts, fields=cf)
+    rep = deformed_type(s, DeformationParams.of("1"), pts)
     for k, p in enumerate(pts):
         psi = cf.psi.values(p)
         e_rho = np.sqrt(psi @ s.g.matrix(p) @ psi)
@@ -204,7 +204,7 @@ def test_olszak_functions_of_the_deformed_structure(points, fsrc):
     s = build_family(SIGMA_PARAMS)
     cf = CornerFields(s)
     params = DeformationParams.of(fsrc)
-    d = deform(s, params, fields=cf)
+    d = deform(s, params)
     for p in points[:5]:
         frame = cf.frame(p)
         fj = params.f.eval_jet2(p)
