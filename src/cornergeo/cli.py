@@ -119,6 +119,8 @@ class SceneConfig:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.draws, int) or isinstance(self.draws, bool) or self.draws < 0:
+            raise ConfigError(f"draws must be a non-negative integer, got {self.draws!r}")
         _check_expression(self.f, "f")
         sources = [x is not None for x in (self.preset, self.family, self.structure)]
         if sum(sources) > 1:
@@ -408,7 +410,9 @@ def scan_sigma(params_list, samples: int = 100, seed: int = 0) -> dict:
 
 
 def _scan_command(cfg: SceneConfig) -> dict:
-    if cfg.preset is None and cfg.family is None and cfg.structure is None:
+    if cfg.structure is not None:
+        raise ConfigError("scan takes a preset, a family, or neither (every preset): no structure")
+    if cfg.preset is None and cfg.family is None:
         names = family.PRESET_NAMES  # no explicit member: sweep every bundled preset
     else:
         names = [] if cfg.preset is None else [cfg.preset]

@@ -152,7 +152,7 @@ class CornerFields:
         xi_v = batch_first(b.xi.value, 1)
         v = batch_first(b.v.value, 1)
         phi_v = batch_first(b.phi_v.value, 1)
-        jac_v = batch_first(np.moveaxis(b.v.grad, -1, 1), 2)
+        jac_v = batch_first(b.v.grad.transpose(0, -1, *range(1, b.v.grad.ndim - 1)), 2)
 
         nabla_xi_v = mv(jac_v, xi_v) + np.einsum("...kij,...i,...j->...k", gam, xi_v, v)
         sigma = dot(vm(nabla_xi_v, G), phi_v)
@@ -426,7 +426,8 @@ def phi_derivative_residual(
     omega = mv(G, psi)
     phi_psi = mv(P, psi)
     # nabla phi as a (1,2)-tensor: D[..., i, k, j] = (nabla_i phi)^k_j
-    dphi = batch_first(np.moveaxis(s.phi.jets(p).grad, -1, 0), 3)
+    grad = s.phi.jets(p).grad
+    dphi = batch_first(grad.transpose(-1, *range(grad.ndim - 1)), 3)
     D = (
         dphi
         + np.einsum("...kim,...mj->...ikj", gam, P)

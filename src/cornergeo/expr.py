@@ -529,22 +529,25 @@ def _wrap(node: Node, min_level: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _walk(node: Node, x: np.ndarray, order: int) -> Jet2:
-    """One walk of the tree over the whole batch of points ``x``."""
+def _walk(node: Node, x: np.ndarray, order: int, known=None) -> Jet2:
+    """One walk of the tree over the whole batch of points ``x``.  A subtree
+    whose id is a key of ``known`` is not walked: its jet is ``known[id](x)``."""
+    if known is not None and id(node) in known:
+        return known[id(node)](x)
     if isinstance(node, Const):
         return Jet2.constant(node.value, order)
     if isinstance(node, Var):
         return Jet2.variable(node.index, x[..., node.index], order)
     try:
         if isinstance(node, Unary):
-            return -_walk(node.arg, x, order)
+            return -_walk(node.arg, x, order, known)
         if isinstance(node, Call):
-            return _FUNCTIONS[node.name](_walk(node.arg, x, order))
-        a = _walk(node.left, x, order)
+            return _FUNCTIONS[node.name](_walk(node.arg, x, order, known))
+        a = _walk(node.left, x, order, known)
         if node.op == "^" and isinstance(node.right, Const):
             # a literal exponent keeps integer powers of negative bases legal
             return a**node.right.value
-        b = _walk(node.right, x, order)
+        b = _walk(node.right, x, order, known)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -560,9 +563,9 @@ def _walk(node: Node, x: np.ndarray, order: int) -> Jet2:
         raise
 
 
-def _jets_at(root: Node, point, order: int) -> Jet2:
+def _jets_at(root: Node, point, order: int, known=None) -> Jet2:
     x = as_points(point)
-    return _walk(root, x, order).broadcast(x.shape[:-1])
+    return _walk(root, x, order, known).broadcast(x.shape[:-1])
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acms import AcmStructure
-from .expr import Call, ScalarExpr, as_expr, by_rows
-from .fields import ChartDomain, MetricField, OneFormField, ScalarField, TensorField11, VectorField
-from .fields import first_row
+from .expr import Call, Jet2, ScalarExpr, _jets_at, as_expr, as_points, by_rows
+from .fields import ChartDomain, MetricField, OneFormField, TensorField11, VectorField
+from .fields import first_row, last_batch
 from .report import ResidualReport, seq_max
 from .corner import corner_residual
 
@@ -63,34 +63,52 @@ class FamilyParams:
 
 def build_family(params: FamilyParams) -> AcmStructure:
     """Assemble the structure; validates tau > 0 and tau*kappa*mu != 0 on 50
-    fixed points, and tau > 0 again at every point the structure is evaluated at."""
+    fixed points, and tau > 0 again at every point the structure is evaluated at.
+
+    phi, xi, eta and g are each one jet function that walks only the seven
+    non-zero entries (-(mu/kappa), kappa/mu, 1/tau, tau, tau^2, kappa^2, mu^2).
+    tau, kappa and mu are walked once per sample: each keeps the jet of the last
+    batch (see :func:`last_batch`), and the entries' walks read them from there.
+    The tau memo checks tau > 0; xi, eta and g read it before their entries."""
     tau, kappa, mu = params.tau, params.kappa, params.mu
     _check_generators(params, params.domain.sample(50, seed_or_rng=0))
 
-    def checked(e):
-        """``e`` as a field that checks tau > 0 at every point it is evaluated at."""
+    def guarded_tau(p) -> Jet2:
+        t = tau.eval_jet2(p)
+        _require_tau(t.value, p)
+        return t
 
-        def jet(p):
-            _require_tau(tau.value(p), p)
-            return e.eval_jet2(p)
+    tau_jet = last_batch(guarded_tau)
+    # tau first, so phi never runs the tau guard through a kappa or mu that is tau's tree
+    known = {id(tau.root): tau_jet}
+    known.update({id(e.root): last_batch(e.eval_jet2) for e in (kappa, mu)})
 
-        return ScalarField(jet)
+    def field(cls, dims, entries, guarded=True):
+        def jets(p) -> Jet2:
+            if guarded:
+                tau_jet(p)
+            shape = dims + as_points(p).shape[:-1]
+            out = Jet2(np.zeros(shape), np.zeros(shape + (3,)), np.zeros(shape + (3, 3)))
+            for index, e in entries.items():
+                j = _entry_jet(e.root, p, 2, known)
+                out.value[index], out.grad[index], out.hess[index] = j.value, j.grad, j.hess
+            return out
 
-    zero = as_expr(0)
-    one = as_expr(1)
+        return cls(jets)
+
     return AcmStructure(
-        phi=TensorField11(
-            [
-                [zero, zero, zero],
-                [zero, zero, -(mu / kappa)],
-                [zero, kappa / mu, zero],
-            ]
+        phi=field(
+            TensorField11, (3, 3), {(1, 2): -(mu / kappa), (2, 1): kappa / mu}, guarded=False
         ),
-        xi=VectorField([checked(one / tau), zero, zero]),
-        eta=OneFormField([checked(tau), zero, zero]),
-        g=MetricField.diagonal(checked(tau**2), kappa**2, mu**2),
+        xi=field(VectorField, (3,), {0: 1 / tau}),
+        eta=field(OneFormField, (3,), {0: tau}),
+        g=field(MetricField, (3, 3), {(0, 0): tau**2, (1, 1): kappa**2, (2, 2): mu**2}),
         domain=params.domain,
     )
+
+
+# an entry's jet, replayed point by point when the batch raises
+_entry_jet = by_rows(_jets_at)
 
 
 def _require_tau(t, points) -> None:
@@ -248,24 +266,24 @@ def random_family(rng: np.random.Generator, corner: bool = True, domain=None) ->
     the defining condition; tau may couple x1 with x2/x3, which is what makes
     sigma and d(omega) nonzero in general.
     """
+    mono = _MONOMIALS
     a = rng.uniform(-1.0, 1.0, size=5)
     # an exponential keeps tau positive whatever the coefficients are
-    exponent = (
-        as_expr("x2") * a[0]
-        + as_expr("x3") * a[1]
-        + as_expr("x1*x2") * a[2]
-        + as_expr("x1*x3") * a[3]
-        + as_expr("x1") * a[4]
-    )
+    exponent = mono["x2"] * a[0] + mono["x3"] * a[1] + mono["x1*x2"] * a[2]
+    exponent = exponent + mono["x1*x3"] * a[3] + mono["x1"] * a[4]
     tau_expr = ScalarExpr(Call("exp", exponent.root))
 
     k = rng.uniform(0.5, 1.5)
     k2, k3 = rng.uniform(0.0, 1.0, size=2)
-    kappa = as_expr(k) + as_expr("x2^2") * k2 + as_expr("x2*x3") * k3
+    kappa = as_expr(k) + mono["x2^2"] * k2 + mono["x2*x3"] * k3
     m = rng.uniform(0.5, 1.5)
     m2, m3 = rng.uniform(0.0, 1.0, size=2)
-    mu = as_expr(m) + as_expr("x3^2") * m2 + as_expr("x2*x3") * m3
+    mu = as_expr(m) + mono["x3^2"] * m2 + mono["x2*x3"] * m3
     if not corner:
-        kappa = kappa + as_expr("x1^2") * rng.uniform(0.5, 1.5)
-        mu = mu + as_expr("x1") * rng.uniform(0.5, 1.5)
+        kappa = kappa + mono["x1^2"] * rng.uniform(0.5, 1.5)
+        mu = mu + mono["x1"] * rng.uniform(0.5, 1.5)
     return FamilyParams.of(tau_expr, kappa, mu, domain=domain)
+
+
+# the monomials random_family combines, parsed once
+_MONOMIALS = {m: as_expr(m) for m in "x1 x2 x3 x1*x2 x1*x3 x2*x3 x1^2 x2^2 x3^2".split()}

@@ -136,14 +136,15 @@ def jet_partials(j: Jet2) -> Jet2:
     (``[a]`` is d_a), one order shallower."""
     if j.grad is None:
         raise ValueError("jet carries no gradient; cannot take a partial")
-    return Jet2(np.moveaxis(j.grad, -1, 0), None if j.hess is None else np.moveaxis(j.hess, -2, 0))
+    h = None if j.hess is None else j.hess.transpose(-2, *range(j.hess.ndim - 2), -1)
+    return Jet2(j.grad.transpose(-1, *range(j.grad.ndim - 1)), h)
 
 
 def batch_first(a: np.ndarray, n: int) -> np.ndarray:
     """``a`` with its ``n`` leading component axes moved behind the sample
     axes, in contiguous memory: the layout ``@`` and ``einsum`` get.  The
     result is read-only, like the memoized jet it may be a view of."""
-    out = np.ascontiguousarray(np.moveaxis(a, tuple(range(n)), tuple(range(-n, 0))))
+    out = np.ascontiguousarray(a.transpose(*range(n, a.ndim), *range(n)))
     out.setflags(write=False)
     return out
 
@@ -326,7 +327,8 @@ class _ComponentsMixin(_Field):
 
     def jacobian(self, p) -> np.ndarray:
         """Matrix of partials ``J[..., k, i] = d_i comp_k``."""
-        return batch_first(np.moveaxis(self.jets(p).grad, -1, 1), 2)
+        g = self.jets(p).grad
+        return batch_first(g.transpose(0, -1, *range(1, g.ndim - 1)), 2)
 
 
 class VectorField(_ComponentsMixin):
@@ -451,4 +453,5 @@ class MetricField(_Field):
 
     def christoffel_partials(self, p) -> np.ndarray:
         """Partials ``dGamma[..., a, k, i, j] = d_a Gamma^k_ij``."""
-        return batch_first(np.moveaxis(self.christoffel_jets(p).grad, -1, 0), 4)
+        g = self.christoffel_jets(p).grad
+        return batch_first(g.transpose(-1, *range(g.ndim - 1)), 4)

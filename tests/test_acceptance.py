@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import fd_christoffel, fd_grad, fd_hess, metric_fn_of
+from test_cli import child_env
 
 from cornergeo.acms import (
     BETA_KENMOTSU,
@@ -205,8 +206,8 @@ def test_criterion_10_deterministic_reports():
         "--seed",
         "7",
     ]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, env=child_env())
+    second = subprocess.run(cmd, capture_output=True, env=child_env())
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout  # non-empty report

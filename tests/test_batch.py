@@ -32,11 +32,13 @@ from cornergeo.corner import (
     form_identities_residuals,
     frame_residuals,
 )
-from cornergeo.expr import EvalDomainError, Jet2, jet_sum, parse
+from cornergeo import expr
+from cornergeo.expr import EvalDomainError, Jet2, as_expr, jet_sum, parse
 from cornergeo.family import FamilyParams, build_family, preset, random_family
 from cornergeo.fields import (
     ChartDomain,
     MetricField,
+    OneFormField,
     ScalarField,
     SingularMetricError,
     TensorField11,
@@ -539,3 +541,53 @@ def test_memoized_arrays_are_read_only():
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
     assert same(s.xi.values(POINTS), before)
+
+
+# -- family structures: one walk per generator ---------------------------------
+
+
+def test_each_family_generator_is_walked_once_per_sample(monkeypatch):
+    """tau, kappa and mu each head with a function of their own, so the calls
+    of that function count the walks of the generator's tree."""
+    s = build_family(FamilyParams.of("exp(x2 + x1*x3)", "sqrt(1 + x2^2)", "2 + sin(x2*x3)"))
+    walks = {}
+    for name in ("exp", "sqrt", "sin"):
+        fn, walks[name] = counting(expr._FUNCTIONS[name])
+        monkeypatch.setitem(expr._FUNCTIONS, name, fn)
+    for n, sample in enumerate((POINTS, POINTS[:5]), start=1):
+        cf = CornerFields(s)
+        for _ in range(2):
+            s.phi.jets(sample), s.xi.jets(sample), s.eta.jets(sample), s.g.jets(sample)
+            s.g.christoffel_jets(sample), cf.bundle(sample), cf.frame(sample)
+        assert {name: len(calls) for name, calls in walks.items()} == {"exp": n, "sqrt": n, "sin": n}
+
+
+def per_entry_fields(params):
+    """The family's fields as grids of component expressions, each entry
+    walked on its own."""
+    tau, kappa, mu, zero = params.tau, params.kappa, params.mu, as_expr(0)
+    return {
+        "phi": TensorField11(
+            [[zero, zero, zero], [zero, zero, -(mu / kappa)], [zero, kappa / mu, zero]]
+        ),
+        "xi": VectorField([1 / tau, zero, zero]),
+        "eta": OneFormField([tau, zero, zero]),
+        "g": MetricField.diagonal(tau**2, kappa**2, mu**2),
+    }
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=IDS)
+def test_family_jets_match_their_per_entry_walks(params):
+    s = build_family(params)
+    for name, grid in per_entry_fields(params).items():
+        for p in (POINTS, POINTS[3]):
+            assert same_jet(getattr(s, name).jets(p), grid.jets(p)), (name, np.shape(p))
+
+
+def test_a_pole_of_an_entry_is_named_as_in_its_own_walk():
+    s = build_family(FamilyParams.of("exp(x2)", "x2 - 0.5", "1 + x3"))
+    pts = POINTS.copy()
+    pts[4, 1] = 0.5
+    with pytest.raises(EvalDomainError) as err:
+        s.phi.jets(pts)
+    assert str(err.value) == "division by zero in '(1 + x3)/(x2 - 0.5)'"

@@ -1,8 +1,10 @@
 """Command-line surface: subcommands, exit codes, reports, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,11 +17,20 @@ def run_main(capsys, *argv):
     return code, payload
 
 
+def child_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, so a
+    child interpreter imports the cornergeo under test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
 def run_process(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "cornergeo.cli", *argv],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     return proc
 

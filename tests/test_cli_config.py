@@ -134,3 +134,20 @@ def test_overflow_while_folding_constants_is_a_domain_error(capsys):
     assert code == 2
     assert payload["error"]["type"] == "EvalDomainError"
     assert "'10^400'" in payload["error"]["message"]
+
+
+def test_scan_rejects_an_inline_structure(tmp_path, capsys):
+    # scan sweeps family parameters; an inline structure has none to sweep
+    code, payload = run_config(tmp_path, capsys, "scan", {"structure": FLAT, "samples": 5})
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"]["type"] == "ConfigError"
+    assert "structure" in payload["error"]["message"]
+    assert "entries" not in payload.get("scan", {})
+
+
+def test_scan_rejects_a_negative_draw_count(capsys):
+    code = main(["scan", "--draws", "-1", "--samples", "5"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"]["type"] == "ConfigError"
+    assert "draws" in payload["error"]["message"]
