@@ -15,7 +15,8 @@ structure within the trans-Sasakian taxonomy.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,7 +64,11 @@ _BASIS = [np.eye(3)[k] for k in range(3)]
 
 @dataclass(frozen=True, eq=False)
 class AcmStructure:
-    """An almost contact metric structure given by component fields."""
+    """An almost contact metric structure given by component fields.
+
+    ``corner`` is the structure's one frame context: its fields, the twins
+    and the deformation built on it all read one frame bundle per sample.
+    """
 
     phi: TensorField11
     xi: VectorField
@@ -81,6 +86,14 @@ class AcmStructure:
             g=MetricField(g),
             domain=domain or ChartDomain(),
         )
+
+    @functools.cached_property
+    def corner(self):
+        """The :class:`cornergeo.corner.CornerFields` of this structure, built
+        on first use and kept with it."""
+        from .corner import CornerFields  # corner imports this module
+
+        return CornerFields(self)
 
 
 @by_rows
@@ -235,9 +248,13 @@ class ClassificationReport:
     points_used: int
     thresholds: dict
     notes: dict
+    # the pointwise values over the points used; not part of the report
+    alphas: np.ndarray = field(repr=False)
+    betas: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
+        del out["alphas"], out["betas"]
         out["normality_residual"] = out.pop("normality")
         return out
 
@@ -303,4 +320,6 @@ def classify(
         points_used=len(alphas),
         thresholds={"zero": zero_tol, "const": const_tol},
         notes={"skipped_points": skipped},
+        alphas=alphas,
+        betas=betas,
     )

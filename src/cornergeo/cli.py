@@ -20,7 +20,7 @@ import numpy as np
 
 from . import acms, construct, corner, family
 from .conventions import CONVENTION_BANNER, SCHEMA_VERSION
-from .corner import CornerFields, DegenerateCornerError
+from .corner import DegenerateCornerError
 from .expr import EvalDomainError, ParseError, skipping
 from .fields import ChartDomain, SingularMetricError, max_abs
 from .report import seq_max, seq_min
@@ -382,9 +382,8 @@ def scan_sigma(params_list, samples: int = 100, seed: int = 0) -> dict:
     draws = []
     overall_gap = None
     for i, params in enumerate(params_list):
-        s = family.build_family(params)
+        cf = family.build_family(params).corner
         pts = params.domain.sample(samples, np.random.default_rng([seed, i]))
-        cf = CornerFields(s)
         max_domega = max_sigma = 0.0
         min_gap = None
         kept, f = skipping(cf.frame, pts, DegenerateCornerError)

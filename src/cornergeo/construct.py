@@ -43,9 +43,7 @@ from .acms import (
     fundamental_two_form_fields,
     fundamental_two_form_matrix,
     n1_tensor,
-    olszak_alpha_beta,
 )
-from .corner import CornerFields
 from .expr import Jet2, ScalarExpr, as_expr, by_rows
 from .fields import MetricField, OneFormField, TensorField11, dot, first_order, first_row
 from .fields import max_abs, mv, vm
@@ -79,7 +77,7 @@ class TwinKind(str, Enum):
 
 def twin(s: AcmStructure, kind: TwinKind) -> AcmStructure:
     """Build the V-twin or the phiV-twin of a corner structure."""
-    cf = CornerFields(s)
+    cf = s.corner
     kind = TwinKind(kind)
     # phi' at [k, j] is a_j b^k - c_j d^k
     if kind is TwinKind.V:
@@ -132,7 +130,7 @@ def thcos_check(s: AcmStructure, points, tol: float = 1e-6) -> TwinTheoremVerdic
 def _twin_theorem(s, points, tol, kind: TwinKind) -> TwinTheoremVerdict:
     points = np.atleast_2d(points)
 
-    f = CornerFields(s).frame(points)
+    f = s.corner.frame(points)
     if kind is TwinKind.V:
         theorem, div_name, div_target = "v_twin_beta_kenmotsu", "div_v_minus_2_erho", 2.0 * f.e_rho
         beta_name, beta_target = "beta_minus_erho", f.e_rho
@@ -146,10 +144,9 @@ def _twin_theorem(s, points, tol, kind: TwinKind) -> TwinTheoremVerdict:
     }
     conditions_hold = all(v < tol for v in cond.values())
 
-    t = twin(s, kind)
-    classified = classify(t, points=points)
+    classified = classify(twin(s, kind), points=points)
     normality, verdict = classified.normality, classified.verdict
-    alpha, beta = olszak_alpha_beta(t, points)
+    alpha, beta = classified.alphas, classified.betas
     a_max, b_err = seq_max(np.abs(alpha), 0.0), seq_max(np.abs(beta - beta_target), 0.0)
     twin_matches = normality < tol and a_max < tol and b_err < tol
 
@@ -213,7 +210,7 @@ class DeformationParams:
 
 def deform(s: AcmStructure, params: DeformationParams) -> AcmStructure:
     """The deformed structure (phi~, xi, eta~, g~) of a corner structure."""
-    cf = CornerFields(s)
+    cf = s.corner
     params.validate(s.domain)
 
     def eta_t(p):
@@ -258,7 +255,7 @@ def ntilde_identity_residual(
 def _ntilde_residual(s, points, deformed, rng, pairs_per_point, tol) -> ResidualReport:
     tracker = ResidualTracker()
     p = np.atleast_2d(points)
-    f = CornerFields(s).frame(p)
+    f = s.corner.frame(p)
     P = s.phi.matrix(p)
     xi = s.xi.values(p)
     deta = d_oneform_matrix(s.eta, p)
@@ -356,7 +353,7 @@ def _type_rows(s: AcmStructure, points, params, deformed):
     phi_t_fields = fundamental_two_form_fields(deformed)
     tracker = ResidualTracker()
     p = np.atleast_2d(points)
-    f = CornerFields(s).frame(p)
+    f = s.corner.frame(p)
     fj = params.jet(p)
     xi = s.xi.values(p)
     dlnf = fj.grad / fj.value[:, None]
@@ -433,7 +430,7 @@ def corollary_gate(
 ) -> GateReport:
     """Check sigma = e^rho; only then evaluate the special-case corollary."""
     points = np.atleast_2d(points)
-    f = CornerFields(s).frame(points)
+    f = s.corner.frame(points)
     gate = seq_max(np.abs(f.sigma - f.e_rho), 0.0)
     gate_holds = gate < tol
     case = None

@@ -88,12 +88,14 @@ def _quad(G, a, b):
 class CornerFields:
     """Derived frame fields of a corner structure, evaluated a batch at a time.
 
-    The accessors (``v``, ``phi_v``, ``theta1``, ``theta2``, ``rho``, ...)
-    are ordinary field objects whose jets read from the bundle of jets of
-    the batch being evaluated, so they compose with every operation in
-    :mod:`cornergeo.tensor`.  The bundle is memoized like a field (see
-    :func:`cornergeo.fields.last_batch`): the many fields built on these
-    accessors (twins, deformations) all read one bundle per sample.
+    Each structure has one, its ``corner`` attribute (see
+    :class:`cornergeo.acms.AcmStructure`), which every residual suite, twin
+    and deformation reads.  The accessors (``v``, ``phi_v``, ``theta1``,
+    ``theta2``, ``rho``, ...) are ordinary field objects whose jets read from
+    the bundle of jets of the batch being evaluated, so they compose with
+    every operation in :mod:`cornergeo.tensor`.  The bundle is memoized like
+    a field (see :func:`cornergeo.fields.last_batch`), so the structure's
+    frame is computed once per sample.
     """
 
     def __init__(self, s: AcmStructure):
@@ -177,7 +179,7 @@ class CornerFields:
 
 def corner_frame(s: AcmStructure, p) -> CornerFrame:
     """The fundamental frame at one point or a sample (degenerate points raise)."""
-    return CornerFields(s).frame(p)
+    return s.corner.frame(p)
 
 
 @by_rows
@@ -248,7 +250,7 @@ def connection_table_residuals(
     ``nabla_{phi V} V = (div V - e^rho) phi V``; ``nabla_xi phiV = -sigma V``;
     ``nabla_V phiV = -phiV(rho) V``; ``nabla_{phi V} phiV = (e^rho - div V) V``.
     """
-    cf = CornerFields(s)
+    cf = s.corner
     tracker = ResidualTracker()
     p = np.atleast_2d(points)
     f = cf.frame(p)
@@ -281,7 +283,7 @@ def frame_residuals(
 ) -> ResidualReport:
     """Orthonormality and duality of the fundamental frame, plus the
     reconstruction of grad rho from its frame components."""
-    cf = CornerFields(s)
+    cf = s.corner
     tracker = ResidualTracker()
     p = np.atleast_2d(points)
     b = cf.bundle(p)
@@ -333,7 +335,7 @@ def form_identities_residuals(s: AcmStructure, points, tol: float = 1e-8) -> Res
     and the mixed identity
     ``d theta2 = sigma e^{-rho} d eta + (e^rho - div V)/2 Phi``.
     """
-    cf = CornerFields(s)
+    cf = s.corner
     tracker = ResidualTracker()
     p = np.atleast_2d(points)
     f = cf.frame(p)
@@ -379,7 +381,7 @@ def closed_omega_check(
     s: AcmStructure, points, closed_tol: float = 1e-8, sigma_tol: float = 1e-6
 ) -> ResidualReport:
     """Check the implication: omega closed (d omega = 0) forces sigma = 0."""
-    cf = CornerFields(s)
+    cf = s.corner
     tracker = ResidualTracker()
     p = np.atleast_2d(points)
     kept, f = skipping(cf.frame, p, DegenerateCornerError)

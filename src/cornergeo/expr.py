@@ -547,7 +547,9 @@ def _walk(node: Node, x: np.ndarray, order: int, known=None) -> Jet2:
         if node.op == "^" and isinstance(node.right, Const):
             # a literal exponent keeps integer powers of negative bases legal
             return a**node.right.value
-        b = _walk(node.right, x, order, known)
+        # a power reads its exponent's derivatives to tell a constant exponent
+        # from a general one, so it walks the exponent to full order
+        b = _walk(node.right, x, 2 if node.op == "^" else order, known)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -587,9 +589,6 @@ class ScalarExpr:
     def value(self, point):
         """The value at ``point`` (a float), or over a batch (an array)."""
         return _jets_at(self.root, point, 0).value
-
-    def __call__(self, point) -> float:
-        return self.value(point)
 
     def __str__(self) -> str:
         return to_str(self.root)

@@ -12,10 +12,12 @@ The plain arrays keep the sample axis first, in contiguous memory
 ``christoffel`` ``(N, 3, 3, 3)``), and the batched products (``mv``,
 ``vm``, ``dot``) give each row the bits of the single-point ``@``.
 
-A field is built from a grid of component fields (expressions, numbers
-or :class:`ScalarField`), or from one function of the points that returns
-its whole jet.  Either way it is evaluated once per sample: it keeps the
-jet of the last batch of points it was asked for (see :func:`last_batch`)
+Every field, a :class:`ScalarField` included, is one function of the
+points that returns its whole jet.  A vector, one-form, tensor or metric
+field may be given instead by a grid of entries (scalar fields,
+expressions or their source text, numbers), and its function stacks their
+jets.  Either way a field is evaluated once per sample: it keeps the jet
+of the last batch of points it was asked for (see :func:`last_batch`)
 until it is asked for another, and every accessor reads that jet.
 Fields built from parsed expressions carry exact value/gradient/Hessian;
 fields derived from them (e.g. Christoffel symbols, frame components)
@@ -24,7 +26,6 @@ carry value/gradient.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -186,81 +187,6 @@ def max_abs(m: np.ndarray) -> np.ndarray:
     return np.max(np.abs(m), axis=(-2, -1))
 
 
-class ScalarField:
-    """A scalar quantity on the chart, evaluated on demand as a jet."""
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    @classmethod
-    def from_expr(cls, e) -> "ScalarField":
-        expr = as_expr(e)
-        return cls(lambda p: expr.eval_jet2(p))
-
-    @classmethod
-    def constant(cls, c) -> "ScalarField":
-        """A field with zero derivatives; ``c`` may give one value per sample point."""
-        c = np.asarray(c, dtype=float)
-        return cls(lambda p: Jet2.constant(c, shape=as_points(p).shape[:-1]))
-
-    def jet(self, p) -> Jet2:
-        return self._fn(p)
-
-    def value(self, p) -> float:
-        return self._fn(p).value
-
-    def partial(self, i: int) -> "ScalarField":
-        return ScalarField(lambda p: jet_partial(self.jet(p), i))
-
-    def __neg__(self):
-        return ScalarField(lambda p: -self.jet(p))
-
-    def __add__(self, other):
-        o = _as_field(other)
-        return ScalarField(lambda p: self.jet(p) + o.jet(p))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _as_field(other)
-        return ScalarField(lambda p: self.jet(p) - o.jet(p))
-
-    def __rsub__(self, other):
-        o = _as_field(other)
-        return ScalarField(lambda p: o.jet(p) - self.jet(p))
-
-    def __mul__(self, other):
-        o = _as_field(other)
-        return ScalarField(lambda p: self.jet(p) * o.jet(p))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _as_field(other)
-        return ScalarField(lambda p: self.jet(p) / o.jet(p))
-
-    def __rtruediv__(self, other):
-        o = _as_field(other)
-        return ScalarField(lambda p: o.jet(p) / self.jet(p))
-
-
-def _as_field(obj) -> ScalarField:
-    if isinstance(obj, ScalarField):
-        return obj
-    if isinstance(obj, (ScalarExpr, str)):
-        return ScalarField.from_expr(obj)
-    return ScalarField.constant(float(obj))
-
-
-def _component_fields(entries, n: int) -> tuple:
-    comps = tuple(_as_field(e) for e in entries)
-    if len(comps) != n:
-        raise ValueError(f"expected {n} components, got {len(comps)}")
-    return comps
-
-
 def contract(a: Jet2, b: Jet2) -> Jet2:
     """The product ``a * b``, broadcast over the component axes, summed over
     its second axis left to right: ``M x`` for a matrix ``M`` and a vector ``x``."""
@@ -273,31 +199,45 @@ def first_order(j: Jet2) -> Jet2:
     return Jet2(j.value, j.grad)
 
 
-def _stack(fields, shape, p) -> Jet2:
-    """The jet of component fields (in row-major order), component axes first."""
-    return Jet2.stack((e.jet(p) for e in fields), shape)
+def _constant(c):
+    """The jet function of a field with zero derivatives and value ``c``
+    (copied, since the memo makes the jet's arrays read-only)."""
+    c = np.array(c, dtype=float)
+    return lambda p: Jet2.constant(c, shape=as_points(p).shape[:-1])
+
+
+def _grid_jets(grid, rank: int, kind: str):
+    """The jet function of a rank-1 or rank-2 field given by a grid of entries
+    (scalar fields, expressions or their source text, numbers), rows first:
+    the entries' jets stacked on the leading component axes."""
+    fns = []
+    for row in [grid] if rank == 1 else grid:
+        row = [
+            e.jet if isinstance(e, ScalarField)
+            else as_expr(e).eval_jet2 if isinstance(e, (ScalarExpr, str))
+            else _constant(float(e))
+            for e in row
+        ]
+        if len(row) != 3:
+            raise ValueError(f"expected 3 components, got {len(row)}")
+        fns += row
+    if len(fns) != 3**rank:
+        raise ValueError(f"a {kind} needs a 3x3 entry grid")
+    return lambda p: Jet2.stack((fn(p) for fn in fns), (3,) * rank)
 
 
 class _Field:
-    """A field of rank 1 or 2: one function from points to its whole jet
-    (component axes first), given as such or built from a grid of
-    component fields, and memoized for the last batch of points.
-    ``components`` (alias ``entries``) and indexing slice that jet into
+    """A field: one function from points to its whole jet (component axes
+    first), memoized for the last batch of points.  A field of rank 1 or 2
+    may be given by a grid of entries instead (see :func:`_grid_jets`);
+    ``components`` (alias ``entries``) and indexing slice its jet into
     component fields, and for rank 2 into rows."""
 
     __slots__ = ("_fn",)
-    _rank, _kind = 1, ""
+    _rank, _kind = 0, ""
 
-    def __init__(self, entries):
-        if not callable(entries):
-            if self._rank == 1:
-                grid, shape = _component_fields(entries, 3), (3,)
-            else:
-                grid, shape = sum((_component_fields(row, 3) for row in entries), ()), (3, 3)
-                if len(grid) != 9:
-                    raise ValueError(f"a {self._kind} needs a 3x3 entry grid")
-            entries = functools.partial(_stack, grid, shape)
-        self._fn = last_batch(entries)
+    def __init__(self, fn):
+        self._fn = last_batch(fn if callable(fn) else _grid_jets(fn, self._rank, self._kind))
 
     @property
     def components(self) -> tuple:
@@ -306,14 +246,41 @@ class _Field:
     entries = components
 
     def __getitem__(self, k):
+        if not self._rank:
+            raise TypeError("a scalar field has no components")
         k = range(3)[k]  # out of range raises IndexError, which also ends iteration
         return (ScalarField if self._rank == 1 else OneFormField)(lambda p: self.jets(p)[k])
+
+
+class ScalarField(_Field):
+    """A scalar quantity on the chart, the field of rank 0."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_expr(cls, e) -> "ScalarField":
+        return cls(as_expr(e).eval_jet2)
+
+    @classmethod
+    def constant(cls, c) -> "ScalarField":
+        """A field with zero derivatives; ``c`` may give one value per sample point."""
+        return cls(_constant(c))
+
+    def jet(self, p) -> Jet2:
+        return self._fn(p)
+
+    def value(self, p):
+        return self._fn(p).value
+
+    def partial(self, i: int) -> "ScalarField":
+        return ScalarField(lambda p: jet_partial(self.jet(p), i))
 
 
 class _ComponentsMixin(_Field):
     """Shared evaluation helpers for rank-1 fields (vector / one-form)."""
 
     __slots__ = ()
+    _rank = 1
 
     @classmethod
     def from_exprs(cls, comps):

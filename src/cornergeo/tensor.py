@@ -106,13 +106,10 @@ def wedge12_coeff(a, B):
     ) / 3.0
 
 
-def d_twoform_coeff(B, p):
-    """dx1^dx2^dx3 coefficient of dB for a 2-form with coefficients B_ij.
-
-    ``B`` is a field of 3x3 jets, or the grid of (antisymmetric) coefficient
-    fields ``B[i][j]``.
-    """
-    dB = (B if isinstance(B, TensorField11) else TensorField11(B)).jets(p).grad
+def d_twoform_coeff(B: TensorField11, p):
+    """dx1^dx2^dx3 coefficient of dB for a 2-form whose coefficients B_ij
+    are the field of 3x3 jets ``B``."""
+    dB = B.jets(p).grad
     return (dB[1, 2, ..., 0] - dB[0, 2, ..., 1] + dB[0, 1, ..., 2]) / 3.0
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cornergeo.corner import CornerFields
 from cornergeo.family import preset_structure
 from cornergeo.fields import ChartDomain
 
@@ -16,8 +15,8 @@ def structures():
 
 @pytest.fixture(scope="session")
 def corner_fields(structures):
-    """Frame-field caches shared across tests (memoized per point)."""
-    return {name: CornerFields(s) for name, s in structures.items()}
+    """Each preset's frame fields: its one ``corner`` context (memoized per sample)."""
+    return {name: s.corner for name, s in structures.items()}
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,6 @@ from cornergeo.construct import (
     twin,
 )
 from cornergeo.corner import (
-    CornerFields,
     closed_omega_check,
     connection_table_residuals,
     corner_residual,
@@ -132,7 +131,6 @@ def test_criterion_06_deformation_structure_equations():
     structure equations < 1e-7, for f in {1, e^{x1}, 1 + x2^2} on B and D."""
     for name in ("B", "D"):
         s = preset_structure(name)
-        cf = CornerFields(s)
         for fsrc in ("1", "exp(x1)", "1 + x2^2"):
             rep = deformed_type(s, DeformationParams.of(fsrc), POINTS)
             r = rep.residuals

@@ -203,18 +203,19 @@ def test_twin_and_deformed_jets_row_by_row(params):
 @pytest.mark.parametrize("params", [PARAMS[3], PARAMS[5]], ids=["D", "random1"])
 def test_twin_and_deformed_jets_match_their_per_entry_formulas(params):
     """Each entry of the tensor-level jets equals the same formula built from
-    component scalar fields, as the twin and the deformation define it."""
+    the component jets, as the twin and the deformation define it."""
     s = build_family(params)
     cf = CornerFields(s)
-    f = ScalarField.from_expr(DEFORMATION.f)
-    xi, eta, phi, g = s.xi, s.eta, s.phi, s.g
+    f = ScalarField.from_expr(DEFORMATION.f).jet(POINTS)
+    xi, eta, phi, g = (x.jets(POINTS) for x in (s.xi, s.eta, s.phi, s.g))
+    v, phi_v, theta1, theta2 = (x.jets(POINTS) for x in (cf.v, cf.phi_v, cf.theta1, cf.theta2))
     v_twin, phiv_twin = twin(s, TwinKind.V), twin(s, TwinKind.PHI_V)
     d = deform(s, DEFORMATION)
-    eta_t = [eta[j] - cf.theta2[j] for j in range(3)]
+    eta_t = [eta[j] - theta2[j] for j in range(3)]
     entries = {
-        "v_twin.phi": (v_twin.phi, lambda k, j: cf.theta2[j] * xi[k] - eta[j] * cf.phi_v[k]),
-        "phiv_twin.phi": (phiv_twin.phi, lambda k, j: eta[j] * cf.v[k] - cf.theta1[j] * xi[k]),
-        "deformed.phi": (d.phi, lambda k, j: phi[k][j] + cf.theta1[j] * xi[k]),
+        "v_twin.phi": (v_twin.phi, lambda k, j: theta2[j] * xi[k] - eta[j] * phi_v[k]),
+        "phiv_twin.phi": (phiv_twin.phi, lambda k, j: eta[j] * v[k] - theta1[j] * xi[k]),
+        "deformed.phi": (d.phi, lambda k, j: phi[k][j] + theta1[j] * xi[k]),
         "deformed.g": (
             d.g, lambda i, j: f * g[i][j] - f * eta[i] * eta[j] + eta_t[i] * eta_t[j]
         ),
@@ -223,9 +224,9 @@ def test_twin_and_deformed_jets_match_their_per_entry_formulas(params):
         jet = field.jets(POINTS)
         for k in range(3):
             for j in range(3):
-                assert same_jet(jet[k, j], entry(k, j).jet(POINTS)), (name, k, j)
+                assert same_jet(jet[k, j], entry(k, j)), (name, k, j)
     for k in range(3):
-        assert same_jet(d.eta.jets(POINTS)[k], eta_t[k].jet(POINTS))
+        assert same_jet(d.eta.jets(POINTS)[k], eta_t[k])
     assert same_jet(v_twin.xi.jets(POINTS), cf.v.jets(POINTS))
     assert same_jet(v_twin.eta.jets(POINTS), cf.theta1.jets(POINTS))
     assert same_jet(phiv_twin.xi.jets(POINTS), cf.phi_v.jets(POINTS))

@@ -220,3 +220,26 @@ def test_report_echoes_conventions_and_config(capsys):
     assert payload["config"]["preset"] == "family:A"
     assert payload["config"]["seed"] == 11
     assert isinstance(payload["conventions"], str) and payload["conventions"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["twin", "--kind", "both"], ["deform", "--f", "exp(x1)"]],
+    ids=["check", "twin", "deform"],
+)
+def test_one_frame_bundle_per_structure_per_sample(capsys, monkeypatch, argv):
+    """Every suite, twin and deformation of one report reads the one frame
+    context of the base structure, so its bundle is computed once."""
+    from cornergeo.corner import CornerFields
+
+    calls = []
+    original = CornerFields._compute_bundle
+
+    def counted(self, p):
+        calls.append(1)
+        return original(self, p)
+
+    monkeypatch.setattr(CornerFields, "_compute_bundle", counted)
+    code, _ = run_main(capsys, *argv, "--preset", "family:D", "--samples", "20")
+    assert code in (0, 1)
+    assert len(calls) == 1

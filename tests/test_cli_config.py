@@ -151,3 +151,19 @@ def test_scan_rejects_a_negative_draw_count(capsys):
     assert code == 2 and payload["exit_code"] == 2
     assert payload["error"]["type"] == "ConfigError"
     assert "draws" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ({"phi": FLAT["phi"][:2]}, "a (1,1)-tensor field needs a 3x3 entry grid"),
+        ({"xi": [1, 0]}, "expected 3 components, got 2"),
+        ({"phi": [[0, 0, 0], [0, -1], [0, 1, 0]]}, "expected 3 components, got 2"),
+    ],
+    ids=["phi-two-rows", "xi-two-entries", "phi-row-two-entries"],
+)
+def test_an_inline_structure_of_the_wrong_size(tmp_path, capsys, part, message):
+    data = {"structure": {**FLAT, **part}, "samples": 5}
+    code, payload = run_config(tmp_path, capsys, "check", data)
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"] == {"type": "ValueError", "message": message}

@@ -297,6 +297,27 @@ def test_twin_theorem_computes_normality_once(structures, points, monkeypatch):
     ).normality
 
 
+@pytest.mark.parametrize("check", [thken_check, thcos_check])
+def test_twin_theorem_computes_alpha_beta_once(structures, points, monkeypatch, check):
+    """The theorem reads the twin's pointwise (alpha, beta) from its classification."""
+    from cornergeo import acms, construct
+
+    calls = []
+    original = acms.olszak_alpha_beta
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(acms, "olszak_alpha_beta", counted)
+    monkeypatch.setattr(construct, "olszak_alpha_beta", counted, raising=False)
+    verdict = check(structures["A"], points[:6])
+    assert len(calls) == 1
+    kind = TwinKind.V if check is thken_check else TwinKind.PHI_V
+    alpha, _ = original(twin(structures["A"], kind), points[:6])
+    assert verdict.twin_residuals["alpha"] == float(np.max(np.abs(alpha)))
+
+
 def test_deformed_metric_checks_f_where_it_is_evaluated(structures):
     # f > 0 on the 50-point pre-check sample, f < 0 at the second point below
     d = deform(structures["B"], DeformationParams.of("x1 - 0.1"))

@@ -173,6 +173,16 @@ def test_integer_power_at_zero_base():
     assert j.grad == pytest.approx([0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("src", ["(x1 - 2)^(0*x2)", "x1^(0*x2 + 2.5)"])
+def test_value_equals_the_jet_value_under_a_non_literal_exponent(src):
+    # the exponent has zero derivatives, so both walks take the constant-power rule
+    e = parse(src)
+    pts = np.random.default_rng(7).uniform(0.1, 1.0, size=(200, 3))
+    assert e.value(pts).tobytes() == e.eval_jet2(pts).value.tobytes()
+    for p in pts[:5]:
+        assert e.value(p) == e.eval_jet2(p).value
+
+
 # --------------------------------------------------------------------------
 # expression algebra and coercion
 
@@ -181,13 +191,13 @@ def test_scalar_expr_algebra(rng):
     a = parse("x1 + x2")
     b = parse("exp(x3)")
     p = rng.uniform(0.1, 1.0, size=3)
-    assert (a + b)(p) == pytest.approx(a(p) + b(p))
-    assert (a - b)(p) == pytest.approx(a(p) - b(p))
-    assert (a * b)(p) == pytest.approx(a(p) * b(p))
-    assert (a / b)(p) == pytest.approx(a(p) / b(p))
-    assert (-a)(p) == pytest.approx(-a(p))
-    assert (2.0 * a)(p) == pytest.approx(2.0 * a(p))
-    assert (a**2)(p) == pytest.approx(a(p) ** 2)
+    assert (a + b).value(p) == pytest.approx(a.value(p) + b.value(p))
+    assert (a - b).value(p) == pytest.approx(a.value(p) - b.value(p))
+    assert (a * b).value(p) == pytest.approx(a.value(p) * b.value(p))
+    assert (a / b).value(p) == pytest.approx(a.value(p) / b.value(p))
+    assert (-a).value(p) == pytest.approx(-a.value(p))
+    assert (2.0 * a).value(p) == pytest.approx(2.0 * a.value(p))
+    assert (a**2).value(p) == pytest.approx(a.value(p) ** 2)
 
 
 def test_as_expr_coercion():

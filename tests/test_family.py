@@ -34,6 +34,13 @@ def test_components_frozen():
     assert P[0, 0] == P[1, 1] == P[2, 2] == 0.0
 
 
+def test_a_tau_with_a_constant_power_builds(points):
+    # tau = (x1 - 2)^(0*x2) is 1 everywhere, although its base is negative
+    s = build_family(FamilyParams.of("(x1 - 2)^(0*x2)", "1 + x2^2", "1 + x2*x3"))
+    np.testing.assert_array_equal(s.g.matrix(points)[:, 0, 0], 1.0)
+    np.testing.assert_array_equal(s.xi.values(points)[:, 0], 1.0)
+
+
 def test_positivity_is_enforced():
     with pytest.raises(ValueError, match="tau"):
         build_family(FamilyParams.of("x1 - 0.5", "1", "1"))

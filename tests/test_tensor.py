@@ -13,11 +13,13 @@ from oracles import (
     vector_fn_of,
 )
 
+from cornergeo.expr import Jet2
 from cornergeo.fields import (
     ChartDomain,
     MetricField,
     OneFormField,
     SingularMetricError,
+    TensorField11,
     VectorField,
 )
 from cornergeo.tensor import (
@@ -179,10 +181,15 @@ def test_d_oneform_two_routes_and_fd():
 def test_d_squared_is_zero():
     half = 0.5
     comps = [THETA.components[i] for i in range(3)]
-    entries = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            entries[i][j] = half * (comps[j].partial(i) - comps[i].partial(j))
+
+    def d_theta(p):
+        entries = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(3):
+                entries[i][j] = half * (comps[j].partial(i).jet(p) - comps[i].partial(j).jet(p))
+        return Jet2.stack(sum(entries, []), (3, 3))
+
+    entries = TensorField11(d_theta)
     for p in POINTS:
         assert d_twoform_coeff(entries, p) == pytest.approx(0.0, abs=1e-13)
 
