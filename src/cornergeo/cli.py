@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ import numpy as np
 from . import acms, construct, corner, family
 from .conventions import CONVENTION_BANNER, SCHEMA_VERSION
 from .corner import DegenerateCornerError
-from .expr import EvalDomainError, ParseError, skipping
+from .expr import _POINT_ERRORS, EvalDomainError, ParseError, skipping
 from .fields import ChartDomain, SingularMetricError, max_abs
 from .report import seq_max, seq_min
 from .tensor import d_oneform_matrix
@@ -39,6 +40,13 @@ DEFAULT_TOLERANCES = {
     "classification": 1e-6,
     "failure_floor": 1e-3,
 }
+
+
+# the most sample points `scan` evaluates in one stacked pass: the pass's jets
+# take some kilobytes per point and stay allocated until its structure is
+# collected, while beyond about this many points the time a larger pass saves
+# per member is small
+STACKED_POINTS = 150
 
 
 class ConfigError(ValueError):
@@ -376,36 +384,74 @@ def scan_sigma(params_list, samples: int = 100, seed: int = 0) -> dict:
     """Sigma diagnostics across family members.
 
     For each member: the worst |d omega|, the worst |sigma|, and how close
-    sigma ever gets to e^rho (the deformation-normality gate).  Members whose
-    frame degenerates at a sample point report the count of skipped points.
+    sigma ever gets to e^rho (the deformation-normality gate), over the
+    points drawn with ``default_rng([seed, i])`` for the member's index i.
+    Members whose frame degenerates at a sample point report the count of
+    skipped points.  Consecutive members of one tree shape (see
+    :func:`family.member_key`), such as the random draws, are evaluated
+    together as one structure, up to :data:`STACKED_POINTS` sample points
+    at a time (see :func:`_scan_group`); the entries are those of one member
+    at a time.
     """
+    members = list(enumerate(params_list))
+    size = max(1, STACKED_POINTS // samples)
     draws = []
+    for _, run in itertools.groupby(members, key=lambda m: family.member_key(m[1])):
+        run = list(run)
+        for start in range(0, len(run), size):
+            draws += _scan_group(run[start : start + size], samples, seed)
     overall_gap = None
-    for i, params in enumerate(params_list):
-        cf = family.build_family(params).corner
-        pts = params.domain.sample(samples, np.random.default_rng([seed, i]))
-        max_domega = max_sigma = 0.0
-        min_gap = None
-        kept, f = skipping(cf.frame, pts, DegenerateCornerError)
-        degenerate = int(np.count_nonzero(~kept))
-        pts = pts[kept]
-        if f is not None:
-            max_domega = seq_max(max_abs(d_oneform_matrix(cf.omega, pts)), 0.0)
-            max_sigma = seq_max(np.abs(f.sigma), 0.0)
-            min_gap = seq_min(np.abs(f.sigma - f.e_rho))
-        entry = {
-            "tau": str(params.tau),
-            "kappa": str(params.kappa),
-            "mu": str(params.mu),
-            "max_d_omega": max_domega,
-            "max_sigma": max_sigma,
-            "min_sigma_gap": min_gap,
-            "degenerate_points": degenerate,
-        }
-        draws.append(entry)
+    for entry in draws:
+        min_gap = entry["min_sigma_gap"]
         if min_gap is not None:
             overall_gap = min_gap if overall_gap is None else min(overall_gap, min_gap)
     return {"entries": draws, "min_sigma_gap": overall_gap}
+
+
+def _scan_group(members, samples: int, seed: int) -> list:
+    """The scan entries of M consecutive ``(index, params)`` members of one
+    :func:`family.member_key`.
+
+    The members are built, framed and differentiated as one stacked
+    structure (see :func:`family.stack_members`) on their points stacked as
+    ``(M, N, 3)``; each member's maxima and minimum are taken over its own
+    row.  Every guard raises if any member fails it, so a group in which
+    something raises is replayed as groups of one, in member order, and the
+    first failing member raises its own error.  A lone member leaves out its
+    degenerate points."""
+    pts = np.stack(
+        [p.domain.sample(samples, np.random.default_rng([seed, i])) for i, p in members]
+    )
+    lone = len(members) == 1
+    try:
+        cf = family.build_family(family.stack_members([p for _, p in members])).corner
+        if lone:
+            kept, f = skipping(cf.frame, pts[0], DegenerateCornerError)
+            pts, kept = pts[0][kept], kept[None]
+        else:
+            kept, f = np.ones(pts.shape[:-1], dtype=bool), cf.frame(pts)
+    except _POINT_ERRORS:
+        if lone:
+            raise
+        return [entry for m in members for entry in _scan_group([m], samples, seed)]
+    if f is not None:
+        # one row per member (a lone member's row is its kept points)
+        rows = len(members)
+        d_omega = max_abs(d_oneform_matrix(cf.omega, pts)).reshape(rows, -1)
+        sigma = np.abs(f.sigma).reshape(rows, -1)
+        gap = np.abs(f.sigma - f.e_rho).reshape(rows, -1)
+    return [
+        {
+            "tau": str(params.tau),
+            "kappa": str(params.kappa),
+            "mu": str(params.mu),
+            "max_d_omega": 0.0 if f is None else seq_max(d_omega[m], 0.0),
+            "max_sigma": 0.0 if f is None else seq_max(sigma[m], 0.0),
+            "min_sigma_gap": None if f is None else seq_min(gap[m]),
+            "degenerate_points": int(np.count_nonzero(~kept[m])),
+        }
+        for m, (_, params) in enumerate(members)
+    ]
 
 
 def _scan_command(cfg: SceneConfig) -> dict:

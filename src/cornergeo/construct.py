@@ -76,9 +76,13 @@ class TwinKind(str, Enum):
 
 
 def twin(s: AcmStructure, kind: TwinKind) -> AcmStructure:
-    """Build the V-twin or the phiV-twin of a corner structure."""
+    """The V-twin or the phiV-twin of a corner structure.  Each is built once
+    and kept in ``s.corner.twins``, so the theorem and the axioms check of a
+    twin read one phi' field."""
     cf = s.corner
     kind = TwinKind(kind)
+    if kind in cf.twins:
+        return cf.twins[kind]
     # phi' at [k, j] is a_j b^k - c_j d^k
     if kind is TwinKind.V:
         (a, b, c, d), new_xi, new_eta = (cf.theta2, s.xi, s.eta, cf.phi_v), cf.v, cf.theta1
@@ -88,9 +92,10 @@ def twin(s: AcmStructure, kind: TwinKind) -> AcmStructure:
     def phi(p):
         return a.jets(p)[None] * b.jets(p)[:, None] - c.jets(p)[None] * d.jets(p)[:, None]
 
-    return AcmStructure(
+    cf.twins[kind] = AcmStructure(
         phi=TensorField11(phi), xi=new_xi, eta=new_eta, g=s.g, domain=s.domain
     )
+    return cf.twins[kind]
 
 
 @dataclass

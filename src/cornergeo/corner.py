@@ -100,6 +100,7 @@ class CornerFields:
 
     def __init__(self, s: AcmStructure):
         self.structure = s
+        self.twins = {}  # the structure's twins by kind, see cornergeo.construct.twin
         self._bundle = last_batch(self._compute_bundle)
         self.psi = VectorField(lambda p: self.bundle(p).psi)
         self.v = VectorField(lambda p: self.bundle(p).v)

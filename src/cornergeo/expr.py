@@ -29,7 +29,7 @@ import functools
 import operator
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -71,14 +71,24 @@ class EvalDomainError(ArithmeticError):
     """An evaluation left the domain of a primitive (ln, sqrt, /, ^).
 
     ``subexpr`` names the offending subexpression when the evaluation came
-    from a parsed expression; it is None for raw jet arithmetic.
+    from a parsed expression; it is None for raw jet arithmetic.  It may be
+    given as the node, which is rendered only when the error is read, so an
+    error of a stacked tree (see :func:`stack_trees`), which has no source
+    text, can still be raised and caught.
     """
 
-    def __init__(self, message: str, subexpr: str | None = None):
-        text = message if subexpr is None else f"{message} in '{subexpr}'"
-        super().__init__(text)
+    def __init__(self, message: str, subexpr=None):
+        super().__init__(message)
         self.message = message
-        self.subexpr = subexpr
+        self._subexpr = subexpr
+
+    @property
+    def subexpr(self) -> str | None:
+        s = self._subexpr
+        return s if s is None or isinstance(s, str) else to_str(s)
+
+    def __str__(self) -> str:
+        return self.message if self._subexpr is None else f"{self.message} in '{self.subexpr}'"
 
 
 class AbsAtZeroWarning(RuntimeWarning):
@@ -106,15 +116,18 @@ def as_points(p) -> np.ndarray:
 def by_rows(fn):
     """Make ``fn(obj, points, ...)`` fail the way a point-by-point loop would:
     a batch that raises is replayed one point at a time, in sample order,
-    and the first point that fails on its own raises its error."""
+    and the first point that fails on its own raises its error.  Points on
+    leading member axes, ``(M, N, 3)``, are replayed one sample index at a
+    time for every member at once."""
 
     @functools.wraps(fn)
     def wrapper(obj, points, *args, **kwargs):
         try:
             return fn(obj, points, *args, **kwargs)
         except _POINT_ERRORS:
-            for row in np.reshape(points, (-1, 1, 3)):
-                fn(obj, row, *args, **kwargs)
+            x = np.reshape(points, (-1, 3)) if np.ndim(points) < 3 else np.asarray(points)
+            for n in range(x.shape[-2]):
+                fn(obj, x[..., n : n + 1, :], *args, **kwargs)
             raise
 
     return wrapper
@@ -525,6 +538,52 @@ def _wrap(node: Node, min_level: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# stacked trees
+# ---------------------------------------------------------------------------
+
+
+def stack_key(node: Node, fixed: bool = True) -> tuple:
+    """The shape of a tree: equal for trees that differ only in coefficients
+    that :func:`stack_trees` may stack.  A constant root and a literal ``^``
+    exponent are part of the shape (``fixed``), because they are read as
+    floats, so trees that differ in them get different keys."""
+    if isinstance(node, Const):
+        return ("c", float(node.value).hex() if fixed else None)
+    if isinstance(node, Var):
+        return ("x", node.index)
+    if isinstance(node, Unary):
+        return ("u", stack_key(node.arg, False))
+    if isinstance(node, Call):
+        return (node.name, stack_key(node.arg, False))
+    return (node.op, stack_key(node.left, False), stack_key(node.right, node.op == "^"))
+
+
+def stack_trees(roots) -> Node:
+    """One tree for M trees of one :func:`stack_key`: a coefficient that
+    differs between them becomes a ``Const`` holding an ``(M, 1)`` array, row m
+    from tree m, so that on ``(M, N, 3)`` points row m of every jet is tree m's
+    jet at its own N points.  Where all trees agree the first one's node is kept.
+    A stacked tree has no source text; it is only ever evaluated."""
+    first = roots[0]
+    if isinstance(first, Const):
+        values = [r.value for r in roots]
+        # compared by bits, so that -0.0 and 0.0 stay apart
+        if len({float(v).hex() for v in values}) == 1:
+            return first
+        return Const(np.reshape(values, (-1, 1)))
+    if isinstance(first, Var):
+        return first
+    if isinstance(first, (Unary, Call)):
+        arg = stack_trees([r.arg for r in roots])
+        return first if arg is first.arg else replace(first, arg=arg)
+    left = stack_trees([r.left for r in roots])
+    right = stack_trees([r.right for r in roots])
+    if left is first.left and right is first.right:
+        return first
+    return Binary(first.op, left, right)
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
@@ -560,14 +619,17 @@ def _walk(node: Node, x: np.ndarray, order: int, known=None) -> Jet2:
             return a / b
         return a**b
     except EvalDomainError as err:
-        if err.subexpr is None:
-            raise EvalDomainError(err.message, to_str(node)) from None
+        if err._subexpr is None:
+            raise EvalDomainError(err.message, node) from None
         raise
 
 
 def _jets_at(root: Node, point, order: int, known=None) -> Jet2:
+    """The jet over the batch shape of ``point``, with the member axis of a
+    stacked tree's coefficients in front if the points have none."""
     x = as_points(point)
-    return _walk(root, x, order, known).broadcast(x.shape[:-1])
+    j = _walk(root, x, order, known)
+    return j.broadcast(np.broadcast_shapes(np.shape(j.value), x.shape[:-1]))
 
 
 @dataclass(frozen=True)

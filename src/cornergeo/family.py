@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acms import AcmStructure
-from .expr import Call, Jet2, ScalarExpr, _jets_at, as_expr, as_points, by_rows
+from .expr import Call, Jet2, ScalarExpr, _jets_at, as_expr, as_points, by_rows, stack_key
+from .expr import stack_trees
 from .fields import ChartDomain, MetricField, OneFormField, TensorField11, VectorField
 from .fields import first_row, last_batch
 from .report import ResidualReport, seq_max
@@ -39,6 +40,8 @@ __all__ = [
     "preset_structure",
     "PRESET_NAMES",
     "random_family",
+    "member_key",
+    "stack_members",
 ]
 
 
@@ -121,15 +124,35 @@ def _require_tau(t, points) -> None:
 @by_rows
 def _check_generators(params: FamilyParams, points) -> None:
     t, k, m = params.tau.value(points), params.kappa.value(points), params.mu.value(points)
-    bad = first_row(points, ~(t > 0.0) | (np.abs(t * k * m) < 1e-9))
+    # stacked members (see :func:`stack_members`) add a member axis to the values
+    t, tkm = np.broadcast_arrays(t, t * k * m)
+    points = np.broadcast_to(points, t.shape + (3,))
+    bad = first_row(points, ~(t > 0.0) | (np.abs(tkm) < 1e-9))
     if bad is None:
         return
     i, p = bad
-    t, tkm = np.reshape(t, -1)[i], np.reshape(t * k * m, -1)[i]
+    t, tkm = np.reshape(t, -1)[i], np.reshape(tkm, -1)[i]
     _require_tau(t, p)
     raise ValueError(
         f"family requires tau*kappa*mu != 0; value at {p.tolist()} = {tkm:.3e}"
     )
+
+
+def member_key(params: FamilyParams) -> tuple:
+    """Members with one key differ only in coefficients, so
+    :func:`stack_members` can evaluate them together."""
+    return params.domain, tuple(stack_key(e.root) for e in (params.tau, params.kappa, params.mu))
+
+
+def stack_members(members) -> FamilyParams:
+    """M members of one :func:`member_key` as one :class:`FamilyParams`: the
+    coefficients that differ are ``(M, 1)`` arrays (see :func:`stack_trees`).
+    Its structure, evaluated on ``(M, N, 3)`` points, gives on row m member
+    m's values at its own N points, bit for bit; a guard raises if any member
+    fails it."""
+    roots = [[e.root for e in (p.tau, p.kappa, p.mu)] for p in members]
+    tau, kappa, mu = (ScalarExpr(stack_trees(trees)) for trees in zip(*roots))
+    return FamilyParams(tau, kappa, mu, members[0].domain)
 
 
 @dataclass

@@ -243,3 +243,26 @@ def test_one_frame_bundle_per_structure_per_sample(capsys, monkeypatch, argv):
     code, _ = run_main(capsys, *argv, "--preset", "family:D", "--samples", "20")
     assert code in (0, 1)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind, evaluations", [("v", 1), ("phi_v", 1), ("both", 2)])
+def test_one_twin_phi_evaluation_per_kind(capsys, monkeypatch, kind, evaluations):
+    """The twin theorem and the twin's axioms check read one twin per kind."""
+    from cornergeo import construct
+
+    calls = []
+    field = construct.TensorField11
+
+    def counted_field(fn):
+        def counted(p):
+            calls.append(1)
+            return fn(p)
+
+        return field(counted)
+
+    monkeypatch.setattr(construct, "TensorField11", counted_field)
+    code, _ = run_main(
+        capsys, "twin", "--kind", kind, "--preset", "family:D", "--samples", "20"
+    )
+    assert code == 0
+    assert len(calls) == evaluations
