@@ -68,6 +68,8 @@ class AcmStructure:
 
     ``corner`` is the structure's one frame context: its fields, the twins
     and the deformation built on it all read one frame bundle per sample.
+    ``derived`` keeps its twins and its last deformation.  Nothing these hold
+    refers back to the structure, so it is freed as soon as it is dropped.
     """
 
     phi: TensorField11
@@ -75,6 +77,7 @@ class AcmStructure:
     eta: OneFormField
     g: MetricField
     domain: ChartDomain
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_expressions(cls, phi, xi, eta, g, domain=None) -> "AcmStructure":

@@ -42,10 +42,10 @@ DEFAULT_TOLERANCES = {
 }
 
 
-# the most sample points `scan` evaluates in one stacked pass: the pass's jets
-# take some kilobytes per point and stay allocated until its structure is
-# collected, while beyond about this many points the time a larger pass saves
-# per member is small
+# the most sample points `scan` evaluates in one stacked pass: a pass holds its
+# jets, some kilobytes per point, until it ends, so its peak memory grows with
+# its points, while beyond about this many the time a larger pass saves per
+# member is small
 STACKED_POINTS = 150
 
 

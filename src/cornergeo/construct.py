@@ -77,25 +77,24 @@ class TwinKind(str, Enum):
 
 def twin(s: AcmStructure, kind: TwinKind) -> AcmStructure:
     """The V-twin or the phiV-twin of a corner structure.  Each is built once
-    and kept in ``s.corner.twins``, so the theorem and the axioms check of a
-    twin read one phi' field."""
-    cf = s.corner
+    and kept in ``s.derived`` under its kind, so the theorem and the axioms
+    check of a twin read one phi' field.  It refers to ``s.corner``, not ``s``."""
     kind = TwinKind(kind)
-    if kind in cf.twins:
-        return cf.twins[kind]
-    # phi' at [k, j] is a_j b^k - c_j d^k
-    if kind is TwinKind.V:
-        (a, b, c, d), new_xi, new_eta = (cf.theta2, s.xi, s.eta, cf.phi_v), cf.v, cf.theta1
-    else:
-        (a, b, c, d), new_xi, new_eta = (s.eta, cf.v, cf.theta1, s.xi), cf.phi_v, cf.theta2
+    if kind not in s.derived:
+        cf = s.corner
+        # phi' at [k, j] is a_j b^k - c_j d^k
+        if kind is TwinKind.V:
+            (a, b, c, d), new_xi, new_eta = (cf.theta2, s.xi, s.eta, cf.phi_v), cf.v, cf.theta1
+        else:
+            (a, b, c, d), new_xi, new_eta = (s.eta, cf.v, cf.theta1, s.xi), cf.phi_v, cf.theta2
 
-    def phi(p):
-        return a.jets(p)[None] * b.jets(p)[:, None] - c.jets(p)[None] * d.jets(p)[:, None]
+        def phi(p):
+            return a.jets(p)[None] * b.jets(p)[:, None] - c.jets(p)[None] * d.jets(p)[:, None]
 
-    cf.twins[kind] = AcmStructure(
-        phi=TensorField11(phi), xi=new_xi, eta=new_eta, g=s.g, domain=s.domain
-    )
-    return cf.twins[kind]
+        s.derived[kind] = AcmStructure(
+            phi=TensorField11(phi), xi=new_xi, eta=new_eta, g=s.g, domain=s.domain
+        )
+    return s.derived[kind]
 
 
 @dataclass
@@ -214,30 +213,35 @@ class DeformationParams:
 
 
 def deform(s: AcmStructure, params: DeformationParams) -> AcmStructure:
-    """The deformed structure (phi~, xi, eta~, g~) of a corner structure."""
-    cf = s.corner
+    """The deformed structure (phi~, xi, eta~, g~) of a corner structure,
+    built and validated once per ``params`` object: ``s.derived`` keeps the
+    last one with its ``params``.  It refers to the fields of ``s``, not ``s``."""
+    last = s.derived.get("deform")
+    if last is not None and last[0] is params:
+        return last[1]
     params.validate(s.domain)
+    phi, xi, eta, g = s.phi, s.xi, s.eta, s.g
+    theta1, theta2 = s.corner.theta1, s.corner.theta2
 
     def eta_t(p):
-        return s.eta.jets(p) - cf.theta2.jets(p)
+        return eta.jets(p) - theta2.jets(p)
 
     def phi_t(p):
-        return s.phi.jets(p) + cf.theta1.jets(p)[None] * s.xi.jets(p)[:, None]
+        return phi.jets(p) + theta1.jets(p)[None] * xi.jets(p)[:, None]
 
     def g_t(p):
         # eta_t carries no Hessian, so g~ carries none: none is computed
-        f, eta, et = first_order(params.jet(p)), s.eta.jets(p), eta_t(p)
-        return f * s.g.jets(p) - (f * eta)[:, None] * eta[None] + et[:, None] * et[None]
+        f, e, et = first_order(params.jet(p)), eta.jets(p), eta_t(p)
+        return f * g.jets(p) - (f * e)[:, None] * e[None] + et[:, None] * et[None]
 
-    return AcmStructure(
-        phi=TensorField11(phi_t),
-        xi=s.xi,
-        eta=OneFormField(eta_t),
-        g=MetricField(g_t),
-        domain=s.domain,
+    deformed = AcmStructure(
+        TensorField11(phi_t), xi, OneFormField(eta_t), MetricField(g_t), s.domain
     )
+    s.derived["deform"] = (params, deformed)
+    return deformed
 
 
+@by_rows
 def ntilde_identity_residual(
     s: AcmStructure,
     params: DeformationParams,
@@ -253,11 +257,7 @@ def ntilde_identity_residual(
     The brute-force route evaluates the Nijenhuis tensor of the deformed phi
     plus its d(eta~) correction.  The residual is the max-abs component gap.
     """
-    return _ntilde_residual(s, points, deform(s, params), rng, pairs_per_point, tol)
-
-
-@by_rows
-def _ntilde_residual(s, points, deformed, rng, pairs_per_point, tol) -> ResidualReport:
+    deformed = deform(s, params)
     tracker = ResidualTracker()
     p = np.atleast_2d(points)
     f = s.corner.frame(p)
@@ -271,8 +271,7 @@ def _ntilde_residual(s, points, deformed, rng, pairs_per_point, tol) -> Residual
         draws = np.broadcast_to(np.eye(3)[:2], (len(p), n_pairs, 2, 3))
     else:
         draws = rng.standard_normal((len(p), n_pairs, 2, 3))
-    gaps = np.empty((len(p), n_pairs))
-    sizes = np.empty((len(p), n_pairs))
+    gaps, sizes = np.empty((2, len(p), n_pairs))
     for k in range(n_pairs):
         x, y = draws[:, k, 0], draws[:, k, 1]
         px, py = mv(P, x), mv(P, y)
@@ -313,6 +312,7 @@ class DeformedTypeReport:
         }
 
 
+@by_rows
 def deformed_type(
     s: AcmStructure,
     params: DeformationParams,
@@ -336,25 +336,7 @@ def deformed_type(
     The "normal gate" records how far sigma is from e^rho; type functions are
     reported regardless, since they are defined whenever the gate holds.
     """
-    tracker, alphas, betas, gate = _type_rows(s, points, params, deform(s, params))
-    tolerances = {
-        "phi_scaling": kernel_tol / 10.0,
-        "lemma_dlnf_wedge": kernel_tol,
-        "d_eta_tilde": kernel_tol * 10.0,
-        "d_phi_tilde": kernel_tol * 10.0,
-    }
-    return DeformedTypeReport(
-        alphas=alphas,
-        betas=betas,
-        residuals=tracker.report("deformed_type", tolerances),
-        gate_residual_max=float(gate),
-        gate_holds=gate < gate_tol,
-    )
-
-
-@by_rows
-def _type_rows(s: AcmStructure, points, params, deformed):
-    """The residuals, type functions and gate distance of :func:`deformed_type`."""
+    deformed = deform(s, params)
     phi_t_fields = fundamental_two_form_fields(deformed)
     tracker = ResidualTracker()
     p = np.atleast_2d(points)
@@ -370,24 +352,29 @@ def _type_rows(s: AcmStructure, points, params, deformed):
     deta = d_oneform_matrix(s.eta, p)
     deta_t = d_oneform_matrix(deformed.eta, p)
 
-    tracker.update(
-        "phi_scaling", max_abs(phi_t_mat - fj.value[:, None, None] * phi_mat), p
-    )
+    tracker.update("phi_scaling", max_abs(phi_t_mat - fj.value[:, None, None] * phi_mat), p)
     eta_wedge = wedge12_coeff(eta_t, phi_t_mat)
-    tracker.update(
-        "lemma_dlnf_wedge",
-        np.abs(wedge12_coeff(dlnf, phi_t_mat) - xi_lnf * eta_wedge),
-        p,
-    )
+    lemma = wedge12_coeff(dlnf, phi_t_mat) - xi_lnf * eta_wedge
+    tracker.update("lemma_dlnf_wedge", np.abs(lemma), p)
     alphas = (f.div_v - f.e_rho) / (2.0 * fj.value)
     rhs = (1.0 - f.sigma / f.e_rho)[:, None, None] * deta + alphas[:, None, None] * phi_t_mat
     tracker.update("d_eta_tilde", max_abs(deta_t - rhs), p)
-    tracker.update(
-        "d_phi_tilde",
-        np.abs(d_twoform_coeff(phi_t_fields, p) - xi_lnf * eta_wedge),
-        p,
+    d_phi_t = d_twoform_coeff(phi_t_fields, p) - xi_lnf * eta_wedge
+    tracker.update("d_phi_tilde", np.abs(d_phi_t), p)
+    gate = seq_max(np.abs(f.sigma - f.e_rho), 0.0)
+    tolerances = {
+        "phi_scaling": kernel_tol / 10.0,
+        "lemma_dlnf_wedge": kernel_tol,
+        "d_eta_tilde": kernel_tol * 10.0,
+        "d_phi_tilde": kernel_tol * 10.0,
+    }
+    return DeformedTypeReport(
+        alphas=alphas,
+        betas=0.5 * xi_lnf,
+        residuals=tracker.report("deformed_type", tolerances),
+        gate_residual_max=float(gate),
+        gate_holds=gate < gate_tol,
     )
-    return tracker, alphas, 0.5 * xi_lnf, seq_max(np.abs(f.sigma - f.e_rho), 0.0)
 
 
 def corollary_case(

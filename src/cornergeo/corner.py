@@ -91,42 +91,41 @@ class CornerFields:
     Each structure has one, its ``corner`` attribute (see
     :class:`cornergeo.acms.AcmStructure`), which every residual suite, twin
     and deformation reads.  The accessors (``v``, ``phi_v``, ``theta1``,
-    ``theta2``, ``rho``, ...) are ordinary field objects whose jets read from
-    the bundle of jets of the batch being evaluated, so they compose with
-    every operation in :mod:`cornergeo.tensor`.  The bundle is memoized like
-    a field (see :func:`cornergeo.fields.last_batch`), so the structure's
-    frame is computed once per sample.
+    ``theta2``, ``rho``, ...) build ordinary field objects whose jets read
+    from the bundle of jets of the batch being evaluated, so they compose
+    with every operation in :mod:`cornergeo.tensor`.  The bundle is memoized
+    like a field (see :func:`cornergeo.fields.last_batch`), so the frame is
+    computed once per sample.  It keeps the structure's fields, not the structure.
     """
 
-    def __init__(self, s: AcmStructure):
-        self.structure = s
-        self.twins = {}  # the structure's twins by kind, see cornergeo.construct.twin
-        self._bundle = last_batch(self._compute_bundle)
-        self.psi = VectorField(lambda p: self.bundle(p).psi)
-        self.v = VectorField(lambda p: self.bundle(p).v)
-        self.phi_v = VectorField(lambda p: self.bundle(p).phi_v)
-        self.omega = OneFormField(lambda p: self.bundle(p).omega)
-        self.theta1 = OneFormField(lambda p: self.bundle(p).theta1)
-        self.theta2 = OneFormField(lambda p: self.bundle(p).theta2)
-        self.rho = ScalarField(lambda p: self.bundle(p).rho)
+    # built anew on each access, so the fields refer to this object, never it to them
+    psi = property(lambda self: VectorField(lambda p: self.bundle(p).psi))
+    v = property(lambda self: VectorField(lambda p: self.bundle(p).v))
+    phi_v = property(lambda self: VectorField(lambda p: self.bundle(p).phi_v))
+    omega = property(lambda self: OneFormField(lambda p: self.bundle(p).omega))
+    theta1 = property(lambda self: OneFormField(lambda p: self.bundle(p).theta1))
+    theta2 = property(lambda self: OneFormField(lambda p: self.bundle(p).theta2))
+    rho = property(lambda self: ScalarField(lambda p: self.bundle(p).rho))
 
-    @by_rows
+    def __init__(self, s: AcmStructure):
+        self.phi, self.xi, self.eta, self.g = s.phi, s.xi, s.eta, s.g
+        self._bundle = last_batch(type(self)._compute_bundle, self)
+
     def bundle(self, p) -> SimpleNamespace:
         """The jets of ``xi``, ``eta`` and the frame quantities over one batch."""
         return self._bundle(p)
 
     def _compute_bundle(self, p) -> SimpleNamespace:
-        s = self.structure
         b = SimpleNamespace()
-        xi = b.xi = s.xi.jets(p)
-        gam = s.g.christoffel_jets(p)
+        xi = b.xi = self.xi.jets(p)
+        gam = self.g.christoffel_jets(p)
         # psi^k = -xi^i (d_i xi^k + Gamma^k_ij xi^j);  omega_j = g_jk psi^k
         inner = jet_sum(
             [jet_partials(xi).transpose(1, 0)] + [gam[:, :, j] * xi[j] for j in range(3)]
         )
         b.psi = -contract(xi, inner)
-        b.omega = contract(s.g.jets(p), b.psi)
-        b.eta = s.eta.jets(p)
+        b.omega = contract(self.g.jets(p), b.psi)
+        b.eta = self.eta.jets(p)
 
         norm2 = jet_sum(b.psi * b.omega)
         b.norm2 = norm2
@@ -138,7 +137,7 @@ class CornerFields:
         b.e_rho = jet_sqrt(norm2)
         b.rho = jet_log(norm2) * 0.5
         b.v = b.psi / b.e_rho
-        phi = s.phi.jets(p)
+        phi = self.phi.jets(p)
         b.phi_v = contract(phi, b.v)
         b.theta1 = b.omega / b.e_rho
         b.theta2 = -jet_sum(b.omega[:, None] * phi) / b.e_rho
@@ -148,9 +147,8 @@ class CornerFields:
 
     def frame(self, p) -> CornerFrame:
         b = self.bundle(p)
-        s = self.structure
-        G = s.g.matrix(p)
-        gam = s.g.christoffel(p)
+        G = self.g.matrix(p)
+        gam = self.g.christoffel(p)
 
         xi_v = batch_first(b.xi.value, 1)
         v = batch_first(b.v.value, 1)

@@ -26,6 +26,7 @@ subexpressions are folded at parse time.
 from __future__ import annotations
 
 import functools
+import inspect
 import operator
 import re
 import warnings
@@ -101,7 +102,7 @@ class AbsAtZeroWarning(RuntimeWarning):
 
 # elementwise libm pow: np.power rounds differently from Python's float pow
 _POW = np.frompyfunc(pow, 2, 1)
-# errors whose cause is one chart point; see :func:`by_rows`
+# errors whose cause is one chart point; see :func:`rowwise`
 _POINT_ERRORS = (ArithmeticError, ValueError, RuntimeError)
 
 
@@ -113,22 +114,32 @@ def as_points(p) -> np.ndarray:
     return x
 
 
+def rowwise(fn, points):
+    """``fn(points)``, failing the way a point-by-point loop would: a batch
+    that raises is replayed one point at a time, in sample order, and the
+    first point that fails on its own raises its error (points ``(M, N, 3)``
+    on member axes: one sample index at a time, for every member at once)."""
+    try:
+        return fn(points)
+    except _POINT_ERRORS:
+        x = np.reshape(points, (-1, 3)) if np.ndim(points) < 3 else np.asarray(points)
+        for n in range(x.shape[-2]):
+            fn(x[..., n : n + 1, :])
+        raise
+
+
 def by_rows(fn):
-    """Make ``fn(obj, points, ...)`` fail the way a point-by-point loop would:
-    a batch that raises is replayed one point at a time, in sample order,
-    and the first point that fails on its own raises its error.  Points on
-    leading member axes, ``(M, N, 3)``, are replayed one sample index at a
-    time for every member at once."""
+    """``fn`` failing like :func:`rowwise` in its argument called ``points``,
+    or else in its second argument."""
+    names = list(inspect.signature(fn).parameters)
+    at = names.index("points") if "points" in names else 1
 
     @functools.wraps(fn)
-    def wrapper(obj, points, *args, **kwargs):
-        try:
-            return fn(obj, points, *args, **kwargs)
-        except _POINT_ERRORS:
-            x = np.reshape(points, (-1, 3)) if np.ndim(points) < 3 else np.asarray(points)
-            for n in range(x.shape[-2]):
-                fn(obj, x[..., n : n + 1, :], *args, **kwargs)
-            raise
+    def wrapper(*args, **kwargs):
+        if "points" in kwargs:
+            points = kwargs.pop("points")
+            return rowwise(lambda q: fn(*args, points=q, **kwargs), points)
+        return rowwise(lambda q: fn(*args[:at], q, *args[at + 1 :], **kwargs), args[at])
 
     return wrapper
 
@@ -495,16 +506,14 @@ Node = Union[Const, Var, Unary, Binary, Call]
 # precedence levels used by the printer; a negative literal renders with a
 # leading '-', so it parenthesizes like a unary node
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+_OP_LEVEL = {"+": _LEVEL_ADD, "-": _LEVEL_ADD, "*": _LEVEL_MUL, "/": _LEVEL_MUL, "^": _LEVEL_POW}
 
 
 def _prec(node: Node) -> int:
-    if isinstance(node, Const):
-        return _LEVEL_UNARY if node.value < 0 else _LEVEL_ATOM
-    if isinstance(node, (Var, Call)):
-        return _LEVEL_ATOM
-    if isinstance(node, Unary):
-        return _LEVEL_UNARY
-    return {"+": _LEVEL_ADD, "-": _LEVEL_ADD, "*": _LEVEL_MUL, "/": _LEVEL_MUL, "^": _LEVEL_POW}[node.op]
+    if isinstance(node, Binary):
+        return _OP_LEVEL[node.op]
+    negative = isinstance(node, Const) and node.value < 0
+    return _LEVEL_UNARY if negative or isinstance(node, Unary) else _LEVEL_ATOM
 
 
 def _fmt_number(v: float) -> str:

@@ -93,7 +93,7 @@ def build_family(params: FamilyParams) -> AcmStructure:
             shape = dims + as_points(p).shape[:-1]
             out = Jet2(np.zeros(shape), np.zeros(shape + (3,)), np.zeros(shape + (3, 3)))
             for index, e in entries.items():
-                j = _entry_jet(e.root, p, 2, known)
+                j = _jets_at(e.root, p, 2, known)
                 out.value[index], out.grad[index], out.hess[index] = j.value, j.grad, j.hess
             return out
 
@@ -108,10 +108,6 @@ def build_family(params: FamilyParams) -> AcmStructure:
         g=field(MetricField, (3, 3), {(0, 0): tau**2, (1, 1): kappa**2, (2, 2): mu**2}),
         domain=params.domain,
     )
-
-
-# an entry's jet, replayed point by point when the batch raises
-_entry_jet = by_rows(_jets_at)
 
 
 def _require_tau(t, points) -> None:

@@ -26,12 +26,14 @@ carry value/gradient.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .expr import Jet2, ScalarExpr, as_expr, as_points, by_rows, jet_sum
+from .expr import Jet2, ScalarExpr, as_expr, as_points, jet_sum, rowwise
 
 __all__ = [
     "SingularMetricError",
@@ -95,17 +97,22 @@ def batch_key(p) -> tuple:
     return x.shape, x.tobytes()
 
 
-def last_batch(fn):
+def last_batch(fn, owner=None):
     """``fn(p)``, remembering its last result: called again on equal points
     (by :func:`batch_key`) it hands that result back without calling ``fn``.
-    Its arrays are made read-only, so no caller can change later reads."""
+    Its arrays are made read-only, so no caller can change later reads.  It
+    fails as a point-by-point loop would (see :func:`cornergeo.expr.rowwise`).
+    With an ``owner``, ``fn`` is a method called on a weak proxy of it, so
+    the owner can keep the memo without a reference cycle."""
+    if owner is not None:
+        fn = functools.partial(fn, weakref.proxy(owner))
     key = result = None
 
     def memo(p):
         nonlocal key, result
         k = batch_key(p)
         if k != key:
-            result = fn(p)
+            result = rowwise(fn, p)
             jets = vars(result).values() if isinstance(result, SimpleNamespace) else [result]
             for a in (a for j in jets for a in (j.value, j.grad, j.hess)):
                 if isinstance(a, np.ndarray):
@@ -352,12 +359,12 @@ class MetricField(_Field):
     sample pay for them once.
     """
 
-    __slots__ = ("_gamma",)
+    __slots__ = ("_gamma", "__weakref__")
     _rank, _kind = 2, "metric field"
 
     def __init__(self, entries):
         super().__init__(entries)
-        self._gamma = last_batch(self._christoffel)
+        self._gamma = last_batch(type(self)._christoffel, self)
 
     @classmethod
     def diagonal(cls, d0, d1, d2) -> "MetricField":
@@ -387,7 +394,6 @@ class MetricField(_Field):
 
     # -- Christoffel symbols ------------------------------------------------
 
-    @by_rows
     def christoffel_jets(self, p) -> Jet2:
         """The jet (value + gradient) of ``Gamma[k, i, j]``."""
         return self._gamma(p)

@@ -14,7 +14,8 @@ import pytest
 from oracles import fd_grad, fd_hess
 from test_expr import SWEEP
 
-from cornergeo.acms import check_axioms, classify, fundamental_two_form_fields, nijenhuis
+from cornergeo.acms import AcmStructure, check_axioms, classify, fundamental_two_form_fields
+from cornergeo.acms import nijenhuis
 from cornergeo.construct import (
     DeformationParams,
     TwinKind,
@@ -473,6 +474,40 @@ def test_the_first_failing_point_raises():
         expr.eval_jet2(pts)
     with pytest.raises(EvalDomainError, match="ln"):
         expr.eval_jet2(pts[::-1])
+
+
+def test_a_batched_field_fails_like_a_point_by_point_loop():
+    # over the batch the ln entry is evaluated first and fails at point 2; a
+    # loop fails at point 1 already, where only the sqrt entry leaves its domain
+    s = AcmStructure.from_expressions(
+        [[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+        [1, 0, 0],
+        [1, 0, 0],
+        [["ln(x1 - 0.5)", 0, 0], [0, "sqrt(x2 - 0.5)", 0], [0, 0, 1]],
+    )
+    pts = np.array([[0.9, 0.9, 0.5], [0.9, 0.2, 0.5], [0.2, 0.9, 0.5]])
+    with pytest.raises(EvalDomainError) as looped:
+        for p in pts:
+            s.g.matrix(p)
+    with pytest.raises(EvalDomainError) as batched:
+        s.g.matrix(pts)
+    assert str(batched.value) == str(looped.value)
+    assert str(looped.value) == "sqrt of a non-positive value in 'sqrt(x2 - 0.5)'"
+
+
+@pytest.mark.parametrize("by_keyword", [False, True], ids=["position", "keyword"])
+def test_a_suite_fails_like_a_point_by_point_loop(by_keyword):
+    # over the batch phi fails at point 2 before eta is read; a loop fails at
+    # point 1 already, in eta
+    s = AcmStructure.from_expressions(
+        [[0, 0, 0], [0, 0, "ln(x1 - 0.5)*0 - 1"], [0, 1, 0]],
+        [1, 0, 0],
+        ["1 + sqrt(x2 - 0.5)*0", 0, 0],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    )
+    pts = np.array([[0.9, 0.9, 0.5], [0.9, 0.2, 0.5], [0.2, 0.9, 0.5]])
+    with pytest.raises(EvalDomainError, match="sqrt"):
+        check_axioms(s, points=pts) if by_keyword else check_axioms(s, pts)
 
 
 # -- the last-batch memo ------------------------------------------------------
