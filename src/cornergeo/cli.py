@@ -1,11 +1,13 @@
 """Command-line interface: check / classify / twin / deform / scan.
 
-Reads a scene (a preset name, a family triple, or raw component expressions),
-samples the chart domain with a recorded seed, runs the requested residual
-suites, and emits a deterministic JSON report (stable key order, no
-timestamps).  Exit codes: 0 all suites passed, 1 at least one suite failed,
-2 configuration or domain error (bad expressions, singular metric,
-degenerate frame, non-positive deformation factor, unknown preset).
+Reads a scene (a preset name, a family triple, or raw component expressions)
+from a config file and flags, where a flag overrides the file's entry unless
+it is empty, samples the chart domain with a recorded seed, runs the
+requested residual suites, and emits a deterministic JSON report (stable key
+order, no timestamps).  Exit codes: 0 all suites passed, 1 at least one suite
+failed, 2 configuration or domain error (bad expressions, singular metric,
+degenerate frame, non-positive deformation factor, unknown preset).  The
+argument parser is built once per process, at import.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ from .tensor import d_oneform_matrix
 __all__ = ["ConfigError", "SceneConfig", "run", "scan_sigma", "main"]
 
 DEFAULT_SUITES = ("axioms", "corner", "frame", "forms", "classify")
-ALL_SUITES = ("axioms", "corner", "frame", "forms", "classify", "twins", "deform")
-
-# fixed per-suite stream ids so adding a suite does not shift another's draws
-_SUITE_RNG_IDS = {name: i for i, name in enumerate(ALL_SUITES)}
 
 DEFAULT_TOLERANCES = {
     "kernel": 1e-8,
@@ -51,6 +49,14 @@ STACKED_POINTS = 150
 
 class ConfigError(ValueError):
     """Invalid scene configuration."""
+
+
+# scene keys a config file sets as given (suites and tolerances are checked)
+_FILE_KEYS = ("preset", "family", "structure", "box", "samples", "seed", "f")
+
+# flag -> scene key; a flag overrides the file unless it is None or ""
+_FLAG_KEYS = {"preset": "preset", "samples": "samples", "seed": "seed", "suites": "suites",
+              "f": "f", "kind": "twin_kind", "draws": "draws"}
 
 
 @dataclass
@@ -84,38 +90,25 @@ class SceneConfig:
                 raise ConfigError("config file must hold a JSON object")
 
         cfg = cls()
-        cfg.preset = data.get("preset")
-        cfg.family = data.get("family")
-        cfg.structure = data.get("structure")
-        cfg.box = data.get("box", cfg.box)
-        cfg.samples = data.get("samples", cfg.samples)
-        cfg.seed = data.get("seed", cfg.seed)
+        for key in _FILE_KEYS:
+            if key in data:
+                setattr(cfg, key, data[key])
         if "suites" in data:
             if not isinstance(data["suites"], list):
                 raise ConfigError(f"suites must be a list of suite names, got {data['suites']!r}")
             cfg.suites = tuple(data["suites"])
-        cfg.f = data.get("f", cfg.f)
         if "tolerances" in data:
             if not isinstance(data["tolerances"], dict):
                 raise ConfigError("tolerances must be a JSON object")
-            tols = dict(DEFAULT_TOLERANCES)
-            tols.update(data["tolerances"])
-            cfg.tolerances = tols
+            cfg.tolerances = {**DEFAULT_TOLERANCES, **data["tolerances"]}
 
-        if getattr(args, "preset", None):
-            cfg.preset = args.preset
-        if getattr(args, "samples", None) is not None:
-            cfg.samples = args.samples
-        if getattr(args, "seed", None) is not None:
-            cfg.seed = args.seed
-        if getattr(args, "suites", None):
-            cfg.suites = tuple(p.strip() for p in args.suites.split(",") if p.strip())
-        if getattr(args, "f", None):
-            cfg.f = args.f
-        if getattr(args, "kind", None):
-            cfg.twin_kind = args.kind
-        if getattr(args, "draws", None) is not None:
-            cfg.draws = args.draws
+        for flag, key in _FLAG_KEYS.items():
+            value = getattr(args, flag, None)
+            if value is None or value == "":
+                continue
+            if flag == "suites":
+                value = tuple(p.strip() for p in value.split(",") if p.strip())
+            setattr(cfg, key, value)
 
         cfg.validate()
         return cfg
@@ -125,10 +118,10 @@ class SceneConfig:
             raise ConfigError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.draws, int) or isinstance(self.draws, bool) or self.draws < 0:
-            raise ConfigError(f"draws must be a non-negative integer, got {self.draws!r}")
+        for key in ("seed", "draws"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
         _check_expression(self.f, "f")
         sources = [x is not None for x in (self.preset, self.family, self.structure)]
         if sum(sources) > 1:
@@ -185,14 +178,19 @@ def _check_expression(value, name: str, depth: int = 0) -> None:
         raise ConfigError(f"{name} must be an expression string or a number, got {value!r}")
 
 
+def _entries(block: dict, name: str, depths: dict) -> list:
+    """The entries of a family or structure block, in the order of ``depths``,
+    each checked as an expression of its depth (see :func:`_check_expression`)."""
+    for key, depth in depths.items():
+        if key not in block:
+            raise ConfigError(f"{name} config needs {key!r}")
+        _check_expression(block[key], f"{name} {key!r}", depth)
+    return [block[key] for key in depths]
+
+
 def _family_params(cfg: SceneConfig):
-    for key in ("tau", "kappa", "mu"):
-        if key not in cfg.family:
-            raise ConfigError(f"family config needs {key!r}")
-        _check_expression(cfg.family[key], f"family {key!r}")
-    return family.FamilyParams.of(
-        cfg.family["tau"], cfg.family["kappa"], cfg.family["mu"], domain=cfg.domain()
-    )
+    tau, kappa, mu = _entries(cfg.family, "family", {"tau": 0, "kappa": 0, "mu": 0})
+    return family.FamilyParams.of(tau, kappa, mu, domain=cfg.domain())
 
 
 def _preset_params(cfg: SceneConfig, name: str):
@@ -212,18 +210,8 @@ def _build_structure(cfg: SceneConfig):
     if cfg.family is not None:
         return family.build_family(_family_params(cfg)), None
     if cfg.structure is not None:
-        for key, depth in (("phi", 2), ("xi", 1), ("eta", 1), ("g", 2)):
-            if key not in cfg.structure:
-                raise ConfigError(f"structure config needs {key!r}")
-            _check_expression(cfg.structure[key], f"structure {key!r}", depth)
-        s = acms.AcmStructure.from_expressions(
-            cfg.structure["phi"],
-            cfg.structure["xi"],
-            cfg.structure["eta"],
-            cfg.structure["g"],
-            domain=cfg.domain(),
-        )
-        return s, None
+        parts = _entries(cfg.structure, "structure", {"phi": 2, "xi": 1, "eta": 1, "g": 2})
+        return acms.AcmStructure.from_expressions(*parts, domain=cfg.domain()), None
     raise ConfigError("no structure source: give --preset, or family/structure in --config")
 
 
@@ -337,6 +325,15 @@ _SUITE_RUNNERS = {
     "twins": _suite_twins,
     "deform": _suite_deform,
 }
+ALL_SUITES = tuple(_SUITE_RUNNERS)
+
+# fixed per-suite stream ids so adding a suite does not shift another's draws
+_SUITE_RNG_IDS = {name: i for i, name in enumerate(ALL_SUITES)}
+
+# the suites each command other than scan runs; None runs the scene's suites
+_COMMAND_SUITES = {
+    "check": None, "classify": ("classify",), "twin": ("twins",), "deform": ("deform",)
+}
 
 
 def run(cfg: SceneConfig, command: str) -> tuple[dict, int]:
@@ -357,21 +354,11 @@ def run(cfg: SceneConfig, command: str) -> tuple[dict, int]:
 
     s, pre = _build_structure(cfg)
     pts = cfg.domain().sample(cfg.samples, cfg.seed)
-
-    if command == "check":
-        suites = cfg.suites
-    elif command == "classify":
-        suites = ("classify",)
-    elif command == "twin":
-        suites = ("twins",)
-    elif command == "deform":
-        suites = ("deform",)
-    else:
+    if command not in _COMMAND_SUITES:
         raise ConfigError(f"unknown command {command!r}")
+    suites = _COMMAND_SUITES[command] or cfg.suites
 
-    results = {}
-    for name in suites:
-        results[name] = _SUITE_RUNNERS[name](s, pts, cfg, pre)
+    results = {name: _SUITE_RUNNERS[name](s, pts, cfg, pre) for name in suites}
     payload["suites"] = results
     passed = all(r.get("passed", True) for r in results.values())
     payload["passed"] = passed
@@ -400,12 +387,8 @@ def scan_sigma(params_list, samples: int = 100, seed: int = 0) -> dict:
         run = list(run)
         for start in range(0, len(run), size):
             draws += _scan_group(run[start : start + size], samples, seed)
-    overall_gap = None
-    for entry in draws:
-        min_gap = entry["min_sigma_gap"]
-        if min_gap is not None:
-            overall_gap = min_gap if overall_gap is None else min(overall_gap, min_gap)
-    return {"entries": draws, "min_sigma_gap": overall_gap}
+    gaps = [e["min_sigma_gap"] for e in draws if e["min_sigma_gap"] is not None]
+    return {"entries": draws, "min_sigma_gap": min(gaps, default=None)}
 
 
 def _scan_group(members, samples: int, seed: int) -> list:
@@ -500,20 +483,15 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _make_parser()
+
+
 def main(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = SceneConfig.load(args)
         payload, code = run(cfg, args.command)
-    except (
-        ConfigError,
-        ParseError,
-        EvalDomainError,
-        SingularMetricError,
-        DegenerateCornerError,
-        construct.NonPositiveFError,
-        ValueError,
-    ) as err:
+    except (ValueError, EvalDomainError, SingularMetricError, DegenerateCornerError) as err:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,

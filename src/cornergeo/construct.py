@@ -28,7 +28,7 @@ is trans-Sasakian of type (alpha~, beta~) with
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -45,8 +45,8 @@ from .acms import (
     n1_tensor,
 )
 from .expr import Jet2, ScalarExpr, as_expr, by_rows
-from .fields import MetricField, OneFormField, TensorField11, dot, first_order, first_row
-from .fields import max_abs, mv, vm
+from .fields import MetricField, OneFormField, ScalarField, TensorField11, dot, first_order
+from .fields import first_row, max_abs, mv, vm
 from .report import ResidualReport, ResidualTracker, seq_max, stats
 from .tensor import d_oneform_matrix, d_twoform_coeff, wedge12_coeff
 
@@ -190,10 +190,25 @@ class DeformationParams:
     """The conformal-like factor f (> 0) driving the deformation.
 
     ``validate`` checks f on 50 fixed points of the domain; the deformed
-    metric checks it again at every point it is evaluated at.
+    metric checks it again at every point it is evaluated at.  The jet of f
+    is one memoized field (see :func:`cornergeo.fields.last_batch`), so the
+    deformed metric and the type functions of a sample share one evaluation.
     """
 
     f: ScalarExpr
+    _field: ScalarField = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        f = self.f  # the field closes over f, not over the params
+
+        def positive(points) -> Jet2:
+            fj = f.eval_jet2(points)
+            bad = first_row(points, ~(fj.value > 0.0))
+            if bad is not None:
+                raise NonPositiveFError(bad[1], np.reshape(fj.value, -1)[bad[0]])
+            return fj
+
+        object.__setattr__(self, "_field", ScalarField(positive))
 
     @classmethod
     def of(cls, f) -> "DeformationParams":
@@ -202,14 +217,9 @@ class DeformationParams:
     def validate(self, domain) -> None:
         self.jet(domain.sample(50, seed_or_rng=0))
 
-    @by_rows
     def jet(self, points) -> Jet2:
         """The jet of f over ``points``; raises at the first point where f <= 0."""
-        fj = self.f.eval_jet2(points)
-        bad = first_row(points, ~(fj.value > 0.0))
-        if bad is not None:
-            raise NonPositiveFError(bad[1], np.reshape(fj.value, -1)[bad[0]])
-        return fj
+        return self._field.jet(points)
 
 
 def deform(s: AcmStructure, params: DeformationParams) -> AcmStructure:

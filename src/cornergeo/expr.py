@@ -19,8 +19,10 @@ Grammar accepted by :func:`parse`::
     FUNC    := 'exp' | 'ln' | 'sin' | 'cos' | 'sqrt' | 'abs'
 
 ``^`` is right-associative and binds tighter than unary minus, so ``-x1^2``
-means ``-(x1^2)``.  Numbers are decimal with optional exponent.  Constant
-subexpressions are folded at parse time.
+means ``-(x1^2)``.  Numbers are decimal with optional exponent; one too
+large for a float is infinite, and an infinite constant prints as ``1e999``.
+Constant subexpressions are folded at parse time, except one that leaves a
+domain or whose value is NaN.
 """
 
 from __future__ import annotations
@@ -517,6 +519,8 @@ def _prec(node: Node) -> int:
 
 
 def _fmt_number(v: float) -> str:
+    if np.isinf(v):
+        return "-1e999" if v < 0 else "1e999"  # parse reads these back as +-inf
     if v.is_integer() and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
@@ -776,13 +780,15 @@ def _fold_call(name: str, arg: Node) -> Node:
 
 
 def _fold(node: Node) -> Node:
-    """A node with constant operands as its value, unless it leaves a domain."""
+    """A node with constant operands as its value, unless it leaves a domain
+    or its value is NaN, which has no literal to print."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AbsAtZeroWarning)
-            return Const(float(_walk(node, np.zeros(3), 0).value))
+            value = float(_walk(node, np.zeros(3), 0).value)
     except EvalDomainError:
         return node
+    return node if np.isnan(value) else Const(value)
 
 
 class _Parser:

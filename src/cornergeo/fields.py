@@ -77,12 +77,9 @@ class ChartDomain:
         object.__setattr__(self, "bounds", b)
 
     def sample(self, n: int, seed_or_rng=0) -> np.ndarray:
-        """Draw ``n`` uniform points, shape (n, 3)."""
-        rng = (
-            seed_or_rng
-            if isinstance(seed_or_rng, np.random.Generator)
-            else np.random.default_rng(seed_or_rng)
-        )
+        """Draw ``n`` uniform points, shape (n, 3); ``default_rng`` hands a
+        Generator back unchanged, so its draws continue."""
+        rng = np.random.default_rng(seed_or_rng)
         lo = np.array([b[0] for b in self.bounds])
         hi = np.array([b[1] for b in self.bounds])
         return lo + (hi - lo) * rng.random((int(n), 3))

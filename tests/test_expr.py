@@ -14,6 +14,7 @@ from cornergeo.expr import (
     as_expr,
     eval_jet2,
     parse,
+    to_str,
 )
 
 ORIGIN = np.zeros(3)
@@ -77,6 +78,28 @@ def test_round_trip_is_structural():
     for src in sources:
         once = str(parse(src))
         assert str(parse(once)) == once
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "src, text",
+    [
+        ("exp(1000)", "1e999"),
+        ("-exp(1000)", "-1e999"),
+        ("x1*1e400", "x1*1e999"),
+        ("x1 + -1e400", "x1 + -1e999"),
+        ("(-1e400)^3", "-1e999"),
+        ("sin(1e400)", "sin(1e999)"),
+        # a NaN value has no literal, so its node is kept
+        ("0*exp(1000)", "0*1e999"),
+        ("1e400 - 1e400", "1e999 - 1e999"),
+        ("1e400/1e400", "1e999/1e999"),
+    ],
+)
+def test_non_finite_constants_round_trip(src, text):
+    root = parse(src).root
+    assert to_str(root) == text
+    assert parse(text).root == root
 
 
 def test_constant_folding():

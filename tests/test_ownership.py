@@ -5,9 +5,10 @@ import dataclasses
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
-from cornergeo import construct
+from cornergeo import construct, expr
 from cornergeo.cli import main
 from cornergeo.corner import CornerFields
 from cornergeo.family import preset_structure
@@ -90,6 +91,33 @@ def test_a_deform_report_builds_and_validates_once(capsys, monkeypatch):
     capsys.readouterr()
     assert code == 0
     assert calls == {"deform": 3, "validate": 1, "built": 1}
+
+
+@pytest.mark.parametrize("name", ["A", "B", "D"])
+def test_a_deform_report_walks_f_once_per_point_set(capsys, monkeypatch, name):
+    """f is walked over the 50 validation points and over the sample, once
+    each: the deformed metric and the type functions share its jet."""
+    root, walks = expr.parse("2 + sin(x1)").root, []
+    jets_at = expr._jets_at
+
+    def counted(node, point, order, known=None):
+        if node == root:
+            walks.append(np.shape(point))
+        return jets_at(node, point, order, known)
+
+    monkeypatch.setattr(expr, "_jets_at", counted)
+    code = main(["deform", "--preset", f"family:{name}", "--samples", "20", "--f", "2 + sin(x1)"])
+    capsys.readouterr()
+    assert code in (0, 1)
+    assert walks == [(50, 3), (20, 3)]
+
+
+def test_deformation_params_are_freed_at_once(no_collector):
+    params = construct.DeformationParams.of("2 + sin(x1)")
+    params.jet(POINTS)
+    ref = weakref.ref(params)
+    del params
+    assert ref() is None
 
 
 def test_the_deformation_is_kept_per_params_object():
