@@ -6,8 +6,8 @@ it is empty, samples the chart domain with a recorded seed, runs the
 requested residual suites, and emits a deterministic JSON report (stable key
 order, no timestamps).  Exit codes: 0 all suites passed, 1 at least one suite
 failed, 2 configuration or domain error (bad expressions, singular metric,
-degenerate frame, non-positive deformation factor, unknown preset).  The
-argument parser is built once per process, at import.
+degenerate frame, a tau or deformation factor that is not finite and positive,
+unknown preset).  The argument parser is built once per process, at import.
 """
 
 from __future__ import annotations

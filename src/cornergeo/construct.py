@@ -187,7 +187,7 @@ class NonPositiveFError(ValueError):
 
 @dataclass(frozen=True)
 class DeformationParams:
-    """The conformal-like factor f (> 0) driving the deformation.
+    """The conformal-like factor f (finite and > 0) driving the deformation.
 
     ``validate`` checks f on 50 fixed points of the domain; the deformed
     metric checks it again at every point it is evaluated at.  The jet of f
@@ -203,10 +203,13 @@ class DeformationParams:
 
         def positive(points) -> Jet2:
             fj = f.eval_jet2(points)
-            bad = first_row(points, ~(fj.value > 0.0))
-            if bad is not None:
-                raise NonPositiveFError(bad[1], np.reshape(fj.value, -1)[bad[0]])
-            return fj
+            bad = first_row(points, ~((fj.value > 0.0) & np.isfinite(fj.value)))
+            if bad is None:
+                return fj
+            p, value = bad[1], np.reshape(fj.value, -1)[bad[0]]
+            if np.isfinite(value):
+                raise NonPositiveFError(p, value)
+            raise ValueError(f"deformation factor is not finite at {p.tolist()}: f = {value:g}")
 
         object.__setattr__(self, "_field", ScalarField(positive))
 
@@ -218,7 +221,8 @@ class DeformationParams:
         self.jet(domain.sample(50, seed_or_rng=0))
 
     def jet(self, points) -> Jet2:
-        """The jet of f over ``points``; raises at the first point where f <= 0."""
+        """The jet of f over ``points``; raises at the first point where f is
+        not finite (a ValueError) or f <= 0 (a :class:`NonPositiveFError`)."""
         return self._field.jet(points)
 
 

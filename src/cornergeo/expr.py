@@ -13,8 +13,7 @@ Grammar accepted by :func:`parse`::
 
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
-    factor  := '-' factor | power
-    power   := atom ('^' factor)?
+    factor  := '-' factor | atom ('^' factor)?
     atom    := NUMBER | 'x1' | 'x2' | 'x3' | FUNC '(' expr ')' | '(' expr ')'
     FUNC    := 'exp' | 'ln' | 'sin' | 'cos' | 'sqrt' | 'abs'
 
@@ -33,7 +32,7 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -505,15 +504,31 @@ class Call:
 
 Node = Union[Const, Var, Unary, Binary, Call]
 
-# precedence levels used by the printer; a negative literal renders with a
-# leading '-', so it parenthesizes like a unary node
+# precedence levels of the printer and the parser; a negative literal renders
+# with a leading '-', so it parenthesizes like a unary node
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-_OP_LEVEL = {"+": _LEVEL_ADD, "-": _LEVEL_ADD, "*": _LEVEL_MUL, "/": _LEVEL_MUL, "^": _LEVEL_POW}
+
+
+class _Op(NamedTuple):
+    level: int
+    jet: Callable  # the rule on jets, through Jet2's operators
+    method: str  # ScalarExpr gets __<method>__ and, except for '^', __r<method>__
+
+
+# the binary operators: everything the printer, the parser, evaluation and
+# ScalarExpr's arithmetic know of them
+_OPS = {
+    "+": _Op(_LEVEL_ADD, operator.add, "add"),
+    "-": _Op(_LEVEL_ADD, operator.sub, "sub"),
+    "*": _Op(_LEVEL_MUL, operator.mul, "mul"),
+    "/": _Op(_LEVEL_MUL, operator.truediv, "truediv"),
+    "^": _Op(_LEVEL_POW, operator.pow, "pow"),
+}
 
 
 def _prec(node: Node) -> int:
     if isinstance(node, Binary):
-        return _OP_LEVEL[node.op]
+        return _OPS[node.op].level
     negative = isinstance(node, Const) and node.value < 0
     return _LEVEL_UNARY if negative or isinstance(node, Unary) else _LEVEL_ATOM
 
@@ -536,13 +551,11 @@ def to_str(node: Node) -> str:
         return f"{node.name}({to_str(node.arg)})"
     if isinstance(node, Unary):
         return "-" + _wrap(node.arg, _LEVEL_UNARY)
-    op = node.op
-    if op in "+-":
-        return f"{_wrap(node.left, _LEVEL_ADD)} {op} {_wrap(node.right, _LEVEL_MUL)}"
-    if op in "*/":
-        return f"{_wrap(node.left, _LEVEL_MUL)}{op}{_wrap(node.right, _LEVEL_UNARY)}"
-    # '^': the base must be an atom, the exponent may be any factor
-    return f"{_wrap(node.left, _LEVEL_ATOM)}^{_wrap(node.right, _LEVEL_UNARY)}"
+    if node.op == "^":  # the base must be an atom, the exponent may be any factor
+        return f"{_wrap(node.left, _LEVEL_ATOM)}^{_wrap(node.right, _LEVEL_UNARY)}"
+    level = _OPS[node.op].level  # left-associative: the right operand binds tighter
+    op = f" {node.op} " if level == _LEVEL_ADD else node.op
+    return f"{_wrap(node.left, level)}{op}{_wrap(node.right, level + 1)}"
 
 
 def _wrap(node: Node, min_level: int) -> str:
@@ -622,15 +635,7 @@ def _walk(node: Node, x: np.ndarray, order: int, known=None) -> Jet2:
         # a power reads its exponent's derivatives to tell a constant exponent
         # from a general one, so it walks the exponent to full order
         b = _walk(node.right, x, 2 if node.op == "^" else order, known)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return a**b
+        return _OPS[node.op].jet(a, b)
     except EvalDomainError as err:
         if err._subexpr is None:
             raise EvalDomainError(err.message, node) from None
@@ -649,8 +654,9 @@ def _jets_at(root: Node, point, order: int, known=None) -> Jet2:
 class ScalarExpr:
     """A parsed scalar expression in the chart coordinates.
 
-    Supports Python arithmetic (with other expressions or numbers), which
-    builds new folded trees; ``str()`` renders minimal-parenthesis source.
+    Supports Python arithmetic with other expressions or numbers (the
+    operators come from ``_OPS``; no ``number ** expr``), which builds new
+    folded trees; ``str()`` renders minimal-parenthesis source.
     """
 
     root: Node
@@ -671,32 +677,18 @@ class ScalarExpr:
     def __neg__(self) -> "ScalarExpr":
         return ScalarExpr(_fold_unary(self.root))
 
-    def __add__(self, other) -> "ScalarExpr":
-        return ScalarExpr(_fold_binary("+", self.root, _coerce(other)))
 
-    def __radd__(self, other) -> "ScalarExpr":
-        return ScalarExpr(_fold_binary("+", _coerce(other), self.root))
+def _operator(op: str, reflected: bool):
+    """ScalarExpr's method for ``op``; a reflected one puts the other operand first."""
+    if reflected:
+        return lambda self, other: ScalarExpr(_fold_binary(op, _coerce(other), self.root))
+    return lambda self, other: ScalarExpr(_fold_binary(op, self.root, _coerce(other)))
 
-    def __sub__(self, other) -> "ScalarExpr":
-        return ScalarExpr(_fold_binary("-", self.root, _coerce(other)))
 
-    def __rsub__(self, other) -> "ScalarExpr":
-        return ScalarExpr(_fold_binary("-", _coerce(other), self.root))
-
-    def __mul__(self, other) -> "ScalarExpr":
-        return ScalarExpr(_fold_binary("*", self.root, _coerce(other)))
-
-    def __rmul__(self, other) -> "ScalarExpr":
-        return ScalarExpr(_fold_binary("*", _coerce(other), self.root))
-
-    def __truediv__(self, other) -> "ScalarExpr":
-        return ScalarExpr(_fold_binary("/", self.root, _coerce(other)))
-
-    def __rtruediv__(self, other) -> "ScalarExpr":
-        return ScalarExpr(_fold_binary("/", _coerce(other), self.root))
-
-    def __pow__(self, other) -> "ScalarExpr":
-        return ScalarExpr(_fold_binary("^", self.root, _coerce(other)))
+for _op, _spec in _OPS.items():
+    setattr(ScalarExpr, f"__{_spec.method}__", _operator(_op, False))
+    if _op != "^":
+        setattr(ScalarExpr, f"__r{_spec.method}__", _operator(_op, True))
 
 
 def _coerce(obj) -> Node:
@@ -718,48 +710,23 @@ def eval_jet2(expr: ScalarExpr, point, order: int = 2) -> Jet2:
 # parser
 # ---------------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# one token per match: a number, an identifier, or an operator or punctuation
+# character (kind "op"); any other character that is not whitespace is bad
+_TOKEN_RE = re.compile(
+    r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^(),])|(?P<bad>\S)"
+)
 _VARIABLES = {"x1": 0, "x2": 1, "x3": 2}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | ident | op | lparen | rparen | comma | eof
-    text: str
-    offset: int
-
-
-def _tokenize(src: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NUMBER_RE.match(src, i)
-        if m:
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(src, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, i))
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-        elif ch == ",":
-            tokens.append(_Token("comma", ch, i))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-        i += 1
-    tokens.append(_Token("eof", "", n))
+def _tokenize(src: str) -> list[tuple]:
+    """``(kind, text, offset)`` tokens, ending with ``("eof", "", len(src))``."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(src):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
+    tokens.append(("eof", "", len(src)))
     return tokens
 
 
@@ -792,88 +759,74 @@ def _fold(node: Node) -> Node:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The text of the next token."""
+        return self.tokens[self.pos][1]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> tuple:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def fail(self, tok: _Token) -> "ParseError":
-        if tok.kind == "eof":
-            return ParseError("unexpected end of input", tok.offset)
-        return ParseError(f"unexpected {tok.text!r}", tok.offset)
+    def fail(self, tok: tuple) -> "ParseError":
+        kind, text, offset = tok
+        if kind == "eof":
+            return ParseError("unexpected end of input", offset)
+        return ParseError(f"unexpected {text!r}", offset)
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = _fold_binary(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> Node:
-        node = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = _fold_binary(op, node, self.parse_factor())
+    def parse_expr(self, level: int = _LEVEL_ADD) -> Node:
+        """Operands of the next level (factors at the level of ``*``), joined
+        left to right by the operators of ``level``."""
+        tighter = functools.partial(self.parse_expr, _LEVEL_MUL)
+        operand = self.parse_factor if level == _LEVEL_MUL else tighter
+        node = operand()
+        while self.peek() in _OPS and _OPS[self.peek()].level == level:
+            node = _fold_binary(self.advance()[1], node, operand())
         return node
 
     def parse_factor(self) -> Node:
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.peek() == "-":
             self.advance()
             return _fold_unary(self.parse_factor())
-        return self.parse_power()
-
-    def parse_power(self) -> Node:
         base = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            return _fold_binary("^", base, self.parse_factor())
-        return base
+        if self.peek() != "^":
+            return base
+        self.advance()
+        return _fold_binary("^", base, self.parse_factor())
 
     def parse_atom(self) -> Node:
-        tok = self.advance()
-        if tok.kind == "number":
-            return Const(float(tok.text))
-        if tok.kind == "ident":
-            if tok.text in _VARIABLES:
-                return Var(_VARIABLES[tok.text])
-            if tok.text in _FUNCTIONS:
-                opener = self.advance()
-                if opener.kind != "lparen":
-                    raise ParseError(
-                        f"expected '(' after {tok.text!r}", opener.offset
-                    )
-                arg = self.parse_expr()
-                closer = self.advance()
-                if closer.kind == "comma":
-                    raise ParseError(
-                        f"{tok.text!r} takes a single argument", closer.offset
-                    )
-                if closer.kind != "rparen":
-                    raise self.fail(closer)
-                return _fold_call(tok.text, arg)
-            raise ParseError(f"unknown identifier {tok.text!r}", tok.offset)
-        if tok.kind == "lparen":
-            node = self.parse_expr()
-            closer = self.advance()
-            if closer.kind != "rparen":
-                raise self.fail(closer)
-            return node
-        raise self.fail(tok)
+        """A number, a variable, or a call or parenthesized expression and its ')'."""
+        kind, text, offset = tok = self.advance()
+        if kind == "number":
+            return Const(float(text))
+        if text in _VARIABLES:
+            return Var(_VARIABLES[text])
+        if kind == "ident":
+            if text not in _FUNCTIONS:
+                raise ParseError(f"unknown identifier {text!r}", offset)
+            opener = self.advance()
+            if opener[1] != "(":
+                raise ParseError(f"expected '(' after {text!r}", opener[2])
+        elif text != "(":
+            raise self.fail(tok)
+        node = self.parse_expr()
+        closer = self.advance()
+        if kind == "ident" and closer[1] == ",":
+            raise ParseError(f"{text!r} takes a single argument", closer[2])
+        if closer[1] != ")":
+            raise self.fail(closer)
+        return _fold_call(text, node) if kind == "ident" else node
 
 
 def parse(src: str) -> ScalarExpr:
     """Parse expression source text; raises :class:`ParseError` with offset."""
     parser = _Parser(_tokenize(src))
     node = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
+    trailing = parser.advance()
+    if trailing[0] != "eof":
         raise parser.fail(trailing)
     return ScalarExpr(node)
 

@@ -66,13 +66,13 @@ class FamilyParams:
 
 def build_family(params: FamilyParams) -> AcmStructure:
     """Assemble the structure; validates tau > 0 and tau*kappa*mu != 0 on 50
-    fixed points, and tau > 0 again at every point the structure is evaluated at.
+    fixed points, and a finite tau > 0 at every point the structure is evaluated at.
 
     phi, xi, eta and g are each one jet function that walks only the seven
     non-zero entries (-(mu/kappa), kappa/mu, 1/tau, tau, tau^2, kappa^2, mu^2).
     tau, kappa and mu are walked once per sample: each keeps the jet of the last
     batch (see :func:`last_batch`), and the entries' walks read them from there.
-    The tau memo checks tau > 0; xi, eta and g read it before their entries."""
+    The tau memo checks tau > 0 and finite; xi, eta and g read it before their entries."""
     tau, kappa, mu = params.tau, params.kappa, params.mu
     _check_generators(params, params.domain.sample(50, seed_or_rng=0))
 
@@ -111,10 +111,13 @@ def build_family(params: FamilyParams) -> AcmStructure:
 
 
 def _require_tau(t, points) -> None:
-    bad = first_row(points, ~(t > 0.0))
-    if bad is not None:
-        value = np.reshape(t, -1)[bad[0]]
-        raise ValueError(f"family requires tau > 0; tau({bad[1].tolist()}) = {value:.3e}")
+    bad = first_row(points, ~((t > 0.0) & np.isfinite(t)))
+    if bad is None:
+        return
+    value, p = np.reshape(t, -1)[bad[0]], bad[1].tolist()
+    if np.isfinite(value):
+        raise ValueError(f"family requires tau > 0; tau({p}) = {value:.3e}")
+    raise ValueError(f"family requires a finite tau; tau({p}) = {value:.3e} is not finite")
 
 
 @by_rows

@@ -167,3 +167,24 @@ def test_an_inline_structure_of_the_wrong_size(tmp_path, capsys, part, message):
     code, payload = run_config(tmp_path, capsys, "check", data)
     assert code == 2 and payload["exit_code"] == 2
     assert payload["error"] == {"type": "ValueError", "message": message}
+
+
+NON_FINITE_TAU = {"tau": "exp(x1)*1e400", "kappa": "1", "mu": "1"}
+
+
+@pytest.mark.parametrize("command", ["scan", "check"])
+def test_an_infinite_tau_is_rejected(tmp_path, capsys, command):
+    code, payload = run_config(tmp_path, capsys, command, {"family": NON_FINITE_TAU, "samples": 10})
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"]["type"] == "ValueError"
+    assert payload["error"]["message"].startswith("family requires a finite tau; tau([")
+    assert payload["error"]["message"].endswith(") = inf is not finite")
+
+
+def test_an_infinite_f_is_rejected(capsys):
+    code = main(["deform", "--preset", "family:A", "--f", "exp(1000)"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"]["type"] == "ValueError"
+    assert payload["error"]["message"].startswith("deformation factor is not finite at [")
+    assert payload["error"]["message"].endswith("]: f = inf")

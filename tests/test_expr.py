@@ -1,5 +1,7 @@
 """Parser, printer and second-order jet arithmetic."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -48,22 +50,39 @@ def test_parse_and_eval(src, point, expected):
 
 
 @pytest.mark.parametrize(
-    "src,offset,fragment",
+    "src,offset,message",
     [
+        ("", 0, "unexpected end of input"),
         ("exp(", 4, "unexpected end of input"),
-        ("foo(x1)", 0, "unknown identifier"),
-        ("exp(x1, x2)", 6, "takes a single argument"),
-        ("x1 $ 2", 3, "unexpected character"),
-        ("2x1", 1, "unexpected"),
-        ("x4", 0, "unknown identifier"),
         ("(x1 + 2", 7, "unexpected end of input"),
+        ("x1 + ", 5, "unexpected end of input"),
+        ("\tx1 +", 5, "unexpected end of input"),
+        ("\u00a0x1\u2003+ ", 6, "unexpected end of input"),
+        ("x1)", 2, "unexpected ')'"),
+        ("sin(x1 x2)", 7, "unexpected 'x2'"),
+        ("2x1", 1, "unexpected 'x1'"),
+        ("1.2.3", 3, "unexpected '.3'"),
+        ("x1 + * 2", 5, "unexpected '*'"),
+        ("x1 ^ ^ 2", 5, "unexpected '^'"),
+        ("+x1", 0, "unexpected '+'"),
+        ("x1 ,", 3, "unexpected ','"),
+        ("exp x1", 4, "expected '(' after 'exp'"),
+        ("exp", 3, "expected '(' after 'exp'"),
+        ("exp(x1, x2)", 6, "'exp' takes a single argument"),
+        ("abs(x1, ", 6, "'abs' takes a single argument"),
+        ("x1 $ 2", 3, "unexpected character '$'"),
+        ("2 .", 2, "unexpected character '.'"),
+        ("x1 + \u00e9", 5, "unexpected character '\u00e9'"),
+        ("foo(x1)", 0, "unknown identifier 'foo'"),
+        ("x4", 0, "unknown identifier 'x4'"),
+        ("e", 0, "unknown identifier 'e'"),
     ],
 )
-def test_parse_errors_carry_offsets(src, offset, fragment):
+def test_parse_errors_carry_offsets(src, offset, message):
     with pytest.raises(ParseError) as err:
         parse(src)
-    assert err.value.offset == offset
-    assert fragment in err.value.message
+    assert (err.value.message, err.value.offset) == (message, offset)
+    assert str(err.value) == f"{message} (offset {offset})"
 
 
 def test_round_trip_is_structural():
@@ -221,6 +240,20 @@ def test_scalar_expr_algebra(rng):
     assert (-a).value(p) == pytest.approx(-a.value(p))
     assert (2.0 * a).value(p) == pytest.approx(2.0 * a.value(p))
     assert (a**2).value(p) == pytest.approx(a.value(p) ** 2)
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "^"])
+def test_operators_build_the_tree_parse_builds(op):
+    apply = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "/": operator.truediv, "^": operator.pow}[op]
+    a, b = parse("x1 + x2"), parse("exp(-x3)")
+    pairs = [(a, b), (b, a), (a, 2.5), (a, -3), (as_expr(2), 3)]
+    if op != "^":  # a number has no ^ with an expression
+        pairs += [(2.5, a), (-3, b)]
+    for left, right in pairs:
+        assert apply(left, right).root == parse(f"({left}) {op} ({right})").root
+    with pytest.raises(TypeError):
+        2.0 ** a
 
 
 def test_as_expr_coercion():

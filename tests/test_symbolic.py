@@ -2,9 +2,10 @@
 
 For g = diag(tau^2, kappa^2, mu^2), xi = tau^-1 d1 and the family's phi,
 sympy derives the Christoffel symbols, psi (the closed form of the
-``family`` docstring), e^rho, div V and sigma = g(nabla_xi V, phi V) from the
-generators' source text alone.  The jet pipeline must agree with them to
-about machine precision, far tighter than the finite-difference oracles.
+``family`` docstring), e^rho, div V, sigma = g(nabla_xi V, phi V), d omega
+and the Olszak functions (alpha, beta) of both twins from the generators'
+source text alone.  The jet pipeline must agree with them to about machine
+precision, far tighter than the finite-difference oracles.
 """
 
 import numpy as np
@@ -13,20 +14,21 @@ import pytest
 sp = pytest.importorskip("sympy")
 from sympy.parsing.sympy_parser import parse_expr  # noqa: E402
 
-from cornergeo import family  # noqa: E402
+from cornergeo import acms, construct, family, tensor  # noqa: E402
 
 X = sp.symbols("x1 x2 x3")
 NAMES = {"x1": X[0], "x2": X[1], "x3": X[2], "ln": sp.log, "exp": sp.exp, "sqrt": sp.sqrt,
          "sin": sp.sin, "cos": sp.cos, "abs": sp.Abs}
 # the largest gap allowed, relative to the largest magnitude of the quantity
-# (at least 1); the largest seen was 8.9e-16, div V of the sigma != 0 member
+# (at least 1); the largest seen was 6.2e-15, div V of the member random-0
 RTOL = 1e-12
 
 # the presets' generators (sigma = 0 on all four, and C is not a corner
-# structure) and one member with sigma != 0
+# structure), one member with sigma != 0 and two random corner members
 MEMBERS = {
     **{name: family.preset(name).params for name in "ABCD"},
     "sigma": family.FamilyParams.of("exp(x1*x2 + x3)", "1 + x2^2", "1 + x3"),
+    **{f"random-{seed}": family.random_family(np.random.default_rng(seed)) for seed in (0, 1)},
 }
 
 
@@ -58,17 +60,39 @@ def oracle(tau, kappa, mu) -> dict:
 
     def nabla(x, y):
         return [
-            sum(x[i] * (y[k].diff(X[i]) + sum(gamma[k][i][j] * y[j] for j in range(3)))
+            sum(x[i] * (sp.diff(y[k], X[i]) + sum(gamma[k][i][j] * y[j] for j in range(3)))
                 for i in range(3))
             for k in range(3)
         ]
+
+    def nabla_matrix(y):
+        """``m[k][i] = (nabla_{d_i} y)^k``."""
+        columns = [nabla([int(i == j) for j in range(3)], y) for i in range(3)]
+        return [[columns[i][k] for i in range(3)] for k in range(3)]
 
     nabla_xi_v = nabla(xi, v)
     sigma = sum(g[k, k] * nabla_xi_v[k] * phi_v[k] for k in range(3))
     div_v = sum(
         v[i].diff(X[i]) + sum(gamma[i][i][k] * v[k] for k in range(3)) for i in range(3)
     )
-    return {"christoffel": gamma, "psi": psi, "e_rho": e_rho, "div_v": div_v, "sigma": sigma}
+    omega = [g[k, k] * psi[k] for k in range(3)]
+    d_omega = [[(omega[j].diff(X[i]) - omega[i].diff(X[j])) / 2 for j in range(3)]
+               for i in range(3)]
+    out = {"christoffel": gamma, "psi": psi, "e_rho": e_rho, "div_v": div_v, "sigma": sigma,
+           "d_omega": d_omega}
+
+    # the twins: phi' X = a(X) b - c(X) d with Reeb field r, and 2 alpha =
+    # tr(phi' nabla r), 2 beta = div r; theta1 and theta2 are g V and g phi V
+    eta = [tau, 0, 0]
+    theta1, theta2 = ([g[k, k] * w[k] for k in range(3)] for w in (v, phi_v))
+    twins = {"v": (theta2, xi, eta, phi_v, v), "phi_v": (eta, v, theta1, xi, phi_v)}
+    for kind, (a, b, c, d, r) in twins.items():
+        m = nabla_matrix(r)
+        out[f"{kind}_twin_alpha"] = sum(
+            (a[i] * b[k] - c[i] * d[k]) * m[i][k] for i in range(3) for k in range(3)
+        ) / 2
+        out[f"{kind}_twin_beta"] = sum(m[k][k] for k in range(3)) / 2
+    return out
 
 
 def evaluate(expr, pts) -> np.ndarray:
@@ -93,7 +117,11 @@ def test_frame_quantities_match_the_symbolic_oracle(name):
         "e_rho": f.e_rho,
         "div_v": f.div_v,
         "sigma": f.sigma,
+        "d_omega": tensor.d_oneform_matrix(s.corner.omega, pts),
     }
+    for kind in construct.TwinKind:
+        alpha, beta = acms.olszak_alpha_beta(construct.twin(s, kind), pts)
+        computed.update({f"{kind.value}_twin_alpha": alpha, f"{kind.value}_twin_beta": beta})
     for key, value in computed.items():
         want = evaluate(exact[key], pts)
         assert value.shape == want.shape, key
