@@ -16,16 +16,19 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .expr import by_rows, outer, skipping
 from .fields import ChartDomain, MetricField, OneFormField, SingularMetricError, TensorField11
-from .fields import DET_GUARD, VectorField, contract, dot, first_order, gnorm, mv, vm, vnorm
+from .fields import DET_GUARD, VectorField, contract, dot, first_order, first_row, gnorm
+from .fields import last_batch, mv, vm, vnorm
 from .report import ResidualReport, ResidualTracker, stats
-from .tensor import _as_vector_field, divergence, exterior_d_oneform, lie_bracket, nabla_matrix
-from .tensor import probe_vectors
+from .tensor import _as_vector_field, _bracket, _with_jacobian, divergence, exterior_d_oneform
+from .tensor import lie_bracket, nabla_matrix, probe_vectors
 
 __all__ = [
     "AcmStructure",
@@ -58,9 +61,6 @@ COSYMPLECTIC = "cosymplectic"
 TRANS_SASAKIAN = "trans-Sasakian"
 NOT_NORMAL = "not-normal"
 
-# coordinate directions, shared with :mod:`cornergeo.corner`
-_BASIS = [np.eye(3)[k] for k in range(3)]
-
 
 @dataclass(frozen=True, eq=False)
 class AcmStructure:
@@ -68,8 +68,11 @@ class AcmStructure:
 
     ``corner`` is the structure's one frame context: its fields, the twins
     and the deformation built on it all read one frame bundle per sample.
-    ``derived`` keeps its twins and its last deformation.  Nothing these hold
-    refers back to the structure, so it is freed as soon as it is dropped.
+    ``nabla_xi`` and ``basis_normality`` give nabla xi and the normality
+    tensors on the coordinate basis, each computed once per sample (see
+    :func:`cornergeo.fields.last_batch`).  ``derived`` keeps its twins and
+    its last deformation.  Nothing these hold refers back to the structure,
+    so it is freed as soon as it is dropped.
     """
 
     phi: TensorField11
@@ -97,6 +100,19 @@ class AcmStructure:
         from .corner import CornerFields  # corner imports this module
 
         return CornerFields(self)
+
+    @functools.cached_property
+    def nabla_xi(self):
+        """The memo of ``nabla_matrix(g, xi, p)``: ``A[..., k, i] = (nabla_{d_i} xi)^k``."""
+        g, xi = self.g, self.xi
+        return last_batch(lambda p: nabla_matrix(g, xi, p))
+
+    @functools.cached_property
+    def basis_normality(self):
+        """The memo of :func:`_basis_normality`: N_phi and N^(1) on the
+        coordinate pairs (d_i, d_j), i < j."""
+        phi, xi, eta = self.phi, self.xi, self.eta
+        return last_batch(lambda p: _basis_normality(phi, xi, eta, p))
 
 
 @by_rows
@@ -155,16 +171,15 @@ def fundamental_two_form_fields(s: AcmStructure) -> TensorField11:
 def nijenhuis(s: AcmStructure, X, Y, p) -> np.ndarray:
     """The Nijenhuis torsion of phi on (X, Y) at p."""
     Xf, Yf = _as_vector_field(X), _as_vector_field(Y)
-    phiX = s.phi.apply(Xf)
-    phiY = s.phi.apply(Yf)
-    P = s.phi.matrix(p)
-    br = lie_bracket(Xf, Yf, p)
-    return (
-        mv(P, mv(P, br))
-        + lie_bracket(phiX, phiY, p)
-        - mv(P, lie_bracket(phiX, Yf, p))
-        - mv(P, lie_bracket(Xf, phiY, p))
-    )
+    x, y = _with_jacobian(Xf, p), _with_jacobian(Yf, p)
+    px, py = _with_jacobian(s.phi.apply(Xf), p), _with_jacobian(s.phi.apply(Yf), p)
+    return _n_phi(s.phi.matrix(p), x, y, px, py, _bracket(x, y))
+
+
+def _n_phi(P, x, y, px, py, br) -> np.ndarray:
+    """N_phi(X, Y) from the matrix of phi, the values and Jacobians of X, Y,
+    phi X and phi Y (see :func:`cornergeo.tensor._bracket`), and [X, Y]."""
+    return mv(P, mv(P, br)) + _bracket(px, py) - mv(P, _bracket(px, y)) - mv(P, _bracket(x, py))
 
 
 def n1_tensor(s: AcmStructure, X, Y, p) -> np.ndarray:
@@ -181,9 +196,37 @@ def n3_tensor(s: AcmStructure, X, p) -> np.ndarray:
     return mv(s.phi.matrix(p), lie_bracket(Xf, s.xi, p)) - lie_bracket(phiX, s.xi, p)
 
 
+def _basis_normality(phi, xi, eta, p) -> SimpleNamespace:
+    """``n_phi`` and ``n1``: N_phi and N^(1) on the coordinate pairs
+    (d_0, d_1), (d_0, d_2), (d_1, d_2), stacked in that order on a leading
+    axis, each bit for bit as :func:`nijenhuis` and :func:`n1_tensor` give
+    it.  Each d_i gives its values, Jacobian, phi d_i and eta(d_i) once,
+    and each [d_i, d_j] serves both N_phi and d eta.  Raises a ValueError
+    at the first point where N^(1) is not finite."""
+    P, xi_v, eta_v = phi.matrix(p), xi.values(p), eta.values(p)
+    basis = []
+    for e in np.eye(3):
+        E = VectorField.constant(e)
+        basis.append((_with_jacobian(E, p), _with_jacobian(phi.apply(E), p),
+                      eta.pair(E).jet(p).grad))
+    n_phi, n1 = [], []
+    for (x, px, d_eta_x), (y, py, d_eta_y) in itertools.combinations(basis, 2):
+        br = _bracket(x, y)
+        n_phi.append(_n_phi(P, x, y, px, py, br))
+        # d eta(X, Y), as exterior_d_oneform computes it
+        deta = 0.5 * (dot(x[0], d_eta_y) - dot(y[0], d_eta_x) - dot(eta_v, br))
+        n1.append(n_phi[-1] + (2.0 * deta)[..., None] * xi_v)
+    b = SimpleNamespace(n_phi=np.stack(n_phi), n1=np.stack(n1))
+    # N^(1) = N_phi + 2 d eta (x) xi is not finite wherever N_phi is not
+    bad = first_row(p, ~np.isfinite(b.n1).all(axis=(0, -1)))
+    if bad is not None:
+        raise ValueError(f"N^(1) is not finite at {bad[1].tolist()}")
+    return b
+
+
 def olszak_alpha_beta(s: AcmStructure, p):
     """The normality functions: 2 alpha = tr(phi . nabla xi), 2 beta = div xi."""
-    A = nabla_matrix(s.g, s.xi, p)
+    A = s.nabla_xi(p)
     alpha = 0.5 * np.trace(s.phi.matrix(p) @ A, axis1=-2, axis2=-1)
     beta = 0.5 * divergence(s.g, s.xi, p)
     return alpha, beta
@@ -205,7 +248,7 @@ def trans_sasakian_residual(
     G = s.g.matrix(p)
     P = s.phi.matrix(p)
     P2 = P @ P
-    A = nabla_matrix(s.g, s.xi, p)
+    A = s.nabla_xi(p)
     R = A + a[:, None, None] * P + b[:, None, None] * P2
     probes, kept = probe_vectors(s.g, p, rng, n_random, extra=[s.xi.values(p)])
     res = gnorm(G[:, None], mv(R[:, None], probes))
@@ -222,14 +265,15 @@ def _per_point(f, points) -> np.ndarray:
 
 @by_rows
 def normality_residual(s: AcmStructure, points) -> tuple[float, np.ndarray | None]:
-    """Max g-norm of N^(1) over coordinate basis pairs and sample points."""
+    """Max g-norm of N^(1) over coordinate basis pairs and sample points,
+    and the first point where it is reached.
+
+    N^(1) is read from ``s.basis_normality``, which the corner form suite
+    shares, and a non-finite N^(1) raises a ValueError there.
+    """
     p = np.atleast_2d(points)
     G = s.g.matrix(p)
-    norms = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            v = n1_tensor(s, _BASIS[i], _BASIS[j], p)
-            norms.append(gnorm(G, v))
+    norms = [gnorm(G, v) for v in s.basis_normality(p).n1]
     # the first strict maximum in sample order; NaN never counts
     norms = np.stack(norms, axis=-1).reshape(-1)
     norms = np.where(np.isnan(norms), -np.inf, norms)
@@ -275,6 +319,8 @@ def classify(
     Not-normal wins whenever the normality residual exceeds ``zero_tol``;
     otherwise the verdict follows from which of alpha, beta vanish or are
     constant across the sample.  The report keeps the statistics either way.
+    An alpha or beta that is not finite gives no verdict: it raises a
+    ValueError that names the first such point.
     """
     if points is None:
         points = s.domain.sample(samples, seed)
@@ -285,6 +331,13 @@ def classify(
     if alpha_beta is None:
         raise SingularMetricError(points[0], 0.0)
     alphas, betas = alpha_beta
+    bad = first_row(points[used], ~(np.isfinite(alphas) & np.isfinite(betas)))
+    if bad is not None:
+        k, q = bad
+        raise ValueError(
+            f"alpha or beta is not finite at {q.tolist()}: "
+            f"alpha = {alphas[k]:g}, beta = {betas[k]:g}"
+        )
 
     normality, arg = normality_residual(s, points)
 

@@ -7,7 +7,9 @@ requested residual suites, and emits a deterministic JSON report (stable key
 order, no timestamps).  Exit codes: 0 all suites passed, 1 at least one suite
 failed, 2 configuration or domain error (bad expressions, singular metric,
 degenerate frame, a tau or deformation factor that is not finite and positive,
-unknown preset).  The argument parser is built once per process, at import.
+an alpha, beta or normality tensor that is not finite, unknown preset) and
+also any report that would hold a number that is not finite, since JSON has
+none.  The argument parser is built once per process, at import.
 """
 
 from __future__ import annotations
@@ -486,11 +488,16 @@ def _make_parser() -> argparse.ArgumentParser:
 _PARSER = _make_parser()
 
 
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = SceneConfig.load(args)
         payload, code = run(cfg, args.command)
+        text = _dumps(payload)  # raises a ValueError on NaN or infinity
     except (ValueError, EvalDomainError, SingularMetricError, DegenerateCornerError) as err:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -499,8 +506,8 @@ def main(argv=None) -> int:
             "exit_code": 2,
         }
         code = 2
+        text = _dumps(payload)
 
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

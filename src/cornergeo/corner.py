@@ -20,8 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .acms import _BASIS, AcmStructure, fundamental_two_form_fields, fundamental_two_form_matrix
-from .acms import nijenhuis
+from .acms import AcmStructure, fundamental_two_form_fields, fundamental_two_form_matrix
 from .expr import as_points, by_rows, jet_log, jet_sqrt, jet_sum, skipping
 from .fields import OneFormField, ScalarField, VectorField, batch_first, contract, dot, first_row
 from .fields import gnorm, jet_partials, last_batch, max_abs, mv, vm
@@ -93,9 +92,10 @@ class CornerFields:
     and deformation reads.  The accessors (``v``, ``phi_v``, ``theta1``,
     ``theta2``, ``rho``, ...) build ordinary field objects whose jets read
     from the bundle of jets of the batch being evaluated, so they compose
-    with every operation in :mod:`cornergeo.tensor`.  The bundle is memoized
-    like a field (see :func:`cornergeo.fields.last_batch`), so the frame is
-    computed once per sample.  It keeps the structure's fields, not the structure.
+    with every operation in :mod:`cornergeo.tensor`.  The bundle and the
+    frame scalars (``frame``) are memoized like a field (see
+    :func:`cornergeo.fields.last_batch`), so each is computed once per
+    sample.  It keeps the structure's fields, not the structure.
     """
 
     # built anew on each access, so the fields refer to this object, never it to them
@@ -110,6 +110,7 @@ class CornerFields:
     def __init__(self, s: AcmStructure):
         self.phi, self.xi, self.eta, self.g = s.phi, s.xi, s.eta, s.g
         self._bundle = last_batch(type(self)._compute_bundle, self)
+        self._frame = last_batch(type(self)._compute_frame, self)
 
     def bundle(self, p) -> SimpleNamespace:
         """The jets of ``xi``, ``eta`` and the frame quantities over one batch."""
@@ -146,6 +147,10 @@ class CornerFields:
     # -- frame scalars -----------------------------------------------------
 
     def frame(self, p) -> CornerFrame:
+        """The frame and its scalars over one batch."""
+        return self._frame(p)
+
+    def _compute_frame(self, p) -> CornerFrame:
         b = self.bundle(p)
         G = self.g.matrix(p)
         gam = self.g.christoffel(p)
@@ -161,7 +166,7 @@ class CornerFields:
         phi_v_rho = dot(phi_v, b.rho.grad)
 
         return CornerFrame(
-            point=as_points(p),
+            point=np.array(as_points(p)),  # a copy: the memo makes it read-only
             psi=batch_first(b.psi.value, 1),
             omega=batch_first(b.omega.value, 1),
             rho=b.rho.value,
@@ -197,7 +202,7 @@ def corner_residual(
     P = s.phi.matrix(p)
     eta = s.eta.values(p)
     xi = s.xi.values(p)
-    A = nabla_matrix(s.g, s.xi, p)
+    A = s.nabla_xi(p)
     psi = -mv(A, xi)
     x, kept = probe_vectors(s.g, p, rng, n_random, extra=[xi])
     at = p[np.nonzero(kept)[0]]
@@ -214,7 +219,10 @@ def corner_residual_forms(s: AcmStructure, points, tol: float = 1e-7) -> Residua
     ``d Phi = 0``, ``N_phi = 0``.
 
     ``omega`` is computed as ``-(nabla_xi xi)^flat`` directly, so the check is
-    meaningful whether or not the defining condition holds.
+    meaningful whether or not the defining condition holds.  N_phi on the
+    coordinate pairs is read from ``s.basis_normality``, which
+    :func:`cornergeo.acms.normality_residual` shares; a non-finite N^(1)
+    raises a ValueError there.
     """
     tracker = ResidualTracker()
     phi_fields = fundamental_two_form_fields(s)
@@ -222,7 +230,7 @@ def corner_residual_forms(s: AcmStructure, points, tol: float = 1e-7) -> Residua
     G = s.g.matrix(p)
     eta = s.eta.values(p)
     xi = s.xi.values(p)
-    A = nabla_matrix(s.g, s.xi, p)
+    A = s.nabla_xi(p)
     omega = mv(G, -mv(A, xi))
     deta = d_oneform_matrix(s.eta, p)
     tracker.update(
@@ -230,10 +238,9 @@ def corner_residual_forms(s: AcmStructure, points, tol: float = 1e-7) -> Residua
     )
     tracker.update("d_phi", np.abs(d_twoform_coeff(phi_fields, p)), p)
     worst = np.zeros(len(p))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            norm = gnorm(G, nijenhuis(s, _BASIS[i], _BASIS[j], p))
-            worst = np.where(norm > worst, norm, worst)
+    for n_phi in s.basis_normality(p).n_phi:
+        norm = gnorm(G, n_phi)
+        worst = np.where(norm > worst, norm, worst)
     tracker.update("nijenhuis", worst, p)
     return tracker.report("corner_forms", tol)
 
@@ -256,7 +263,7 @@ def connection_table_residuals(
     G = s.g.matrix(p)
     xi = s.xi.values(p)
     eta = s.eta.values(p)
-    A = nabla_matrix(s.g, s.xi, p)
+    A = s.nabla_xi(p)
     Mv = nabla_matrix(s.g, cf.v, p)
     Mpv = nabla_matrix(s.g, cf.phi_v, p)
 
@@ -422,7 +429,7 @@ def phi_derivative_residual(
     eta = s.eta.values(p)
     xi = s.xi.values(p)
     gam = s.g.christoffel(p)
-    A = nabla_matrix(s.g, s.xi, p)
+    A = s.nabla_xi(p)
     psi = -mv(A, xi)
     omega = mv(G, psi)
     phi_psi = mv(P, psi)

@@ -26,6 +26,7 @@ carry value/gradient.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import weakref
 from dataclasses import dataclass
@@ -97,8 +98,9 @@ def batch_key(p) -> tuple:
 def last_batch(fn, owner=None):
     """``fn(p)``, remembering its last result: called again on equal points
     (by :func:`batch_key`) it hands that result back without calling ``fn``.
-    Its arrays are made read-only, so no caller can change later reads.  It
-    fails as a point-by-point loop would (see :func:`cornergeo.expr.rowwise`).
+    Every array in it is made read-only (see :func:`_frozen`), so no caller
+    can change later reads.  It fails as a point-by-point loop would (see
+    :func:`cornergeo.expr.rowwise`).
     With an ``owner``, ``fn`` is a method called on a weak proxy of it, so
     the owner can keep the memo without a reference cycle."""
     if owner is not None:
@@ -109,15 +111,25 @@ def last_batch(fn, owner=None):
         nonlocal key, result
         k = batch_key(p)
         if k != key:
-            result = rowwise(fn, p)
-            jets = vars(result).values() if isinstance(result, SimpleNamespace) else [result]
-            for a in (a for j in jets for a in (j.value, j.grad, j.hess)):
-                if isinstance(a, np.ndarray):
-                    a.setflags(write=False)
+            result = _frozen(rowwise(fn, p))
             key = k
         return result
 
     return memo
+
+
+def _frozen(x):
+    """``x``, with every ndarray in it made read-only: ``x`` itself, or the
+    arrays of a jet, or of the attributes of a namespace or a dataclass."""
+    if isinstance(x, np.ndarray):
+        x.setflags(write=False)
+    elif isinstance(x, Jet2):
+        for part in (x.value, x.grad, x.hess):
+            _frozen(part)
+    elif isinstance(x, SimpleNamespace) or dataclasses.is_dataclass(x):
+        for part in vars(x).values():
+            _frozen(part)
+    return x
 
 
 def first_row(p, mask) -> tuple:

@@ -67,11 +67,20 @@ def covariant_deriv_vec(g: MetricField, X, Y: VectorField, p) -> np.ndarray:
     return mv(nabla_matrix(g, Y, p), xv)
 
 
+def _with_jacobian(X: VectorField, p) -> tuple:
+    """The values and the Jacobian of a vector field at ``p``."""
+    return X.values(p), X.jacobian(p)
+
+
+def _bracket(x: tuple, y: tuple) -> np.ndarray:
+    """``[X, Y]`` from the :func:`_with_jacobian` pairs of X and Y."""
+    return mv(y[1], x[0]) - mv(x[1], y[0])
+
+
 def lie_bracket(X, Y, p) -> np.ndarray:
     """Components of ``[X, Y]`` at ``p``."""
     Xf, Yf = _as_vector_field(X), _as_vector_field(Y)
-    xv, yv = Xf.values(p), Yf.values(p)
-    return mv(Yf.jacobian(p), xv) - mv(Xf.jacobian(p), yv)
+    return _bracket(_with_jacobian(Xf, p), _with_jacobian(Yf, p))
 
 
 def exterior_d_oneform(theta: OneFormField, X, Y, p):

@@ -188,3 +188,33 @@ def test_an_infinite_f_is_rejected(capsys):
     assert payload["error"]["type"] == "ValueError"
     assert payload["error"]["message"].startswith("deformation factor is not finite at [")
     assert payload["error"]["message"].endswith("]: f = inf")
+
+
+INFINITE_G22 = {**FLAT, "g": [[1, 0, 0], [0, "exp(1000)", 0], [0, 0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("classify", {"structure": INFINITE_G22, "samples": 5},
+         "alpha or beta is not finite at ["),
+        ("scan", {"family": {"tau": "exp(x2)", "kappa": "exp(x3)*1e400", "mu": "1"},
+                  "samples": 5},
+         "Out of range float values are not JSON compliant"),
+    ],
+    ids=["classify-infinite-metric", "scan-infinite-kappa"],
+)
+def test_a_report_with_a_number_that_is_not_finite_is_an_error(tmp_path, capsys, command,
+                                                                data, message):
+    """alpha and beta are NaN on an infinite metric, and so is the sigma gap
+    of an infinite kappa: no verdict, and no NaN in the output."""
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps(data))
+    with np.errstate(all="ignore"):
+        code = main([command, "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert "NaN" not in out and "Infinity" not in out
+    payload = json.loads(out)
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"]["type"] == "ValueError"
+    assert payload["error"]["message"].startswith(message)

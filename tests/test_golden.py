@@ -23,11 +23,19 @@ pytestmark = pytest.mark.skipif(
 )
 
 ALL_SUITES = "axioms,corner,frame,forms,classify,twins,deform"
-FAMILIES = {
-    "sigma": {"tau": "exp(x1*x2 + x3)", "kappa": "1 + x2^2", "mu": "1 + x3"},
-    "parse-error": {"tau": "exp(x1", "kappa": "1", "mu": "1"},
-    "tau-le-0": {"tau": "x1 - 2", "kappa": "1", "mu": "1"},
-    "degenerate": {"tau": "2", "kappa": "1", "mu": "1"},
+# the scene blocks of the config files, each run with 12 samples
+CONFIGS = {
+    "sigma": {"family": {"tau": "exp(x1*x2 + x3)", "kappa": "1 + x2^2", "mu": "1 + x3"}},
+    "parse-error": {"family": {"tau": "exp(x1", "kappa": "1", "mu": "1"}},
+    "tau-le-0": {"family": {"tau": "x1 - 2", "kappa": "1", "mu": "1"}},
+    "degenerate": {"family": {"tau": "2", "kappa": "1", "mu": "1"}},
+    # alpha and beta are NaN: the metric is infinite
+    "infinite-g22": {"structure": {
+        "phi": [[0, 0, 0], [0, 0, -1], [0, 1, 0]], "xi": [1, 0, 0], "eta": [1, 0, 0],
+        "g": [[1, 0, 0], [0, "exp(1000)", 0], [0, 0, 1]],
+    }},
+    # min_sigma_gap is NaN
+    "infinite-kappa": {"family": {"tau": "exp(x2)", "kappa": "exp(x3)*1e400", "mu": "1"}},
 }
 
 SCENES = {
@@ -55,6 +63,8 @@ SCENES = {
     "tau-le-0": ["check", "--config", "tau-le-0"],
     "f-le-0": ["deform", "--preset", "family:A", "--f", "x1 - 2"],
     "degenerate": ["check", "--config", "degenerate"],
+    "non-finite-alpha": ["classify", "--config", "infinite-g22"],
+    "non-finite-sigma-gap": ["scan", "--config", "infinite-kappa"],
 }
 
 # sha256 of f"{exit code}\n{stdout}" per scene, on the versions above
@@ -81,6 +91,8 @@ DIGESTS = {
     "degenerate": "946dabe965ec6808417dc84a13cc3755655caca56f7146cf75bccdbfdf0df4a0",
     "f-le-0": "eb52d7b012b1822cfda0557360c45b3d7f36e43f3a0eae72e707bde9d232dd55",
     "family-sigma-check": "950c3b1994423606e671301a0b4cdee9b4889b06b585e7a666bfa6ec3d0559db",
+    "non-finite-alpha": "9530d50b21b765bfb0987f6744e4e3608952d90fe3bff4abf04210316d64ec99",
+    "non-finite-sigma-gap": "104e6cc0a0215805d438750c7406b95ca0448f7f050bdca0554e97375bfbceb5",
     "parse-error-f": "4648c435d701140e48ecc21468f232bce266d3f2a07778e91c7180fe7d0a98fa",
     "parse-error-tau": "04b800e8df1aa9bf439907ed161bea4772413e5ba7e513a11b02c199670a7ca1",
     "scan-A": "553272c3921df05008a6c2f9235d990c4e8a782de2cf584e68a80417d5e3bdd9",
@@ -105,7 +117,7 @@ def run_scene(argv, tmp_path) -> str:
     if "--config" in argv:
         i = argv.index("--config") + 1
         path = tmp_path / f"{argv[i]}.json"
-        path.write_text(json.dumps({"family": FAMILIES[argv[i]], "samples": 12}))
+        path.write_text(json.dumps({**CONFIGS[argv[i]], "samples": 12}))
         argv[i] = str(path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), warnings.catch_warnings():

@@ -1,0 +1,103 @@
+"""The per-structure memos hand back, bit for bit, what the functions they
+stand for compute afresh: ``s.nabla_xi`` is ``nabla_matrix(g, xi, p)``,
+``s.basis_normality`` holds ``nijenhuis`` and ``n1_tensor`` on the three
+coordinate pairs, and ``s.corner.frame`` is the frame a new ``CornerFields``
+computes.  Bytes are compared, so signed zeros count."""
+
+import dataclasses
+import itertools
+
+import numpy as np
+import pytest
+
+from cornergeo import acms, construct, family
+from cornergeo.corner import CornerFields
+from cornergeo.fields import ChartDomain
+from cornergeo.tensor import nabla_matrix
+
+POINTS = ChartDomain().sample(12, 3)
+OTHER = ChartDomain().sample(7, 4)
+PAIRS = list(itertools.combinations(np.eye(3), 2))
+
+
+def structures() -> dict:
+    d = family.preset_structure("D")
+    out = {name: family.preset_structure(name) for name in "ABCD"}
+    out["twin-v-D"] = construct.twin(d, "v")
+    out["twin-phi_v-D"] = construct.twin(d, "phi_v")
+    out["deform-D"] = construct.deform(d, construct.DeformationParams.of("exp(x1)"))
+    for seed in range(2):
+        out[f"random-{seed}"] = family.build_family(
+            family.random_family(np.random.default_rng(seed))
+        )
+    return out
+
+
+STRUCTURES = structures()
+# twins and deformations carry first-order jets only, too few for a frame
+FRAMED = ["A", "B", "C", "D", "random-0", "random-1"]
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+@pytest.mark.parametrize("points", [POINTS, POINTS[5]], ids=["sample", "point"])
+def test_basis_normality_is_nijenhuis_and_n1_bit_for_bit(name, points):
+    s = STRUCTURES[name]
+    s.basis_normality(OTHER)  # a memo of another batch must not leak into this one
+    b = s.basis_normality(points)
+    assert b.n_phi.shape == b.n1.shape == (3,) + np.shape(points)
+    for k, (x, y) in enumerate(PAIRS):
+        assert same_bytes(b.n_phi[k], acms.nijenhuis(s, x, y, points))
+        assert same_bytes(b.n1[k], acms.n1_tensor(s, x, y, points))
+    assert not b.n_phi.flags.writeable and not b.n1.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_nabla_xi_is_nabla_matrix_bit_for_bit(name):
+    s = STRUCTURES[name]
+    s.nabla_xi(OTHER)
+    a = s.nabla_xi(POINTS)
+    assert same_bytes(a, nabla_matrix(s.g, s.xi, POINTS))
+    assert s.nabla_xi(POINTS) is a and not a.flags.writeable
+
+
+@pytest.mark.parametrize("name", FRAMED)
+def test_the_memoized_frame_is_a_fresh_frame_bit_for_bit(name):
+    s = STRUCTURES[name]
+    s.corner.frame(OTHER)
+    f = s.corner.frame(POINTS)
+    fresh = CornerFields(s).frame(POINTS)
+    for fld in dataclasses.fields(f):
+        a = getattr(f, fld.name)
+        assert same_bytes(a, getattr(fresh, fld.name)), fld.name
+        assert not a.flags.writeable, fld.name
+    assert s.corner.frame(POINTS) is f
+
+
+def test_the_frame_does_not_freeze_the_callers_points():
+    points = ChartDomain().sample(4, 5)
+    family.preset_structure("A").corner.frame(points)
+    assert points.flags.writeable
+
+
+def test_a_non_finite_normality_tensor_names_the_first_point():
+    """eta_3 = exp(1000 x1) overflows, with its gradient, for x1 above about
+    0.7, so N^(1) is not finite there while N_phi stays 0.  The memo, and
+    the normality residual that reads it, raise at the first such point."""
+    s = acms.AcmStructure.from_expressions(
+        [[0, 0, 0], [0, 0, -1], [0, 1, 0]], [1, 0, 0], [1, 0, "exp(1000*x1)"], np.eye(3).tolist()
+    )
+    with np.errstate(all="ignore"):
+        finite = np.array([
+            all(np.isfinite(acms.n1_tensor(s, x, y, q)).all() for x, y in PAIRS) for q in POINTS
+        ])
+        first = POINTS[np.argmin(finite)]
+        assert finite.any() and not finite.all()
+        for compute in (s.basis_normality, lambda p: acms.normality_residual(s, p)):
+            with pytest.raises(ValueError, match=r"^N\^\(1\) is not finite at ") as err:
+                compute(POINTS)
+            assert str(err.value).endswith(f"{first.tolist()}")

@@ -1,6 +1,7 @@
 """Ownership of derived data: a structure owns its frame context, twins and
 deformation, nothing it owns refers back to it, and each is built once."""
 
+import collections
 import dataclasses
 import gc
 import weakref
@@ -8,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cornergeo import construct, expr
+from cornergeo import acms, construct, corner, expr
 from cornergeo.cli import main
 from cornergeo.corner import CornerFields
 from cornergeo.family import preset_structure
@@ -139,3 +140,48 @@ def test_a_replaced_structure_starts_with_an_empty_cache():
     other = dataclasses.replace(s, domain=ChartDomain(((0.2, 0.9),) * 3))
     assert other.derived == {} and s.derived == {construct.TwinKind.V: v_twin}
     assert construct.twin(other, "v") is not v_twin
+
+
+@pytest.mark.parametrize(
+    "argv, twins",
+    [
+        (["check", "--preset", "family:D", "--samples", "20"], 0),
+        (["twin", "--preset", "family:D", "--samples", "20", "--kind", "both"], 2),
+    ],
+    ids=["check", "twin"],
+)
+def test_a_report_computes_each_per_structure_quantity_once(capsys, monkeypatch, argv, twins):
+    """However many suites read them, nabla of each vector field, the frame
+    and the coordinate-basis normality tensors are computed once per
+    structure and sample: a check report differentiates xi, V and phi V, and
+    a twin report the Reeb field of each twin."""
+    nablas, bases, frames = collections.Counter(), collections.Counter(), []
+    alive = []  # the counted fields stay alive, so no id is used twice
+    nabla_matrix, basis_normality, frame = (
+        acms.nabla_matrix, acms._basis_normality, corner.CornerFrame
+    )
+
+    def counted_nabla(g, Y, p):
+        alive.append(Y)
+        nablas[id(Y), np.asarray(p).tobytes()] += 1
+        return nabla_matrix(g, Y, p)
+
+    def counted_basis(phi, xi, eta, p):
+        alive.append(phi)
+        bases[id(phi), np.asarray(p).tobytes()] += 1
+        return basis_normality(phi, xi, eta, p)
+
+    def counted_frame(**fields):
+        frames.append(1)
+        return frame(**fields)
+
+    for module in (acms, corner):
+        monkeypatch.setattr(module, "nabla_matrix", counted_nabla)
+    monkeypatch.setattr(acms, "_basis_normality", counted_basis)
+    monkeypatch.setattr(corner, "CornerFrame", counted_frame)
+    code = main(argv)
+    capsys.readouterr()
+    assert code == 0
+    assert sorted(nablas.values()) == [1] * (twins or 3)
+    assert sorted(bases.values()) == [1] * (twins or 1)
+    assert len(frames) == 1
