@@ -120,6 +120,8 @@ def check_axioms(s: AcmStructure, points, tol: float = 1e-8) -> ResidualReport:
     """Max residuals of the three axioms and the two derived identities.
 
     Singular-metric points are skipped and counted in the report details.
+    A field that is not finite at a point raises a ValueError that names
+    it, before any matrix norm is taken.
     """
     tracker = ResidualTracker()
     p = np.atleast_2d(points)
@@ -128,10 +130,12 @@ def check_axioms(s: AcmStructure, points, tol: float = 1e-8) -> ResidualReport:
     skipped = int(np.count_nonzero(~used))
     p, G = p[used], G[used]
     if len(p):
+        P, xi, eta = s.phi.matrix(p), s.xi.values(p), s.eta.values(p)
+        for name, v in (("g", G), ("phi", P), ("xi", xi), ("eta", eta)):
+            bad = first_row(p, ~np.isfinite(v.reshape(len(p), -1)).all(axis=-1))
+            if bad is not None:
+                raise ValueError(f"{name} is not finite at {bad[1].tolist()}")
         Ginv = np.linalg.inv(G)
-        P = s.phi.matrix(p)
-        xi = s.xi.values(p)
-        eta = s.eta.values(p)
         tracker.update("eta_xi", np.abs(dot(eta, xi) - 1.0), p)
         tracker.update(
             "phi_square",

@@ -42,11 +42,15 @@ DEFAULT_TOLERANCES = {
 }
 
 
-# the most sample points `scan` evaluates in one stacked pass: a pass holds its
-# jets, some kilobytes per point, until it ends, so its peak memory grows with
-# its points, while beyond about this many the time a larger pass saves per
-# member is small
-STACKED_POINTS = 150
+# the most sample points `scan` evaluates in one stacked pass.  Each pass pays
+# a fixed cost (building, framing and differentiating one stacked structure)
+# and holds its jets, about 7 KB per point, until it ends.  Against 150
+# points, 1,024 runs `scan --draws 60 --samples 10` as 5 passes instead of 8,
+# with about 27% more points per second for 4% more peak RSS (40.2 against
+# 38.6 MB); at 100 samples it stacks 10 draws per pass instead of 1, 0.16-0.22
+# against 0.35-0.37 s per report for 41 against 37 MB of peak RSS (2 CPUs,
+# Python 3.11, numpy 2.4)
+STACKED_POINTS = 1024
 
 
 class ConfigError(ValueError):
@@ -379,8 +383,9 @@ def scan_sigma(params_list, samples: int = 100, seed: int = 0) -> dict:
     skipped points.  Consecutive members of one tree shape (see
     :func:`family.member_key`), such as the random draws, are evaluated
     together as one structure, up to :data:`STACKED_POINTS` sample points
-    at a time (see :func:`_scan_group`); the entries are those of one member
-    at a time.
+    at a time (see :func:`_scan_group`): the 60 draws of ``--draws 60`` at
+    10 samples are one pass, at 100 samples six.  The entries are those of
+    one member at a time, whatever the pass size.
     """
     members = list(enumerate(params_list))
     size = max(1, STACKED_POINTS // samples)

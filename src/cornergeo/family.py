@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acms import AcmStructure
-from .expr import Call, Jet2, ScalarExpr, _jets_at, as_expr, as_points, by_rows, stack_key
-from .expr import stack_trees
+from .expr import Binary, Call, Const, Jet2, ScalarExpr, _jets_at, as_expr, as_points, by_rows
+from .expr import stack_key, stack_trees
 from .fields import ChartDomain, MetricField, OneFormField, TensorField11, VectorField
 from .fields import first_row, last_batch
 from .report import ResidualReport, seq_max
@@ -287,25 +287,40 @@ def random_family(rng: np.random.Generator, corner: bool = True, domain=None) ->
     With ``corner=True`` kappa and mu are x1-free, so the structure satisfies
     the defining condition; tau may couple x1 with x2/x3, which is what makes
     sigma and d(omega) nonzero in general.
+
+    The coefficients are one ``rng.random`` call of 11 (13 with
+    ``corner=False``), each mapped to its range as ``rng.uniform`` maps a
+    draw, so they equal one ``uniform`` call per coefficient in this order.
+    The trees are built node by node, as ScalarExpr's operators build
+    ``m1 * c1 + m2 * c2 + ...``.
     """
-    mono = _MONOMIALS
-    a = rng.uniform(-1.0, 1.0, size=5)
+    n = 11 if corner else 13
+    c = (_LOW[:n] + _SPAN[:n] * rng.random(n)).tolist()
     # an exponential keeps tau positive whatever the coefficients are
-    exponent = mono["x2"] * a[0] + mono["x3"] * a[1] + mono["x1*x2"] * a[2]
-    exponent = exponent + mono["x1*x3"] * a[3] + mono["x1"] * a[4]
-    tau_expr = ScalarExpr(Call("exp", exponent.root))
+    exponent = _terms(_term("x2", c[0]), ("x3", "x1*x2", "x1*x3", "x1"), c[1:5])
+    kappa = _terms(Const(c[5]), ("x2^2", "x2*x3", "x1^2"), c[6:8] + c[11:12])
+    mu = _terms(Const(c[8]), ("x3^2", "x2*x3", "x1"), c[9:11] + c[12:13])
+    return FamilyParams.of(
+        ScalarExpr(Call("exp", exponent)), ScalarExpr(kappa), ScalarExpr(mu), domain=domain
+    )
 
-    k = rng.uniform(0.5, 1.5)
-    k2, k3 = rng.uniform(0.0, 1.0, size=2)
-    kappa = as_expr(k) + mono["x2^2"] * k2 + mono["x2*x3"] * k3
-    m = rng.uniform(0.5, 1.5)
-    m2, m3 = rng.uniform(0.0, 1.0, size=2)
-    mu = as_expr(m) + mono["x3^2"] * m2 + mono["x2*x3"] * m3
-    if not corner:
-        kappa = kappa + mono["x1^2"] * rng.uniform(0.5, 1.5)
-        mu = mu + mono["x1"] * rng.uniform(0.5, 1.5)
-    return FamilyParams.of(tau_expr, kappa, mu, domain=domain)
 
+def _term(monomial: str, c: float) -> Binary:
+    return Binary("*", _MONOMIALS[monomial].root, Const(c))
+
+
+def _terms(node, monomials, coefficients):
+    """``node + m1 * c1 + m2 * c2 + ...``, added left to right."""
+    for m, c in zip(monomials, coefficients):
+        node = Binary("+", node, _term(m, c))
+    return node
+
+
+# the ranges of random_family's coefficients, in drawing order: tau's five,
+# kappa's and mu's three each (constant, square, x2*x3), then the x1 terms of
+# kappa and mu in a member that is not a corner one
+_LOW = np.array([-1.0] * 5 + [0.5, 0.0, 0.0] * 2 + [0.5, 0.5])
+_SPAN = np.array([1.0] * 5 + [1.5, 1.0, 1.0] * 2 + [1.5, 1.5]) - _LOW
 
 # the monomials random_family combines, parsed once
 _MONOMIALS = {m: as_expr(m) for m in "x1 x2 x3 x1*x2 x1*x3 x2*x3 x1^2 x2^2 x3^2".split()}

@@ -215,6 +215,32 @@ def first_order(j: Jet2) -> Jet2:
     return Jet2(j.value, j.grad)
 
 
+def _half_product_sum(pairs) -> Jet2:
+    """``jet_sum(a * t for a, t in pairs) * 0.5`` for jets ``a`` without a
+    Hessian, bit for bit: the floating point operations of :class:`Jet2`'s
+    product, sum and product by the constant 0.5, in the same order, with
+    the same orders kept, but accumulated in place, so that no more than
+    three gradient-sized arrays are alive at once."""
+    value = grad = None
+    for a, t in pairs:
+        g = None
+        if a.grad is not None and t.grad is not None:
+            g = a.grad * t.value[..., None]
+            g += a.value[..., None] * t.grad
+        if value is None:
+            value, grad = a.value * t.value, g
+        else:
+            value += a.value * t.value
+            if grad is not None:
+                grad += g
+        del t, g  # freed before the next term is built
+    if grad is not None:
+        grad *= 0.5
+        grad += (value * 0.0)[..., None]
+    value *= 0.5
+    return Jet2(value, grad)
+
+
 def _constant(c):
     """The jet function of a field with zero derivatives and value ``c``
     (copied, since the memo makes the jet's arrays read-only)."""
@@ -411,23 +437,26 @@ class MetricField(_Field):
         G = self.jets(p)
         g = first_order(G)
         r0, r1 = _R0[:, None], _R1[:, None]
-        minor = g[r0, _R0] * g[r1, _R1] - g[r0, _R1] * g[r1, _R0]
-        # multiplying the arrays by +-1 is exact; a jet product would add
-        # value * 0 terms, which can turn a -0.0 gradient entry into +0.0
-        sign = _COFACTOR_SIGN.reshape((3, 3) + (1,) * (np.ndim(minor.value) - 2))
-        cof = Jet2(minor.value * sign, minor.grad * sign[..., None])
+        cof = g[r0, _R0] * g[r1, _R1] - g[r0, _R1] * g[r1, _R0]
+        # the minors times their signs, in place: multiplying the arrays by
+        # +-1 is exact; a jet product would add value * 0 terms, which can
+        # turn a -0.0 gradient entry into +0.0
+        sign = _COFACTOR_SIGN.reshape((3, 3) + (1,) * (np.ndim(cof.value) - 2))
+        cof.value *= sign
+        cof.grad *= sign[..., None]
         det = jet_sum(g[0] * cof[0])
         ginv = cof.transpose(1, 0) / det
+        del cof  # freed before the products below, where the memory peaks
         bad = first_row(p, np.abs(det.value) < DET_GUARD)
         if bad is not None:
             raise SingularMetricError(bad[1], np.reshape(det.value, -1)[bad[0]])
 
         # Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2, with D[a, i, j] = d_a g_ij
         D = jet_partials(G)
-        return jet_sum(
-            ginv[:, l, None, None] * (D[:, :, l] + D[:, :, l].transpose(1, 0) - D[l])
+        return _half_product_sum(
+            (ginv[:, l, None, None], D[:, :, l] + D[:, :, l].transpose(1, 0) - D[l])
             for l in range(3)
-        ) * 0.5
+        )
 
     def christoffel(self, p) -> np.ndarray:
         """Values ``Gamma[..., k, i, j]`` of the Levi-Civita connection."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cornergeo.cli import main
+from cornergeo.fields import ChartDomain
 
 
 def run_config(tmp_path, capsys, command, data):
@@ -218,3 +219,20 @@ def test_a_report_with_a_number_that_is_not_finite_is_an_error(tmp_path, capsys,
     assert code == 2 and payload["exit_code"] == 2
     assert payload["error"]["type"] == "ValueError"
     assert payload["error"]["message"].startswith(message)
+
+
+INFINITE_KAPPA = {"tau": "exp(x2)", "kappa": "exp(x3)*1e400", "mu": "1"}
+
+
+@pytest.mark.parametrize("command", ["check", "deform"])
+@pytest.mark.parametrize("data", [{"structure": INFINITE_G22}, {"family": INFINITE_KAPPA}],
+                         ids=["infinite-metric", "infinite-kappa"])
+def test_the_axioms_name_a_field_that_is_not_finite(tmp_path, capsys, command, data):
+    """A non-finite metric stops the axioms check with the field and the
+    first such point, before any matrix norm."""
+    with np.errstate(all="ignore"):
+        code, payload = run_config(tmp_path, capsys, command, {**data, "samples": 5})
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"]["type"] == "ValueError"
+    point = ChartDomain().sample(5, 0)[0]  # the scene's first point (seed 0)
+    assert payload["error"]["message"] == f"g is not finite at {point.tolist()}"

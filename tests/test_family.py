@@ -6,6 +6,7 @@ import pytest
 from oracles import fd_grad, fd_hess
 
 from cornergeo.corner import CornerFields
+from cornergeo.expr import Call, ScalarExpr, as_expr
 from cornergeo.family import (
     PRESET_NAMES,
     FamilyParams,
@@ -146,6 +147,44 @@ def test_random_family_is_deterministic():
         str(b.kappa),
         str(b.mu),
     )
+
+
+_MONOMIALS = {m: as_expr(m) for m in "x1 x2 x3 x1*x2 x1*x3 x2*x3 x1^2 x2^2 x3^2".split()}
+
+
+def reference_random_family(rng, corner=True, domain=None) -> FamilyParams:
+    """``random_family`` as ScalarExpr arithmetic and one ``uniform`` call per
+    group of coefficients."""
+    mono = _MONOMIALS
+    a = rng.uniform(-1.0, 1.0, size=5)
+    exponent = mono["x2"] * a[0] + mono["x3"] * a[1] + mono["x1*x2"] * a[2]
+    exponent = exponent + mono["x1*x3"] * a[3] + mono["x1"] * a[4]
+    tau_expr = ScalarExpr(Call("exp", exponent.root))
+
+    k = rng.uniform(0.5, 1.5)
+    k2, k3 = rng.uniform(0.0, 1.0, size=2)
+    kappa = as_expr(k) + mono["x2^2"] * k2 + mono["x2*x3"] * k3
+    m = rng.uniform(0.5, 1.5)
+    m2, m3 = rng.uniform(0.0, 1.0, size=2)
+    mu = as_expr(m) + mono["x3^2"] * m2 + mono["x2*x3"] * m3
+    if not corner:
+        kappa = kappa + mono["x1^2"] * rng.uniform(0.5, 1.5)
+        mu = mu + mono["x1"] * rng.uniform(0.5, 1.5)
+    return FamilyParams.of(tau_expr, kappa, mu, domain=domain)
+
+
+@pytest.mark.parametrize("corner", [True, False])
+def test_random_family_equals_the_operator_built_draws(corner):
+    got_rng, ref_rng = np.random.default_rng(2024), np.random.default_rng(2024)
+    for _ in range(200):
+        got = random_family(got_rng, corner=corner)
+        ref = reference_random_family(ref_rng, corner=corner)
+        assert got == ref
+        assert [str(e) for e in (got.tau, got.kappa, got.mu)] == [
+            str(e) for e in (ref.tau, ref.kappa, ref.mu)
+        ]
+    # both consumed the same stream
+    assert got_rng.random() == ref_rng.random()
 
 
 # --------------------------------------------------------------------------

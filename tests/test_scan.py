@@ -163,3 +163,18 @@ def test_one_pass_of_every_draw_keeps_the_bytes(monkeypatch):
     monkeypatch.setattr(cli, "STACKED_POINTS", 10_000)
     members = presets_and_draws(11)
     assert same(scan_sigma(members, samples=10, seed=11), reference_scan(members, 10, 11))
+
+
+@pytest.mark.parametrize("samples", [["--samples", "10"], []], ids=["10-samples", "default"])
+def test_the_pass_size_keeps_the_report_bytes(capsys, monkeypatch, samples):
+    """A pass of up to STACKED_POINTS points (the 60 draws in one pass at 10
+    samples, 10 per pass at the default 100) writes the bytes that passes
+    of at most 150 points write."""
+    from cornergeo import cli
+
+    argv = ["scan", "--draws", "60", "--seed", "21", *samples]
+    assert main(argv) == 0
+    stacked = capsys.readouterr().out
+    monkeypatch.setattr(cli, "STACKED_POINTS", 150)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == stacked
