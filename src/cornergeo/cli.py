@@ -28,7 +28,7 @@ from .conventions import CONVENTION_BANNER, SCHEMA_VERSION
 from .corner import DegenerateCornerError
 from .expr import _POINT_ERRORS, EvalDomainError, ParseError, skipping
 from .fields import ChartDomain, SingularMetricError, max_abs
-from .report import seq_max, seq_min
+from .report import row_max, row_min
 from .tensor import d_oneform_matrix
 
 __all__ = ["ConfigError", "SceneConfig", "run", "scan_sigma", "main"]
@@ -42,14 +42,16 @@ DEFAULT_TOLERANCES = {
 }
 
 
-# the most sample points `scan` evaluates in one stacked pass.  Each pass pays
-# a fixed cost (building, framing and differentiating one stacked structure)
-# and holds its jets, about 7 KB per point, until it ends.  Against 150
-# points, 1,024 runs `scan --draws 60 --samples 10` as 5 passes instead of 8,
-# with about 27% more points per second for 4% more peak RSS (40.2 against
-# 38.6 MB); at 100 samples it stacks 10 draws per pass instead of 1, 0.16-0.22
-# against 0.35-0.37 s per report for 41 against 37 MB of peak RSS (2 CPUs,
-# Python 3.11, numpy 2.4)
+# the most sample points `scan` evaluates in one stacked pass, a chunk of
+# consecutive members of any tree shapes.  Each pass pays a fixed cost
+# (building, framing and differentiating one stacked structure) and holds its
+# jets, about 7 KB per point, until it ends.  `scan --draws 60 --samples 10`
+# is one pass of 640 points (5 when each tree shape had passes of its own),
+# with 35-46% more points per second for 1.3-1.5% more peak RSS (40.8-41.0
+# against 40.3-40.4 MB); at 100 samples it is 7 passes of 10 members instead
+# of 10, 0.17-0.20 against 0.19-0.21 s per report for 41.5 against 41.1 MB
+# of peak RSS.  Against 150 points, 1,024 had already given about 27% more
+# points per second for 4% more peak RSS (2 CPUs, Python 3.11, numpy 2.4)
 STACKED_POINTS = 1024
 
 
@@ -194,30 +196,31 @@ def _entries(block: dict, name: str, depths: dict) -> list:
     return [block[key] for key in depths]
 
 
-def _family_params(cfg: SceneConfig):
+def _family_params(cfg: SceneConfig, domain: ChartDomain):
     tau, kappa, mu = _entries(cfg.family, "family", {"tau": 0, "kappa": 0, "mu": 0})
-    return family.FamilyParams.of(tau, kappa, mu, domain=cfg.domain())
+    return family.FamilyParams.of(tau, kappa, mu, domain=domain)
 
 
-def _preset_params(cfg: SceneConfig, name: str):
-    """The named preset and its generators on the scene's box."""
+def _preset_params(name: str, domain: ChartDomain):
+    """The named preset and its generators on ``domain``."""
     try:
         pre = family.preset(name)
     except KeyError as err:
         raise ConfigError(str(err.args[0])) from None
-    return pre, dataclasses.replace(pre.params, domain=cfg.domain())
+    return pre, dataclasses.replace(pre.params, domain=domain)
 
 
 def _build_structure(cfg: SceneConfig):
     """Returns (structure, preset-or-None). Raises ConfigError when no source."""
+    domain = cfg.domain()
     if cfg.preset is not None:
-        pre, params = _preset_params(cfg, cfg.preset)
+        pre, params = _preset_params(cfg.preset, domain)
         return family.build_family(params), pre
     if cfg.family is not None:
-        return family.build_family(_family_params(cfg)), None
+        return family.build_family(_family_params(cfg, domain)), None
     if cfg.structure is not None:
         parts = _entries(cfg.structure, "structure", {"phi": 2, "xi": 1, "eta": 1, "g": 2})
-        return acms.AcmStructure.from_expressions(*parts, domain=cfg.domain()), None
+        return acms.AcmStructure.from_expressions(*parts, domain=domain), None
     raise ConfigError("no structure source: give --preset, or family/structure in --config")
 
 
@@ -380,35 +383,34 @@ def scan_sigma(params_list, samples: int = 100, seed: int = 0) -> dict:
     sigma ever gets to e^rho (the deformation-normality gate), over the
     points drawn with ``default_rng([seed, i])`` for the member's index i.
     Members whose frame degenerates at a sample point report the count of
-    skipped points.  Consecutive members of one tree shape (see
-    :func:`family.member_key`), such as the random draws, are evaluated
-    together as one structure, up to :data:`STACKED_POINTS` sample points
-    at a time (see :func:`_scan_group`): the 60 draws of ``--draws 60`` at
-    10 samples are one pass, at 100 samples six.  The entries are those of
-    one member at a time, whatever the pass size.
+    skipped points.  Consecutive members of one domain, whatever their tree
+    shapes, are evaluated together as one structure (see :func:`_scan_pass`),
+    up to :data:`STACKED_POINTS` sample points at a time: the 4 presets and
+    60 draws of ``--draws 60`` at 10 samples are one pass, at 100 samples
+    seven.  The entries are those of one member at a time, whatever the pass
+    size.
     """
-    members = list(enumerate(params_list))
     size = max(1, STACKED_POINTS // samples)
-    draws = []
-    for _, run in itertools.groupby(members, key=lambda m: family.member_key(m[1])):
+    entries = []
+    for _, run in itertools.groupby(enumerate(params_list), key=lambda m: m[1].domain):
         run = list(run)
         for start in range(0, len(run), size):
-            draws += _scan_group(run[start : start + size], samples, seed)
-    gaps = [e["min_sigma_gap"] for e in draws if e["min_sigma_gap"] is not None]
-    return {"entries": draws, "min_sigma_gap": min(gaps, default=None)}
+            entries += _scan_pass(run[start : start + size], samples, seed)
+    gaps = [e["min_sigma_gap"] for e in entries if e["min_sigma_gap"] is not None]
+    return {"entries": entries, "min_sigma_gap": min(gaps, default=None)}
 
 
-def _scan_group(members, samples: int, seed: int) -> list:
+def _scan_pass(members, samples: int, seed: int) -> list:
     """The scan entries of M consecutive ``(index, params)`` members of one
-    :func:`family.member_key`.
+    domain.
 
     The members are built, framed and differentiated as one stacked
     structure (see :func:`family.stack_members`) on their points stacked as
     ``(M, N, 3)``; each member's maxima and minimum are taken over its own
-    row.  Every guard raises if any member fails it, so a group in which
-    something raises is replayed as groups of one, in member order, and the
-    first failing member raises its own error.  A lone member leaves out its
-    degenerate points."""
+    row.  Every guard raises if any member fails it, so a pass in which
+    something raises is replayed one member at a time, in member order, and
+    the first failing member raises its own error.  A lone member leaves out
+    its degenerate points."""
     pts = np.stack(
         [p.domain.sample(samples, np.random.default_rng([seed, i])) for i, p in members]
     )
@@ -423,22 +425,26 @@ def _scan_group(members, samples: int, seed: int) -> list:
     except _POINT_ERRORS:
         if lone:
             raise
-        return [entry for m in members for entry in _scan_group([m], samples, seed)]
+        return [entry for m in members for entry in _scan_pass([m], samples, seed)]
+    rows = len(members)
+    d_omega = sigma = [0.0] * rows
+    gap = [None] * rows
     if f is not None:
         # one row per member (a lone member's row is its kept points)
-        rows = len(members)
-        d_omega = max_abs(d_oneform_matrix(cf.omega, pts)).reshape(rows, -1)
-        sigma = np.abs(f.sigma).reshape(rows, -1)
-        gap = np.abs(f.sigma - f.e_rho).reshape(rows, -1)
+        d_omega = row_max(max_abs(d_oneform_matrix(cf.omega, pts)).reshape(rows, -1), 0.0)
+        sigma = row_max(np.abs(f.sigma).reshape(rows, -1), 0.0)
+        gap = row_min(np.abs(f.sigma - f.e_rho).reshape(rows, -1))
+        d_omega, sigma, gap = d_omega.tolist(), sigma.tolist(), gap.tolist()
+    degenerate = np.count_nonzero(~kept, axis=1).tolist()
     return [
         {
             "tau": str(params.tau),
             "kappa": str(params.kappa),
             "mu": str(params.mu),
-            "max_d_omega": 0.0 if f is None else seq_max(d_omega[m], 0.0),
-            "max_sigma": 0.0 if f is None else seq_max(sigma[m], 0.0),
-            "min_sigma_gap": None if f is None else seq_min(gap[m]),
-            "degenerate_points": int(np.count_nonzero(~kept[m])),
+            "max_d_omega": d_omega[m],
+            "max_sigma": sigma[m],
+            "min_sigma_gap": gap[m],
+            "degenerate_points": degenerate[m],
         }
         for m, (_, params) in enumerate(members)
     ]
@@ -451,12 +457,13 @@ def _scan_command(cfg: SceneConfig) -> dict:
         names = family.PRESET_NAMES  # no explicit member: sweep every bundled preset
     else:
         names = [] if cfg.preset is None else [cfg.preset]
-    params_list = [_preset_params(cfg, name)[1] for name in names]
+    domain = cfg.domain()
+    params_list = [_preset_params(name, domain)[1] for name in names]
     if cfg.family is not None:
-        params_list.append(_family_params(cfg))
+        params_list.append(_family_params(cfg, domain))
     rng = np.random.default_rng([cfg.seed, 10_000])
     for _ in range(cfg.draws):
-        params_list.append(family.random_family(rng, corner=True, domain=cfg.domain()))
+        params_list.append(family.random_family(rng, corner=True, domain=domain))
     return scan_sigma(params_list, samples=cfg.samples, seed=cfg.seed)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 import operator
 import re
 import warnings
@@ -504,8 +505,7 @@ class Call:
 
 Node = Union[Const, Var, Unary, Binary, Call]
 
-# precedence levels of the printer and the parser; a negative literal renders
-# with a leading '-', so it parenthesizes like a unary node
+# precedence levels of the printer and the parser
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
 
 
@@ -526,41 +526,41 @@ _OPS = {
 }
 
 
-def _prec(node: Node) -> int:
-    if isinstance(node, Binary):
-        return _OPS[node.op].level
-    negative = isinstance(node, Const) and node.value < 0
-    return _LEVEL_UNARY if negative or isinstance(node, Unary) else _LEVEL_ATOM
-
-
 def _fmt_number(v: float) -> str:
-    if np.isinf(v):
+    if math.isinf(v):
         return "-1e999" if v < 0 else "1e999"  # parse reads these back as +-inf
     if v.is_integer() and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
 
-def to_str(node: Node) -> str:
-    """Render a node back to source text; parse(to_str(n)) rebuilds n."""
-    if isinstance(node, Const):
-        return _fmt_number(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index + 1}"
-    if isinstance(node, Call):
-        return f"{node.name}({to_str(node.arg)})"
-    if isinstance(node, Unary):
-        return "-" + _wrap(node.arg, _LEVEL_UNARY)
+def _binary_text(node: Binary) -> tuple:
     if node.op == "^":  # the base must be an atom, the exponent may be any factor
-        return f"{_wrap(node.left, _LEVEL_ATOM)}^{_wrap(node.right, _LEVEL_UNARY)}"
+        return f"{_wrap(node.left, _LEVEL_ATOM)}^{_wrap(node.right, _LEVEL_UNARY)}", _LEVEL_POW
     level = _OPS[node.op].level  # left-associative: the right operand binds tighter
     op = f" {node.op} " if level == _LEVEL_ADD else node.op
-    return f"{_wrap(node.left, level)}{op}{_wrap(node.right, level + 1)}"
+    return f"{_wrap(node.left, level)}{op}{_wrap(node.right, level + 1)}", level
+
+
+# each node type's source text and precedence level; a negative literal renders
+# with a leading '-', so it parenthesizes like a unary node
+_TEXT = {
+    Const: lambda n: (_fmt_number(n.value), _LEVEL_UNARY if n.value < 0 else _LEVEL_ATOM),
+    Var: lambda n: (f"x{n.index + 1}", _LEVEL_ATOM),
+    Call: lambda n: (f"{n.name}({to_str(n.arg)})", _LEVEL_ATOM),
+    Unary: lambda n: ("-" + _wrap(n.arg, _LEVEL_UNARY), _LEVEL_UNARY),
+    Binary: _binary_text,
+}
+
+
+def to_str(node: Node) -> str:
+    """Render a node back to source text; parse(to_str(n)) rebuilds n."""
+    return _TEXT[type(node)](node)[0]
 
 
 def _wrap(node: Node, min_level: int) -> str:
-    text = to_str(node)
-    return f"({text})" if _prec(node) < min_level else text
+    text, level = _TEXT[type(node)](node)
+    return f"({text})" if level < min_level else text
 
 
 # ---------------------------------------------------------------------------
@@ -573,15 +573,14 @@ def stack_key(node: Node, fixed: bool = True) -> tuple:
     that :func:`stack_trees` may stack.  A constant root and a literal ``^``
     exponent are part of the shape (``fixed``), because they are read as
     floats, so trees that differ in them get different keys."""
-    if isinstance(node, Const):
+    kind = type(node)
+    if kind is Binary:
+        return (node.op, stack_key(node.left, False), stack_key(node.right, node.op == "^"))
+    if kind is Const:
         return ("c", float(node.value).hex() if fixed else None)
-    if isinstance(node, Var):
+    if kind is Var:
         return ("x", node.index)
-    if isinstance(node, Unary):
-        return ("u", stack_key(node.arg, False))
-    if isinstance(node, Call):
-        return (node.name, stack_key(node.arg, False))
-    return (node.op, stack_key(node.left, False), stack_key(node.right, node.op == "^"))
+    return ("u" if kind is Unary else node.name, stack_key(node.arg, False))
 
 
 def stack_trees(roots) -> Node:
@@ -609,6 +608,37 @@ def stack_trees(roots) -> Node:
     return Binary(first.op, left, right)
 
 
+@dataclass(frozen=True)
+class Rows:
+    """Trees of different shapes as one tree on the member axis: ``parts[r]``
+    gives the next ``counts[r]`` rows.  On ``(M, N, 3)`` points each part is
+    walked on its own rows only, and on points without a member axis on all
+    of them; the parts' jets are concatenated.  So row m of every jet is the
+    jet its own part gives it, bit for bit.  Like a stacked tree it has no
+    source text."""
+
+    parts: tuple
+    counts: tuple
+
+
+def _walk_rows(node: Rows, x: np.ndarray, order: int, known) -> Jet2:
+    jets, start = [], 0
+    for part, count in zip(node.parts, node.counts):
+        if x.ndim > 2:  # points with a member axis
+            rows = x[start : start + count]
+            shape = rows.shape[:-1]
+        else:
+            rows, shape = x, (count,) + x.shape[:-1]
+        jets.append(_walk(part, rows, order, known).broadcast(shape))
+        start += count
+
+    def joined(arrays):
+        return None if arrays[0] is None else np.concatenate(arrays)
+
+    # every part is walked to the same order, so every jet has the same depth
+    return Jet2(*(joined([getattr(j, k) for j in jets]) for k in ("value", "grad", "hess")))
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -623,6 +653,8 @@ def _walk(node: Node, x: np.ndarray, order: int, known=None) -> Jet2:
         return Jet2.constant(node.value, order)
     if isinstance(node, Var):
         return Jet2.variable(node.index, x[..., node.index], order)
+    if isinstance(node, Rows):
+        return _walk_rows(node, x, order, known)
     try:
         if isinstance(node, Unary):
             return -_walk(node.arg, x, order, known)

@@ -18,13 +18,14 @@ and the derived frame quantities feed every construction downstream.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .acms import AcmStructure
 from .expr import Binary, Call, Const, Jet2, ScalarExpr, _jets_at, as_expr, as_points, by_rows
-from .expr import stack_key, stack_trees
+from .expr import Rows, stack_key, stack_trees
 from .fields import ChartDomain, MetricField, OneFormField, TensorField11, VectorField
 from .fields import first_row, last_batch
 from .report import ResidualReport, seq_max
@@ -45,6 +46,10 @@ __all__ = [
 ]
 
 
+# the chart domain of a member given none; shared, since a domain is frozen
+_DEFAULT_DOMAIN = ChartDomain()
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """Generating functions of one member of the family."""
@@ -52,7 +57,7 @@ class FamilyParams:
     tau: ScalarExpr
     kappa: ScalarExpr
     mu: ScalarExpr
-    domain: ChartDomain = ChartDomain()
+    domain: ChartDomain = _DEFAULT_DOMAIN
 
     @classmethod
     def of(cls, tau, kappa, mu, domain=None) -> "FamilyParams":
@@ -60,7 +65,7 @@ class FamilyParams:
             tau=as_expr(tau),
             kappa=as_expr(kappa),
             mu=as_expr(mu),
-            domain=domain or ChartDomain(),
+            domain=domain or _DEFAULT_DOMAIN,
         )
 
 
@@ -138,20 +143,36 @@ def _check_generators(params: FamilyParams, points) -> None:
 
 
 def member_key(params: FamilyParams) -> tuple:
-    """Members with one key differ only in coefficients, so
-    :func:`stack_members` can evaluate them together."""
-    return params.domain, tuple(stack_key(e.root) for e in (params.tau, params.kappa, params.mu))
+    """Members of one domain with one key differ only in coefficients, so
+    :func:`stack_members` evaluates them as one stacked tree."""
+    return tuple(stack_key(e.root) for e in (params.tau, params.kappa, params.mu))
 
 
 def stack_members(members) -> FamilyParams:
-    """M members of one :func:`member_key` as one :class:`FamilyParams`: the
-    coefficients that differ are ``(M, 1)`` arrays (see :func:`stack_trees`).
+    """M members of one domain as one :class:`FamilyParams`.  Each run of
+    consecutive members of one :func:`member_key` is one stacked tree, whose
+    coefficients that differ are ``(M_r, 1)`` arrays (see :func:`stack_trees`);
+    the runs are joined on the member axis (see :class:`cornergeo.expr.Rows`).
     Its structure, evaluated on ``(M, N, 3)`` points, gives on row m member
     m's values at its own N points, bit for bit; a guard raises if any member
-    fails it."""
-    roots = [[e.root for e in (p.tau, p.kappa, p.mu)] for p in members]
-    tau, kappa, mu = (ScalarExpr(stack_trees(trees)) for trees in zip(*roots))
-    return FamilyParams(tau, kappa, mu, members[0].domain)
+    fails it.  The derivatives are member m's own too, with one exception no
+    frame quantity reads: alone, a member whose kappa and mu are constants
+    has phi's entries folded to constants, whose zero derivatives may differ
+    in sign from those the stacked entries compute (so may g's, for a
+    negative constant)."""
+    domain = members[0].domain
+    if any(p.domain != domain for p in members):
+        raise ValueError("stacked members must share one domain")
+    runs = [list(run) for _, run in itertools.groupby(members, key=member_key)]
+    stacked = [
+        [stack_trees(trees) for trees in zip(*((p.tau.root, p.kappa.root, p.mu.root) for p in run))]
+        for run in runs
+    ]
+    counts = tuple(len(run) for run in runs)
+    tau, kappa, mu = (
+        ScalarExpr(parts[0] if len(parts) == 1 else Rows(parts, counts)) for parts in zip(*stacked)
+    )
+    return FamilyParams(tau, kappa, mu, domain)
 
 
 @dataclass

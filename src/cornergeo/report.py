@@ -83,17 +83,33 @@ class ResidualTracker:
 
 def seq_max(values, start=None) -> float:
     """Python's ``max`` folded over ``values`` in order: a NaN never replaces
-    the running maximum, so it wins only as the start (or first value)."""
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if start is None:
-        start, values = values[0], values[1:]
-    rest = values[~np.isnan(values)]
-    return float(rest.max()) if rest.size and rest.max() > start else float(start)
+    the running maximum, so it wins only as the start (or first value), and
+    of equal values (0.0 and -0.0) the first one stays."""
+    return float(row_max(np.reshape(values, (1, -1)), start)[0])
 
 
 def seq_min(values) -> float:
     """Python's ``min`` folded over ``values`` in order."""
     return -seq_max(-np.asarray(values, dtype=float))
+
+
+def row_max(values, start=None) -> np.ndarray:
+    """:func:`seq_max` of each row of a 2-d array, from ``start`` (a number)
+    or else from the row's first value."""
+    values = np.asarray(values, dtype=float)
+    if start is None:
+        start, values = values[:, 0], values[:, 1:]
+    if values.shape[1] == 0:
+        return np.broadcast_to(start, values.shape[:1]).astype(float)
+    # argmax gives the first of equal maxima; NaN, made -inf, never wins
+    values = np.where(np.isnan(values), -np.inf, values)
+    top = values[np.arange(len(values)), np.argmax(values, axis=1)]
+    return np.where(top > start, top, start)
+
+
+def row_min(values) -> np.ndarray:
+    """:func:`seq_min` of each row of a 2-d array."""
+    return -row_max(-np.asarray(values, dtype=float))
 
 
 def stats(values) -> dict:

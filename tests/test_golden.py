@@ -36,6 +36,10 @@ CONFIGS = {
     }},
     # min_sigma_gap is NaN
     "infinite-kappa": {"family": {"tau": "exp(x2)", "kappa": "exp(x3)*1e400", "mu": "1"}},
+    "box-family": {
+        "family": {"tau": "exp(x1*x3 + x2)", "kappa": "1 + x3^2", "mu": "2 + x2*x3"},
+        "box": [[0.2, 1.5], [0.1, 0.8], [0.3, 1.2]],
+    },
 }
 
 SCENES = {
@@ -65,6 +69,9 @@ SCENES = {
     "degenerate": ["check", "--config", "degenerate"],
     "non-finite-alpha": ["classify", "--config", "infinite-g22"],
     "non-finite-sigma-gap": ["scan", "--config", "infinite-kappa"],
+    "scan-box-family": ["scan", "--config", "box-family", "--draws", "5"],
+    # 404 members of 3 points: a pass of at most 1,024 points ends inside the draws
+    "scan-400-draws": ["scan", "--draws", "400", "--samples", "3"],
 }
 
 # sha256 of f"{exit code}\n{stdout}" per scene, on the versions above
@@ -99,6 +106,8 @@ DIGESTS = {
     "scan-B": "8119706546754751f2184757df54f7f025a51ffc617e211500cf2f1b1d6d5619",
     "scan-C": "57bc069ba6242d9f2189813663ee0e5ef9dc6691ba093e1f104387f8bfff11a8",
     "scan-D": "caf990f96c7e795b5ac19fd1922a169ea4e0755c4d2f4bb65d919dda9c3c3621",
+    "scan-400-draws": "a60913877ca95f029d7ff56f28b13355da347690b49e24542b4d697b014dc6f5",
+    "scan-box-family": "46bc02e8a00798af75ff4c91864d68a17d5efd735d3c3302259770898ab3f993",
     "scan-seed-0": "e711c59df8d6e779d51acd5a7ef06eda37670885da3e502d71d748817564364b",
     "scan-seed-1": "1576687e54611c9239699d56e624e9b350c3dd76532dfd43fd083d3c283d3945",
     "scan-seed-2": "fb665f4cb67a7d7921f1da4f82ad8b95ec348249c3be184b98468112c088c286",

@@ -60,7 +60,7 @@ def test_reports_leave_no_frame_context_behind(capsys, monkeypatch, no_collector
     ):
         assert main(argv) == 0
     capsys.readouterr()
-    assert len(made) > 3
+    assert len(made) == 3  # one frame context per report: scan runs its 64 members as one pass
     assert [r for r in made if r() is not None] == []
     assert sum(isinstance(o, CornerFields) for o in gc.get_objects()) <= before
 

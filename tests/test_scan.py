@@ -1,5 +1,6 @@
 """`scan` over family members: the stacked member axis against member-by-member evaluation."""
 
+import functools
 import json
 import math
 
@@ -9,10 +10,10 @@ import pytest
 from cornergeo import family
 from cornergeo.cli import STACKED_POINTS, main, scan_sigma
 from cornergeo.corner import CornerFields, DegenerateCornerError
-from cornergeo.expr import Call, EvalDomainError, ScalarExpr, as_expr, skipping
-from cornergeo.family import FamilyParams, build_family, random_family
+from cornergeo.expr import Call, EvalDomainError, Rows, ScalarExpr, as_expr, skipping
+from cornergeo.family import FamilyParams, build_family, random_family, stack_members
 from cornergeo.fields import ChartDomain, max_abs
-from cornergeo.report import seq_max, seq_min
+from cornergeo.report import row_max, row_min, seq_max, seq_min
 from cornergeo.tensor import d_oneform_matrix
 
 
@@ -125,9 +126,9 @@ def test_the_first_failing_member_raises():
 
 
 def test_one_frame_bundle_per_group(capsys, monkeypatch):
-    """The four presets are groups of one; the 60 draws are evaluated in
-    groups of ``STACKED_POINTS // 10`` members (one member at a time, 64
-    bundles, before the member axis)."""
+    """The 4 presets and 60 draws, 640 points, are one pass of at most
+    ``STACKED_POINTS`` points (one bundle per member, 64, before the member
+    axis; 5, one per preset and one for the draws, before mixed passes)."""
     calls = []
     original = CornerFields._compute_bundle
 
@@ -139,8 +140,7 @@ def test_one_frame_bundle_per_group(capsys, monkeypatch):
     code = main(["scan", "--draws", "60", "--samples", "10", "--seed", "3"])
     capsys.readouterr()
     assert code == 0
-    assert len(calls) == 4 + math.ceil(60 / (STACKED_POINTS // 10))
-    assert len(calls) < 10
+    assert len(calls) == math.ceil(64 * 10 / STACKED_POINTS) == 1
 
 
 def test_scan_of_a_family_block_with_draws(tmp_path, capsys):
@@ -165,16 +165,159 @@ def test_one_pass_of_every_draw_keeps_the_bytes(monkeypatch):
     assert same(scan_sigma(members, samples=10, seed=11), reference_scan(members, 10, 11))
 
 
-@pytest.mark.parametrize("samples", [["--samples", "10"], []], ids=["10-samples", "default"])
-def test_the_pass_size_keeps_the_report_bytes(capsys, monkeypatch, samples):
-    """A pass of up to STACKED_POINTS points (the 60 draws in one pass at 10
-    samples, 10 per pass at the default 100) writes the bytes that passes
-    of at most 150 points write."""
+FAMILY_BLOCK = {"tau": "exp(x2 + x1*x3)", "kappa": "1 + x2^2", "mu": "1 + x3"}
+DRAWS = ["scan", "--draws", "60", "--seed", "21"]
+
+
+@pytest.mark.parametrize(
+    "argv, points",
+    [
+        (DRAWS + ["--samples", "10"], 150),
+        (DRAWS, 150),
+        (DRAWS + ["--samples", "10"], None),
+        (DRAWS + ["--samples", "100"], None),
+        (["scan", "--config", "family.json", "--draws", "3"], None),
+    ],
+    ids=["10-samples", "default", "one-member-10", "one-member-100", "one-member-family"],
+)
+def test_the_pass_size_keeps_the_report_bytes(capsys, monkeypatch, tmp_path, argv, points):
+    """Passes of up to STACKED_POINTS points, each a chunk of members of any
+    tree shapes (the 4 presets and 60 draws in one pass at 10 samples, 10
+    members per pass at 100), write the bytes that passes of at most 150
+    points write, or passes of one member each (``points`` None)."""
     from cornergeo import cli
 
-    argv = ["scan", "--draws", "60", "--seed", "21", *samples]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"family": FAMILY_BLOCK, "samples": 12, "seed": 4}))
+    argv = [str(path) if a == "family.json" else a for a in argv]
     assert main(argv) == 0
     stacked = capsys.readouterr().out
-    monkeypatch.setattr(cli, "STACKED_POINTS", 150)
+    samples = json.loads(stacked)["config"]["samples"]
+    monkeypatch.setattr(cli, "STACKED_POINTS", points or samples)
     assert main(argv) == 0
     assert capsys.readouterr().out == stacked
+
+
+def bits(a) -> tuple:
+    """An array as its shape and bytes, so that -0.0 and 0.0 stay apart."""
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def test_a_mixed_pass_gives_each_member_its_own_frame():
+    """Row m of a mixed pass's Christoffel symbols, psi, omega and frame
+    scalars is member m's own, bit for bit: presets of four shapes (B's
+    kappa and mu are constants), draws, and a member with negative constants."""
+    rng = np.random.default_rng([3, 10_000])
+    members = [family.preset(name).params for name in family.PRESET_NAMES]
+    members += [random_family(rng) for _ in range(5)]
+    members.append(FamilyParams.of("exp(x2 + x1*x3)", "-2", "-1"))
+    pts = np.stack([ChartDomain().sample(7, i) for i in range(len(members))])
+    params = stack_members(members)
+    assert isinstance(params.tau.root, Rows)
+    stacked = build_family(params)
+
+    def read(s, p) -> list:
+        b, f = s.corner.bundle(p), s.corner.frame(p)
+        jets = [s.g.christoffel_jets(p), b.psi, b.omega, b.v, b.e_rho, b.rho]
+        return [a for j in jets for a in (j.value, j.grad)] + [f.sigma, f.div_v, f.phi_v_rho]
+
+    rows = read(stacked, pts)
+    for m, alone in enumerate(members):
+        for got, want in zip(rows, read(build_family(alone), pts[m]), strict=True):
+            assert bits(np.take(got, m, axis=member_axis(got, want))) == bits(want)
+
+
+def member_axis(stacked, alone) -> int:
+    """The member axis of a stacked array: where its shape gains one axis on ``alone``'s."""
+    s, a = np.shape(stacked), np.shape(alone)
+    return next(i for i in range(len(s)) if s[:i] + s[i + 1 :] == a)
+
+
+def test_a_rows_tree_walks_each_part_on_its_own_rows():
+    parts = (as_expr("exp(x1*x2)").root, as_expr("2").root, as_expr("x3^2 + x1").root)
+    tree = ScalarExpr(Rows(parts, (2, 1, 3)))
+    owner = [0, 0, 1, 2, 2, 2]
+    pts = np.stack([ChartDomain().sample(4, i) for i in range(6)])
+    got = tree.eval_jet2(pts)
+    assert got.value.shape == (6, 4) and got.hess.shape == (6, 4, 3, 3)
+    for m, r in enumerate(owner):
+        want = ScalarExpr(parts[r]).eval_jet2(pts[m])
+        for a, b in ((got.value, want.value), (got.grad, want.grad), (got.hess, want.hess)):
+            assert bits(a[m]) == bits(np.broadcast_to(b, np.shape(a[m])))
+    # points without a member axis: every part on all of them
+    flat = tree.value(pts[0])
+    for m, r in enumerate(owner):
+        want = np.broadcast_to(ScalarExpr(parts[r]).value(pts[0]), (4,))
+        assert bits(flat[m]) == bits(want)
+
+
+def test_a_partly_degenerate_member_inside_a_mixed_pass():
+    # psi = 0 where x2 < 0.5: the exponent is 0.5 there, whatever x2 is
+    partly = FamilyParams.of("exp(abs(x2 - 0.5) + x2)", "1", "1 + x3")
+    members = presets_and_draws(6, draws=8)
+    members.insert(6, partly)
+    got = scan_sigma(members, samples=20, seed=6)
+    assert same(got, reference_scan(members, 20, 6))
+    pts = ChartDomain().sample(20, np.random.default_rng([6, 6]))
+    entry = got["entries"][6]
+    assert entry["degenerate_points"] == int(np.count_nonzero(pts[:, 1] < 0.5)) > 0
+    assert entry["min_sigma_gap"] is not None
+
+
+@pytest.mark.parametrize("order", ["draw-first", "block-first"])
+def test_the_first_failing_member_of_a_mixed_pass_raises(order):
+    """Two failing members of different shapes inside one pass of presets and
+    draws: the first in member order raises the error it raises alone."""
+    overflow = member((900.0, 0.1, 0.2, 0.3, 0.4))  # a draw's shape
+    negative = FamilyParams.of("x1 - 2", "1", "1")  # a family block's
+    failing = [overflow, negative] if order == "draw-first" else [negative, overflow]
+    members = presets_and_draws(9, draws=6)
+    members[7:7] = failing
+    with pytest.raises((EvalDomainError, ValueError)) as ref:
+        reference_scan(members, 10, 9)
+    with pytest.raises((EvalDomainError, ValueError)) as got:
+        scan_sigma(members, samples=10, seed=9)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value)
+    first = "power overflows" if order == "draw-first" else "family requires tau > 0"
+    assert str(got.value).startswith(first)
+
+
+NAN, INF = float("nan"), float("inf")
+REDUCTION_ROWS = [
+    [NAN, 1.0, 2.0],
+    [1.0, NAN, 3.0, NAN],
+    [-0.0, 0.0, -0.0],
+    [0.0, -0.0, 0.0],
+    [-1.0, -0.0, 0.0],
+    [-1.0, 0.0, -0.0],
+    [INF, 1.0, NAN],
+    [-INF, -INF, NAN],
+    [NAN, NAN, NAN],
+    [2.0, -INF, INF, 1.0],
+    [-0.0] * 20 + [0.0] * 20,
+]
+
+
+def python_fold(values, start=None):
+    """Python's ``max`` folded over ``values``, as ``seq_max`` describes itself."""
+    values = list(values)
+    if start is None:
+        start, values = values[0], values[1:]
+    return functools.reduce(max, values, start)
+
+
+@pytest.mark.parametrize("start", [None, 0.0, -0.0, NAN, -INF])
+def test_row_reductions_equal_seq_max_and_seq_min_row_by_row(start):
+    width = max(len(r) for r in REDUCTION_ROWS)
+    # rows of one length: each row padded at the back with its last value, and
+    # at the front with NaN, which makes NaN the first value
+    rows = np.array(
+        [r + r[-1:] * (width - len(r)) for r in REDUCTION_ROWS]
+        + [[NAN] * (width - len(r)) + r for r in REDUCTION_ROWS]
+    )
+    maxima, minima = row_max(rows, start), row_min(rows)
+    for row, top, bottom in zip(rows, maxima, minima):
+        assert bits(top) == bits(seq_max(row, start)) == bits(python_fold(row.tolist(), start))
+        assert bits(bottom) == bits(seq_min(row)) == bits(-python_fold((-row).tolist()))
