@@ -410,7 +410,9 @@ def _scan_pass(members, samples: int, seed: int) -> list:
     row.  Every guard raises if any member fails it, so a pass in which
     something raises is replayed one member at a time, in member order, and
     the first failing member raises its own error.  A lone member leaves out
-    its degenerate points."""
+    its degenerate points.  The first member, in member order, with a
+    maximum or minimum that is not finite raises a ``ValueError`` naming its
+    index in the sweep and the quantity."""
     pts = np.stack(
         [p.domain.sample(samples, np.random.default_rng([seed, i])) for i, p in members]
     )
@@ -435,6 +437,11 @@ def _scan_pass(members, samples: int, seed: int) -> list:
         sigma = row_max(np.abs(f.sigma).reshape(rows, -1), 0.0)
         gap = row_min(np.abs(f.sigma - f.e_rho).reshape(rows, -1))
         d_omega, sigma, gap = d_omega.tolist(), sigma.tolist(), gap.tolist()
+    quantities = {"max_d_omega": d_omega, "max_sigma": sigma, "min_sigma_gap": gap}
+    for m, (i, _) in enumerate(members):
+        for name, values in quantities.items():
+            if values[m] is not None and not np.isfinite(values[m]):
+                raise ValueError(f"{name} of scan member {i} is not finite: {values[m]}")
     degenerate = np.count_nonzero(~kept, axis=1).tolist()
     return [
         {

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
 import operator
 import re
@@ -568,54 +569,57 @@ def _wrap(node: Node, min_level: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def stack_key(node: Node, fixed: bool = True) -> tuple:
-    """The shape of a tree: equal for trees that differ only in coefficients
-    that :func:`stack_trees` may stack.  A constant root and a literal ``^``
-    exponent are part of the shape (``fixed``), because they are read as
-    floats, so trees that differ in them get different keys."""
+def _head(node: Node, root: bool = False) -> tuple:
+    """What trees must share for :func:`stack_trees` to keep one node for
+    them: its type; its operator, function or variable; and the bits of a
+    constant read as a float, at the root or as a literal ``^`` exponent
+    (which is part of the ``^`` node's head)."""
     kind = type(node)
-    if kind is Binary:
-        return (node.op, stack_key(node.left, False), stack_key(node.right, node.op == "^"))
     if kind is Const:
-        return ("c", float(node.value).hex() if fixed else None)
+        return kind, float(node.value).hex() if root else None
     if kind is Var:
-        return ("x", node.index)
-    return ("u" if kind is Unary else node.name, stack_key(node.arg, False))
+        return kind, node.index
+    if kind is Binary:
+        literal = node.op == "^" and type(node.right) is Const
+        return kind, node.op, float(node.right.value).hex() if literal else None
+    return kind, node.name if kind is Call else node.op
 
 
-def stack_trees(roots) -> Node:
-    """One tree for M trees of one :func:`stack_key`: a coefficient that
-    differs between them becomes a ``Const`` holding an ``(M, 1)`` array, row m
-    from tree m, so that on ``(M, N, 3)`` points row m of every jet is tree m's
-    jet at its own N points.  Where all trees agree the first one's node is kept.
-    A stacked tree has no source text; it is only ever evaluated."""
+def stack_trees(roots, root: bool = True) -> Node:
+    """One tree for M trees of any shapes (subtrees, if not ``root``), walked
+    in parallel.  Where their nodes agree the first one's node is kept, and a
+    coefficient that differs becomes a ``Const`` holding an ``(M, 1)`` array,
+    row m from tree m.  Where their heads differ (see :func:`_head`), the
+    trees are cut into runs of consecutive trees of one head, each run is
+    stacked, and the runs are joined by :class:`Rows`.  So on ``(M, N, 3)``
+    points row m of every jet is tree m's jet at its own N points, bit for
+    bit, and a stack raises if any of its trees raises alone.  A stacked tree
+    has no source text; it is only ever evaluated."""
+    heads = [_head(r, root) for r in roots]
+    if heads.count(heads[0]) < len(heads):
+        pairs = itertools.groupby(zip(heads, roots), operator.itemgetter(0))
+        runs = [[r for _, r in run] for _, run in pairs]
+        return Rows(tuple(stack_trees(run, root) for run in runs), tuple(map(len, runs)))
     first = roots[0]
-    if isinstance(first, Const):
-        values = [r.value for r in roots]
-        # compared by bits, so that -0.0 and 0.0 stay apart
-        if len({float(v).hex() for v in values}) == 1:
+    if isinstance(first, (Const, Var)):
+        # by bits (a root constant's are in its head), so that -0.0 and 0.0 stay apart
+        if root or isinstance(first, Var) or len({float(r.value).hex() for r in roots}) == 1:
             return first
-        return Const(np.reshape(values, (-1, 1)))
-    if isinstance(first, Var):
-        return first
-    if isinstance(first, (Unary, Call)):
-        arg = stack_trees([r.arg for r in roots])
-        return first if arg is first.arg else replace(first, arg=arg)
-    left = stack_trees([r.left for r in roots])
-    right = stack_trees([r.right for r in roots])
-    if left is first.left and right is first.right:
-        return first
-    return Binary(first.op, left, right)
+        return Const(np.reshape([r.value for r in roots], (-1, 1)))
+    names = ("arg",) if isinstance(first, (Unary, Call)) else ("left", "right")
+    kids = {k: stack_trees([getattr(r, k) for r in roots], False) for k in names}
+    same = all(v is getattr(first, k) for k, v in kids.items())
+    return first if same else replace(first, **kids)
 
 
 @dataclass(frozen=True)
 class Rows:
-    """Trees of different shapes as one tree on the member axis: ``parts[r]``
-    gives the next ``counts[r]`` rows.  On ``(M, N, 3)`` points each part is
-    walked on its own rows only, and on points without a member axis on all
-    of them; the parts' jets are concatenated.  So row m of every jet is the
-    jet its own part gives it, bit for bit.  Like a stacked tree it has no
-    source text."""
+    """Runs of trees of different heads as one tree on the member axis, as
+    :func:`stack_trees` builds it: ``parts[r]`` gives the next ``counts[r]``
+    rows.  On ``(M, N, 3)`` points each part is walked on its own rows only,
+    and on points without a member axis on all of them; the parts' jets are
+    concatenated.  So row m of every jet is the jet its own part gives it,
+    bit for bit.  Like a stacked tree it has no source text."""
 
     parts: tuple
     counts: tuple

@@ -18,14 +18,13 @@ and the derived frame quantities feed every construction downstream.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .acms import AcmStructure
-from .expr import Binary, Call, Const, Jet2, ScalarExpr, _jets_at, as_expr, as_points, by_rows
-from .expr import Rows, stack_key, stack_trees
+from .expr import Binary, Call, Const, Jet2, ScalarExpr, Unary, _jets_at, as_expr, as_points
+from .expr import by_rows, stack_trees
 from .fields import ChartDomain, MetricField, OneFormField, TensorField11, VectorField
 from .fields import first_row, last_batch
 from .report import ResidualReport, seq_max
@@ -41,7 +40,6 @@ __all__ = [
     "preset_structure",
     "PRESET_NAMES",
     "random_family",
-    "member_key",
     "stack_members",
 ]
 
@@ -74,7 +72,9 @@ def build_family(params: FamilyParams) -> AcmStructure:
     fixed points, and a finite tau > 0 at every point the structure is evaluated at.
 
     phi, xi, eta and g are each one jet function that walks only the seven
-    non-zero entries (-(mu/kappa), kappa/mu, 1/tau, tau, tau^2, kappa^2, mu^2).
+    non-zero entries (-(mu/kappa), kappa/mu, 1/tau, tau, tau^2, kappa^2, mu^2),
+    built node by node over the generators' trees with no constant folded, so
+    that a member stacked with others (see :func:`stack_members`) has its own jets.
     tau, kappa and mu are walked once per sample: each keeps the jet of the last
     batch (see :func:`last_batch`), and the entries' walks read them from there.
     The tau memo checks tau > 0 and finite; xi, eta and g read it before their entries."""
@@ -97,20 +97,21 @@ def build_family(params: FamilyParams) -> AcmStructure:
                 tau_jet(p)
             shape = dims + as_points(p).shape[:-1]
             out = Jet2(np.zeros(shape), np.zeros(shape + (3,)), np.zeros(shape + (3, 3)))
-            for index, e in entries.items():
-                j = _jets_at(e.root, p, 2, known)
+            for index, node in entries.items():
+                j = _jets_at(node, p, 2, known)
                 out.value[index], out.grad[index], out.hess[index] = j.value, j.grad, j.hess
             return out
 
         return cls(jets)
 
+    t, k, m = tau.root, kappa.root, mu.root
+    phi = {(1, 2): Unary("-", Binary("/", m, k)), (2, 1): Binary("/", k, m)}
+    g = {(i, i): Binary("^", e, Const(2.0)) for i, e in enumerate((t, k, m))}
     return AcmStructure(
-        phi=field(
-            TensorField11, (3, 3), {(1, 2): -(mu / kappa), (2, 1): kappa / mu}, guarded=False
-        ),
-        xi=field(VectorField, (3,), {0: 1 / tau}),
-        eta=field(OneFormField, (3,), {0: tau}),
-        g=field(MetricField, (3, 3), {(0, 0): tau**2, (1, 1): kappa**2, (2, 2): mu**2}),
+        phi=field(TensorField11, (3, 3), phi, guarded=False),
+        xi=field(VectorField, (3,), {0: Binary("/", Const(1.0), t)}),
+        eta=field(OneFormField, (3,), {0: t}),
+        g=field(MetricField, (3, 3), g),
         domain=params.domain,
     )
 
@@ -142,35 +143,18 @@ def _check_generators(params: FamilyParams, points) -> None:
     )
 
 
-def member_key(params: FamilyParams) -> tuple:
-    """Members of one domain with one key differ only in coefficients, so
-    :func:`stack_members` evaluates them as one stacked tree."""
-    return tuple(stack_key(e.root) for e in (params.tau, params.kappa, params.mu))
-
-
 def stack_members(members) -> FamilyParams:
-    """M members of one domain as one :class:`FamilyParams`.  Each run of
-    consecutive members of one :func:`member_key` is one stacked tree, whose
-    coefficients that differ are ``(M_r, 1)`` arrays (see :func:`stack_trees`);
-    the runs are joined on the member axis (see :class:`cornergeo.expr.Rows`).
-    Its structure, evaluated on ``(M, N, 3)`` points, gives on row m member
-    m's values at its own N points, bit for bit; a guard raises if any member
-    fails it.  The derivatives are member m's own too, with one exception no
-    frame quantity reads: alone, a member whose kappa and mu are constants
-    has phi's entries folded to constants, whose zero derivatives may differ
-    in sign from those the stacked entries compute (so may g's, for a
-    negative constant)."""
+    """M members of one domain as one :class:`FamilyParams`, each generator
+    the :func:`~cornergeo.expr.stack_trees` of the members' trees.  Its
+    structure, evaluated on ``(M, N, 3)`` points, gives on row m member m's
+    jets at its own N points, bit for bit, its derivatives included; a guard
+    raises if any member fails it."""
     domain = members[0].domain
     if any(p.domain != domain for p in members):
         raise ValueError("stacked members must share one domain")
-    runs = [list(run) for _, run in itertools.groupby(members, key=member_key)]
-    stacked = [
-        [stack_trees(trees) for trees in zip(*((p.tau.root, p.kappa.root, p.mu.root) for p in run))]
-        for run in runs
-    ]
-    counts = tuple(len(run) for run in runs)
     tau, kappa, mu = (
-        ScalarExpr(parts[0] if len(parts) == 1 else Rows(parts, counts)) for parts in zip(*stacked)
+        ScalarExpr(stack_trees([e.root for e in generator]))
+        for generator in zip(*((p.tau, p.kappa, p.mu) for p in members))
     )
     return FamilyParams(tau, kappa, mu, domain)
 
@@ -197,7 +181,6 @@ def family_corner_criterion(
     points,
     criterion_tol: float = 1e-8,
     residual_tol: float = 1e-8,
-    structure: AcmStructure | None = None,
 ) -> FamilyCriterionReport:
     """Evaluate d(kappa)/dx1 and d(mu)/dx1 and cross-check the corner residual."""
     points = np.atleast_2d(points)
@@ -205,8 +188,7 @@ def family_corner_criterion(
     max_m1 = seq_max(np.abs(params.mu.eval_jet2(points).grad[:, 0]))
     criterion = max_k1 < criterion_tol and max_m1 < criterion_tol
 
-    s = structure if structure is not None else build_family(params)
-    rep: ResidualReport = corner_residual(s, points, tol=residual_tol)
+    rep: ResidualReport = corner_residual(build_family(params), points, tol=residual_tol)
     corner_holds = rep.worst() < residual_tol
     return FamilyCriterionReport(
         max_kappa1=float(max_k1),

@@ -34,7 +34,8 @@ from cornergeo.corner import (
     frame_residuals,
 )
 from cornergeo import expr
-from cornergeo.expr import EvalDomainError, Jet2, as_expr, jet_sum, parse
+from cornergeo.expr import Binary, Const, EvalDomainError, Jet2, ScalarExpr, Unary, as_expr
+from cornergeo.expr import jet_sum, parse
 from cornergeo.family import FamilyParams, build_family, preset, random_family
 from cornergeo.fields import (
     ChartDomain,
@@ -600,15 +601,16 @@ def test_each_family_generator_is_walked_once_per_sample(monkeypatch):
 
 def per_entry_fields(params):
     """The family's fields as grids of component expressions, each entry
-    walked on its own."""
-    tau, kappa, mu, zero = params.tau, params.kappa, params.mu, as_expr(0)
+    built node by node over the generators' trees, with no constant folded,
+    and walked on its own."""
+    t, k, m = params.tau.root, params.kappa.root, params.mu.root
+    zero = as_expr(0)
+    phi12, phi21 = ScalarExpr(Unary("-", Binary("/", m, k))), ScalarExpr(Binary("/", k, m))
     return {
-        "phi": TensorField11(
-            [[zero, zero, zero], [zero, zero, -(mu / kappa)], [zero, kappa / mu, zero]]
-        ),
-        "xi": VectorField([1 / tau, zero, zero]),
-        "eta": OneFormField([tau, zero, zero]),
-        "g": MetricField.diagonal(tau**2, kappa**2, mu**2),
+        "phi": TensorField11([[zero, zero, zero], [zero, zero, phi12], [zero, phi21, zero]]),
+        "xi": VectorField([ScalarExpr(Binary("/", Const(1.0), t)), zero, zero]),
+        "eta": OneFormField([params.tau, zero, zero]),
+        "g": MetricField.diagonal(*(ScalarExpr(Binary("^", e, Const(2.0))) for e in (t, k, m))),
     }
 
 

@@ -201,7 +201,7 @@ INFINITE_G22 = {**FLAT, "g": [[1, 0, 0], [0, "exp(1000)", 0], [0, 0, 1]]}
          "alpha or beta is not finite at ["),
         ("scan", {"family": {"tau": "exp(x2)", "kappa": "exp(x3)*1e400", "mu": "1"},
                   "samples": 5},
-         "Out of range float values are not JSON compliant"),
+         "min_sigma_gap of scan member 0 is not finite: nan"),
     ],
     ids=["classify-infinite-metric", "scan-infinite-kappa"],
 )

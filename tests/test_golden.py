@@ -99,7 +99,7 @@ DIGESTS = {
     "f-le-0": "eb52d7b012b1822cfda0557360c45b3d7f36e43f3a0eae72e707bde9d232dd55",
     "family-sigma-check": "950c3b1994423606e671301a0b4cdee9b4889b06b585e7a666bfa6ec3d0559db",
     "non-finite-alpha": "9530d50b21b765bfb0987f6744e4e3608952d90fe3bff4abf04210316d64ec99",
-    "non-finite-sigma-gap": "104e6cc0a0215805d438750c7406b95ca0448f7f050bdca0554e97375bfbceb5",
+    "non-finite-sigma-gap": "6ace9fb7d98f87c46330234f5b8e6358fe36918b94f3f6d064d3d3449958cf2f",
     "parse-error-f": "4648c435d701140e48ecc21468f232bce266d3f2a07778e91c7180fe7d0a98fa",
     "parse-error-tau": "04b800e8df1aa9bf439907ed161bea4772413e5ba7e513a11b02c199670a7ca1",
     "scan-A": "553272c3921df05008a6c2f9235d990c4e8a782de2cf584e68a80417d5e3bdd9",

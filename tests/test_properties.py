@@ -13,12 +13,14 @@ from cornergeo.expr import (  # noqa: E402
     Binary,
     Call,
     Const,
+    Rows,
     ScalarExpr,
     Var,
     _fold_binary,
     _fold_call,
     _fold_unary,
     parse,
+    stack_trees,
     to_str,
 )
 
@@ -86,3 +88,66 @@ PARSED = st.recursive(
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_parse_rebuilds_what_to_str_prints(root):
     assert parse(to_str(root)).root == root, to_str(root)
+
+
+def shifted(node, coefficient: float, literal: float, root: bool = True):
+    """``node`` with ``literal`` added to a constant root and to each literal
+    ``^`` exponent, and ``coefficient`` to every other constant."""
+    if isinstance(node, Const):
+        return Const(node.value + (literal if root else coefficient))
+    if isinstance(node, Call):
+        return Call(node.name, shifted(node.arg, coefficient, literal, False))
+    if isinstance(node, Binary):
+        left = shifted(node.left, coefficient, literal, False)
+        return Binary(node.op, left, shifted(node.right, coefficient, literal, node.op == "^"))
+    return node
+
+
+SHIFTS = st.sampled_from([0.0, 1.0, -0.5, 2.0])
+
+
+@st.composite
+def stacks(draw) -> list:
+    """A tree, then up to 4 more: copies of it with shifted constants, or any other tree."""
+    first = draw(TREES)
+    copies = st.tuples(SHIFTS, SHIFTS).map(lambda s: shifted(first, *s))
+    return [first] + draw(st.lists(st.one_of(copies, TREES), min_size=1, max_size=4))
+
+
+def jet_or_none(fn):
+    """``fn()``, or None if it raises; the error of a stacked tree is not
+    read, since a stacked subexpression has no source text to name."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return fn()
+    except (ArithmeticError, ValueError):
+        return None
+
+
+def jet_bits(j) -> tuple:
+    return tuple(np.asarray(a).tobytes() for a in (j.value, j.grad, j.hess))
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(stacks(), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_a_stacked_tree_is_each_tree_alone_bit_for_bit(trees, n, rnd):
+    """Row m of the stack's jet on (M, N, 3) points is tree m's own jet at
+    its N points; if any tree raises alone, the stack raises."""
+    pts = np.array([rnd.uniform(0.1, 1.0) for _ in range(len(trees) * n * 3)])
+    pts = pts.reshape(len(trees), n, 3)
+    alone = [jet_or_none(lambda: ScalarExpr(t).eval_jet2(p)) for t, p in zip(trees, pts)]
+    got = jet_or_none(lambda: ScalarExpr(stack_trees(trees)).eval_jet2(pts))
+    if any(j is None for j in alone):
+        assert got is None, [to_str(t) for t in trees]
+        return
+    for m, want in enumerate(alone):
+        assert jet_bits(got[m]) == jet_bits(want), (m, [to_str(t) for t in trees])
+
+
+def test_a_literal_exponent_splits_the_stack_above_its_power():
+    square, cube = parse("x1^2").root, parse("x1^3").root
+    assert stack_trees([square, cube]) == Rows((square, cube), (1, 1))
+    assert stack_trees([Call("exp", square), Call("exp", cube)]) == Call(
+        "exp", Rows((square, cube), (1, 1))
+    )

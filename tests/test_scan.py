@@ -76,9 +76,25 @@ def test_the_member_axis_keeps_the_bytes(seed):
     assert same(scan_sigma(members, samples=10, seed=seed), reference_scan(members, 10, seed))
 
 
-def test_the_random_draws_share_one_key():
-    keys = {family.member_key(p) for p in presets_and_draws(3, draws=10)}
-    assert len(keys) == len(family.PRESET_NAMES) + 1
+def nodes(node):
+    """Every node of a stacked tree, the parts of its ``Rows`` nodes included."""
+    yield node
+    if isinstance(node, Rows):
+        children = node.parts
+    else:
+        children = [getattr(node, k) for k in ("arg", "left", "right") if hasattr(node, k)]
+    for child in children:
+        yield from nodes(child)
+
+
+def test_the_random_draws_stack_into_one_tree():
+    """60 draws differ only in coefficients: each generator stacks into one
+    tree with no ``Rows`` node, whose coefficients are (60, 1) arrays."""
+    params = stack_members(presets_and_draws(3)[len(family.PRESET_NAMES) :])
+    for e in (params.tau, params.kappa, params.mu):
+        tree = list(nodes(e.root))
+        assert not any(isinstance(n, Rows) for n in tree)
+        assert any(np.shape(getattr(n, "value", None)) == (60, 1) for n in tree)
 
 
 def test_a_degenerate_member_inside_a_group():
@@ -123,6 +139,15 @@ def test_the_first_failing_member_raises():
     with pytest.raises(EvalDomainError) as ref:
         reference_scan(members, 10, 2)
     assert str(got.value) == str(ref.value)
+
+
+def test_the_first_member_with_a_number_that_is_not_finite_is_named():
+    # kappa is infinite, so the sigma gap is NaN at every point of members 6 and 7
+    members = presets_and_draws(4, draws=8)
+    members[6:6] = [FamilyParams.of("exp(x2)", "exp(x3)*1e400", "1")] * 2
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
+        scan_sigma(members, samples=10, seed=4)
+    assert str(err.value) == "min_sigma_gap of scan member 6 is not finite: nan"
 
 
 def test_one_frame_bundle_per_group(capsys, monkeypatch):
@@ -205,22 +230,28 @@ def bits(a) -> tuple:
 
 
 def test_a_mixed_pass_gives_each_member_its_own_frame():
-    """Row m of a mixed pass's Christoffel symbols, psi, omega and frame
-    scalars is member m's own, bit for bit: presets of four shapes (B's
-    kappa and mu are constants), draws, and a member with negative constants."""
+    """Row m of a mixed pass's phi, xi, eta and g, Christoffel symbols, psi,
+    omega and frame scalars is member m's own, bit for bit, derivatives and
+    the signs of their zeros included: presets of four shapes (B's kappa and
+    mu are constants), draws, and a member with negative constants."""
     rng = np.random.default_rng([3, 10_000])
     members = [family.preset(name).params for name in family.PRESET_NAMES]
     members += [random_family(rng) for _ in range(5)]
     members.append(FamilyParams.of("exp(x2 + x1*x3)", "-2", "-1"))
     pts = np.stack([ChartDomain().sample(7, i) for i in range(len(members))])
     params = stack_members(members)
-    assert isinstance(params.tau.root, Rows)
+    assert any(isinstance(n, Rows) for n in nodes(params.tau.root))
     stacked = build_family(params)
 
     def read(s, p) -> list:
+        fields = [s.phi.jets(p), s.xi.jets(p), s.eta.jets(p), s.g.jets(p)]
         b, f = s.corner.bundle(p), s.corner.frame(p)
         jets = [s.g.christoffel_jets(p), b.psi, b.omega, b.v, b.e_rho, b.rho]
-        return [a for j in jets for a in (j.value, j.grad)] + [f.sigma, f.div_v, f.phi_v_rho]
+        return (
+            [a for j in fields for a in (j.value, j.grad, j.hess)]
+            + [a for j in jets for a in (j.value, j.grad)]
+            + [f.sigma, f.div_v, f.phi_v_rho]
+        )
 
     rows = read(stacked, pts)
     for m, alone in enumerate(members):
