@@ -272,8 +272,8 @@ def ntilde_identity_residual(
     plus its d(eta~) correction.  The residual is the max-abs component gap.
     """
     deformed = deform(s, params)
-    tracker = ResidualTracker()
     p = np.atleast_2d(points)
+    tracker = ResidualTracker(p)
     f = s.corner.frame(p)
     P = s.phi.matrix(p)
     xi = s.xi.values(p)
@@ -298,8 +298,8 @@ def ntilde_identity_residual(
         brute = n1_tensor(deformed, x, y, p)
         gaps[:, k] = np.max(np.abs(closed - brute), axis=-1)
         sizes[:, k] = np.max(np.abs(brute), axis=-1)
-    tracker.update("ntilde_closed_vs_brute", gaps, p)
-    tracker.update("ntilde_max", sizes, p)
+    tracker.update("ntilde_closed_vs_brute", gaps)
+    tracker.update("ntilde_max", sizes)
     tolerances = {"ntilde_closed_vs_brute": tol, "ntilde_max": None}
     return tracker.report("ntilde_identity", tolerances)
 
@@ -352,8 +352,8 @@ def deformed_type(
     """
     deformed = deform(s, params)
     phi_t_fields = fundamental_two_form_fields(deformed)
-    tracker = ResidualTracker()
     p = np.atleast_2d(points)
+    tracker = ResidualTracker(p)
     f = s.corner.frame(p)
     fj = params.jet(p)
     xi = s.xi.values(p)
@@ -366,15 +366,14 @@ def deformed_type(
     deta = d_oneform_matrix(s.eta, p)
     deta_t = d_oneform_matrix(deformed.eta, p)
 
-    tracker.update("phi_scaling", max_abs(phi_t_mat - fj.value[:, None, None] * phi_mat), p)
+    tracker.update("phi_scaling", max_abs(phi_t_mat - fj.value[:, None, None] * phi_mat))
     eta_wedge = wedge12_coeff(eta_t, phi_t_mat)
     lemma = wedge12_coeff(dlnf, phi_t_mat) - xi_lnf * eta_wedge
-    tracker.update("lemma_dlnf_wedge", np.abs(lemma), p)
+    tracker.update("lemma_dlnf_wedge", lemma)
     alphas = (f.div_v - f.e_rho) / (2.0 * fj.value)
     rhs = (1.0 - f.sigma / f.e_rho)[:, None, None] * deta + alphas[:, None, None] * phi_t_mat
-    tracker.update("d_eta_tilde", max_abs(deta_t - rhs), p)
-    d_phi_t = d_twoform_coeff(phi_t_fields, p) - xi_lnf * eta_wedge
-    tracker.update("d_phi_tilde", np.abs(d_phi_t), p)
+    tracker.update("d_eta_tilde", max_abs(deta_t - rhs))
+    tracker.update("d_phi_tilde", d_twoform_coeff(phi_t_fields, p) - xi_lnf * eta_wedge)
     gate = seq_max(np.abs(f.sigma - f.e_rho), 0.0)
     tolerances = {
         "phi_scaling": kernel_tol / 10.0,

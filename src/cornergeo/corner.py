@@ -196,8 +196,8 @@ def corner_residual(
     the equivalent ``nabla_{phi X} xi = 0``.  A flat structure (psi = 0)
     scores zero; no frame is required.
     """
-    tracker = ResidualTracker()
     p = np.atleast_2d(points)
+    tracker = ResidualTracker(p)
     G = s.g.matrix(p)
     P = s.phi.matrix(p)
     eta = s.eta.values(p)
@@ -205,11 +205,10 @@ def corner_residual(
     A = s.nabla_xi(p)
     psi = -mv(A, xi)
     x, kept = probe_vectors(s.g, p, rng, n_random, extra=[xi])
-    at = p[np.nonzero(kept)[0]]
     A, G, P = A[:, None], G[:, None], P[:, None]
     r1 = mv(A, x) + dot(eta[:, None], x)[..., None] * psi[:, None]
-    tracker.update("nabla_xi", gnorm(G, r1)[kept], at)
-    tracker.update("nabla_phi_xi", gnorm(G, mv(A, mv(P, x)))[kept], at)
+    tracker.update("nabla_xi", gnorm(G, r1), kept)
+    tracker.update("nabla_phi_xi", gnorm(G, mv(A, mv(P, x))), kept)
     return tracker.report("corner", tol)
 
 
@@ -224,24 +223,18 @@ def corner_residual_forms(s: AcmStructure, points, tol: float = 1e-7) -> Residua
     :func:`cornergeo.acms.normality_residual` shares; a non-finite N^(1)
     raises a ValueError there.
     """
-    tracker = ResidualTracker()
     phi_fields = fundamental_two_form_fields(s)
     p = np.atleast_2d(points)
+    tracker = ResidualTracker(p)
     G = s.g.matrix(p)
     eta = s.eta.values(p)
     xi = s.xi.values(p)
     A = s.nabla_xi(p)
     omega = mv(G, -mv(A, xi))
     deta = d_oneform_matrix(s.eta, p)
-    tracker.update(
-        "d_eta_vs_omega_wedge_eta", max_abs(deta - wedge11_matrix(omega, eta)), p
-    )
-    tracker.update("d_phi", np.abs(d_twoform_coeff(phi_fields, p)), p)
-    worst = np.zeros(len(p))
-    for n_phi in s.basis_normality(p).n_phi:
-        norm = gnorm(G, n_phi)
-        worst = np.where(norm > worst, norm, worst)
-    tracker.update("nijenhuis", worst, p)
+    tracker.update("d_eta_vs_omega_wedge_eta", max_abs(deta - wedge11_matrix(omega, eta)))
+    tracker.update("d_phi", d_twoform_coeff(phi_fields, p))
+    tracker.update("nijenhuis", np.stack([gnorm(G, n) for n in s.basis_normality(p).n_phi], -1))
     return tracker.report("corner_forms", tol)
 
 
@@ -257,8 +250,8 @@ def connection_table_residuals(
     ``nabla_V phiV = -phiV(rho) V``; ``nabla_{phi V} phiV = (e^rho - div V) V``.
     """
     cf = s.corner
-    tracker = ResidualTracker()
     p = np.atleast_2d(points)
+    tracker = ResidualTracker(p)
     f = cf.frame(p)
     G = s.g.matrix(p)
     xi = s.xi.values(p)
@@ -269,7 +262,7 @@ def connection_table_residuals(
 
     x, kept = probe_vectors(s.g, p, rng, n_random, extra=[xi])
     r = mv(A[:, None], x) + (f.e_rho[:, None] * dot(eta[:, None], x))[..., None] * f.v[:, None]
-    tracker.update("nabla_xi", gnorm(G[:, None], r)[kept], p[np.nonzero(kept)[0]])
+    tracker.update("nabla_xi", gnorm(G[:, None], r), kept)
     rows = {
         "nabla_xi_v": mv(Mv, xi) - f.e_rho[:, None] * xi - f.sigma[:, None] * f.phi_v,
         "nabla_v_v": mv(Mv, f.v) - f.phi_v_rho[:, None] * f.phi_v,
@@ -279,7 +272,7 @@ def connection_table_residuals(
         "nabla_phiv_phiv": mv(Mpv, f.phi_v) - (f.e_rho - f.div_v)[:, None] * f.v,
     }
     for name, r in rows.items():
-        tracker.update(name, gnorm(G, r), p)
+        tracker.update(name, gnorm(G, r))
     return tracker.report("connection_table", tol)
 
 
@@ -290,8 +283,8 @@ def frame_residuals(
     """Orthonormality and duality of the fundamental frame, plus the
     reconstruction of grad rho from its frame components."""
     cf = s.corner
-    tracker = ResidualTracker()
     p = np.atleast_2d(points)
+    tracker = ResidualTracker(p)
     b = cf.bundle(p)
     f = cf.frame(p)
     G = s.g.matrix(p)
@@ -315,7 +308,7 @@ def frame_residuals(
         "phi_v_coherent": gnorm(G, mv(s.phi.matrix(p), f.v) - f.phi_v),
     }
     for name, r in unit.items():
-        tracker.update(name, np.abs(r), p)
+        tracker.update(name, r)
 
     grad_rho = b.rho.grad
     sharp = mv(s.g.inverse(p), grad_rho)
@@ -324,7 +317,7 @@ def frame_residuals(
         + dot(f.v, grad_rho)[:, None] * f.v
         + f.phi_v_rho[:, None] * f.phi_v
     )
-    tracker.update("grad_rho_frame", gnorm(G, frame_sum - sharp), p)
+    tracker.update("grad_rho_frame", gnorm(G, frame_sum - sharp))
 
     tolerances = dict.fromkeys(unit, tol)
     tolerances["grad_rho_frame"] = grad_tol
@@ -342,8 +335,8 @@ def form_identities_residuals(s: AcmStructure, points, tol: float = 1e-8) -> Res
     ``d theta2 = sigma e^{-rho} d eta + (e^rho - div V)/2 Phi``.
     """
     cf = s.corner
-    tracker = ResidualTracker()
     p = np.atleast_2d(points)
+    tracker = ResidualTracker(p)
     f = cf.frame(p)
     eta = s.eta.values(p)
     phi_mat = fundamental_two_form_matrix(s, p)
@@ -356,28 +349,15 @@ def form_identities_residuals(s: AcmStructure, points, tol: float = 1e-8) -> Res
     sigma, e_minus_div = f.sigma[:, None, None], (f.e_rho - f.div_v)[:, None, None]
 
     tracker.update(
-        "phi_as_two_theta2_theta1",
-        max_abs(phi_mat - 2.0 * wedge11_matrix(f.theta2, f.theta1)),
-        p,
+        "phi_as_two_theta2_theta1", max_abs(phi_mat - 2.0 * wedge11_matrix(f.theta2, f.theta1))
     )
     tracker.update(
-        "d_theta1",
-        max_abs(dth1 - sigma * w_eta_th2 - f.phi_v_rho[:, None, None] * w_th1_th2),
-        p,
+        "d_theta1", max_abs(dth1 - sigma * w_eta_th2 - f.phi_v_rho[:, None, None] * w_th1_th2)
     )
-    tracker.update(
-        "d_theta2",
-        max_abs(dth2 + sigma * w_eta_th1 + e_minus_div * w_th1_th2),
-        p,
-    )
+    tracker.update("d_theta2", max_abs(dth2 + sigma * w_eta_th1 + e_minus_div * w_th1_th2))
     tracker.update(
         "d_theta2_via_d_eta",
-        max_abs(
-            dth2
-            - (f.sigma / f.e_rho)[:, None, None] * deta
-            - 0.5 * e_minus_div * phi_mat
-        ),
-        p,
+        max_abs(dth2 - (f.sigma / f.e_rho)[:, None, None] * deta - 0.5 * e_minus_div * phi_mat),
     )
     return tracker.report("form_identities", tol)
 
@@ -388,14 +368,14 @@ def closed_omega_check(
 ) -> ResidualReport:
     """Check the implication: omega closed (d omega = 0) forces sigma = 0."""
     cf = s.corner
-    tracker = ResidualTracker()
     p = np.atleast_2d(points)
-    kept, f = skipping(cf.frame, p, DegenerateCornerError)
-    degenerate = int(np.count_nonzero(~kept))
-    p = p[kept]
+    used, f = skipping(cf.frame, p, DegenerateCornerError)
+    degenerate = int(np.count_nonzero(~used))
+    p = p[used]
+    tracker = ResidualTracker(p)
     if f is not None:
-        tracker.update("d_omega", max_abs(d_oneform_matrix(cf.omega, p)), p)
-        tracker.update("sigma", np.abs(f.sigma), p)
+        tracker.update("d_omega", max_abs(d_oneform_matrix(cf.omega, p)))
+        tracker.update("sigma", f.sigma)
     report = tracker.report("closed_omega")
     d_max = report.max_abs("d_omega") if report.residuals else 0.0
     s_max = report.max_abs("sigma") if report.residuals else 0.0
@@ -422,8 +402,8 @@ def phi_derivative_residual(
     Optional companion to :func:`corner_residual`; kept separate so the
     defining Eq-style residual stays canonical.
     """
-    tracker = ResidualTracker()
     p = np.atleast_2d(points)
+    tracker = ResidualTracker(p)
     G = s.g.matrix(p)
     P = s.phi.matrix(p)
     eta = s.eta.values(p)
@@ -453,6 +433,5 @@ def phi_derivative_residual(
                 dot(omega, mv(P, y))[:, None] * xi + dot(eta, y)[:, None] * phi_psi
             )
             res[:, a, c] = gnorm(G, lhs - rhs)
-    pairs = kept[:, :, None] & kept[:, None, :]
-    tracker.update("nabla_phi", res[pairs], p[np.nonzero(pairs)[0]])
+    tracker.update("nabla_phi", res, kept[:, :, None] & kept[:, None, :])
     return tracker.report("phi_derivative", tol)

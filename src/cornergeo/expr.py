@@ -75,10 +75,10 @@ class EvalDomainError(ArithmeticError):
     """An evaluation left the domain of a primitive (ln, sqrt, /, ^).
 
     ``subexpr`` names the offending subexpression when the evaluation came
-    from a parsed expression; it is None for raw jet arithmetic.  It may be
-    given as the node, which is rendered only when the error is read, so an
-    error of a stacked tree (see :func:`stack_trees`), which has no source
-    text, can still be raised and caught.
+    from a parsed expression; it is None for raw jet arithmetic.  For a
+    stacked tree (see :func:`stack_trees`), which has no source text, it is
+    the subexpression of the first row that raises alone.  It may be given
+    as the node, which is rendered only when the error is read.
     """
 
     def __init__(self, message: str, subexpr=None):
@@ -612,6 +612,23 @@ def stack_trees(roots, root: bool = True) -> Node:
     return first if same else replace(first, **kids)
 
 
+def _row_trees(node: Node) -> list:
+    """The tree of each row of a stacked tree, as :func:`stack_trees` took
+    it; none for a tree that is not stacked."""
+    if isinstance(node, Rows):
+        parts = zip(node.parts, node.counts)
+        return [t for part, n in parts for t in (_row_trees(part) or [part] * n)]
+    if isinstance(node, Var):
+        return []
+    if isinstance(node, Const):
+        return [Const(float(v)) for v in np.ravel(node.value)] if np.ndim(node.value) else []
+    names = ("arg",) if isinstance(node, (Unary, Call)) else ("left", "right")
+    kids = {k: _row_trees(getattr(node, k)) for k in names}
+    rows = max(map(len, kids.values()))
+    return [replace(node, **{k: t[m] if t else getattr(node, k) for k, t in kids.items()})
+            for m in range(rows)]
+
+
 @dataclass(frozen=True)
 class Rows:
     """Runs of trees of different heads as one tree on the member axis, as
@@ -674,8 +691,20 @@ def _walk(node: Node, x: np.ndarray, order: int, known=None) -> Jet2:
         return _OPS[node.op].jet(a, b)
     except EvalDomainError as err:
         if err._subexpr is None:
-            raise EvalDomainError(err.message, node) from None
+            raise _own_error(err, node, x, order) from None
         raise
+
+
+def _own_error(err: EvalDomainError, node: Node, x: np.ndarray, order: int) -> EvalDomainError:
+    """``err``, raised by ``node`` itself on the points ``x``, naming ``node``;
+    or, for a stacked ``node``, the error of the first row whose own tree
+    raises alone on its own points, naming that tree."""
+    for m, tree in enumerate(_row_trees(node)):
+        try:
+            _walk(tree, x[m] if x.ndim > 2 else x, order)
+        except EvalDomainError as own:
+            return own
+    return EvalDomainError(err.message, node)
 
 
 def _jets_at(root: Node, point, order: int, known=None) -> Jet2:

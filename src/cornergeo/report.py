@@ -1,7 +1,8 @@
-"""Residual bookkeeping: max-abs tracking with arg-max points and pass/fail.
+"""Residual bookkeeping: per-suite residual tables reduced to the worst
+value, where it occurred, and pass/fail.
 
-A residual that is NaN or infinite is the worst value a tracker can see:
-it is kept whatever arrives after it, and it fails its tolerance.
+A residual that is NaN or infinite is the worst value a column can hold:
+the first one counted is kept, and it fails its tolerance.
 """
 
 from __future__ import annotations
@@ -38,46 +39,44 @@ class Residual:
 
 
 class ResidualTracker:
-    """Accumulates max-abs residuals by name across sample points."""
+    """One suite's residual table over the ``(N, 3)`` sample ``points``: one
+    column of values per residual name, each reduced once by :meth:`report`.
 
-    def __init__(self):
-        self._worst: dict[str, tuple[float, list | None]] = {}
-        self._order: list[str] = []
+    A column's worst value is its first non-finite counted entry, else its
+    first maximum, in C order; ``argmax_point`` is that entry's sample point.
+    A column with no counted entry adds no row.
+    """
 
-    def update(self, name: str, value, point=None) -> None:
-        """Track ``value`` at ``point``, or a batch of values in sample order:
-        ``value`` then has the ``(N, 3)`` points' leading axis, possibly
-        followed by more (one entry per probe direction, say)."""
-        values = np.abs(np.asarray(value, dtype=float)).reshape(-1)
-        if values.size == 0:
-            return
-        # where a one-by-one update would end: the first non-finite value,
-        # else the first maximum
-        bad = ~np.isfinite(values)
-        i = int(np.argmax(bad)) if bad.any() else int(np.argmax(values))
-        if point is not None and np.ndim(point) > 1:
-            points = np.reshape(point, (-1, 3))
-            point = points[i // (values.size // len(points))]
-        value = float(values[i])
-        if name not in self._worst:
-            self._order.append(name)
-        else:
-            worst = self._worst[name][0]
-            if not (value > worst or (np.isfinite(worst) and not np.isfinite(value))):
-                return
-        self._worst[name] = (value, _point_list(point))
+    def __init__(self, points):
+        self._points = np.reshape(points, (-1, 3))
+        self._columns: dict[str, tuple] = {}
 
-    def max_abs(self, name: str) -> float:
-        return self._worst[name][0]
+    def update(self, name: str, values, kept=None) -> None:
+        """Record the column ``name``: ``values`` has the points' leading
+        axis, possibly followed by probe axes, and ``kept``, of the same
+        shape, marks the entries that count (all of them by default)."""
+        self._columns[name] = (values, kept)
 
     def report(self, suite: str, tolerances=None, details=None) -> "ResidualReport":
         """Build a report; ``tolerances`` is a float for all names or a dict."""
         residuals = []
-        for name in self._order:
-            worst, pt = self._worst[name]
+        for name, (values, kept) in self._columns.items():
+            values = np.abs(np.asarray(values, dtype=float)).reshape(-1)
+            bad = ~np.isfinite(values)
+            if kept is not None:
+                kept = np.reshape(kept, -1)
+                # an uncounted entry, made -1, never wins
+                bad, values = bad & kept, np.where(kept, values, -1.0)
+            if not values.size:
+                continue
+            i = int(np.argmax(bad)) if bad.any() else int(np.argmax(values))
+            if values[i] < 0.0:  # no entry counts
+                continue
+            worst = float(values[i])
+            point = self._points[i // (values.size // len(self._points))].tolist()
             tol = tolerances.get(name) if isinstance(tolerances, dict) else tolerances
             passed = None if tol is None else bool(worst < tol)
-            residuals.append(Residual(name, worst, pt, tol, passed))
+            residuals.append(Residual(name, worst, point, tol, passed))
         return ResidualReport(suite, residuals, details or {})
 
 
@@ -120,12 +119,6 @@ def stats(values) -> dict:
         "min": float(np.min(values)),
         "max": float(np.max(values)),
     }
-
-
-def _point_list(point):
-    if point is None:
-        return None
-    return [float(v) for v in np.asarray(point).reshape(-1)]
 
 
 @dataclass

@@ -15,7 +15,7 @@ from oracles import fd_grad, fd_hess
 from test_expr import SWEEP
 
 from cornergeo.acms import AcmStructure, check_axioms, classify, fundamental_two_form_fields
-from cornergeo.acms import nijenhuis
+from cornergeo.acms import nijenhuis, trans_sasakian_residual
 from cornergeo.construct import (
     DeformationParams,
     TwinKind,
@@ -32,6 +32,7 @@ from cornergeo.corner import (
     corner_residual_forms,
     form_identities_residuals,
     frame_residuals,
+    phi_derivative_residual,
 )
 from cornergeo import expr
 from cornergeo.expr import Binary, Const, EvalDomainError, Jet2, ScalarExpr, Unary, as_expr
@@ -370,6 +371,10 @@ SUITES = {
     "phiv_twin_axioms": lambda s, pts, rng: check_axioms(twin(s, TwinKind.PHI_V), pts),
     "deformed_type": lambda s, pts, rng: deformed_type(s, DEFORMATION, pts).residuals,
     "ntilde": lambda s, pts, rng: ntilde_identity_residual(s, DEFORMATION, pts, rng),
+    "trans_sasakian": lambda s, pts, rng: trans_sasakian_residual(
+        s, lambda q: 0.5 * q[0], 0.25, pts, rng
+    ),
+    "phi_derivative": lambda s, pts, rng: phi_derivative_residual(s, pts, rng),
 }
 
 

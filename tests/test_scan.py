@@ -10,7 +10,7 @@ import pytest
 from cornergeo import family
 from cornergeo.cli import STACKED_POINTS, main, scan_sigma
 from cornergeo.corner import CornerFields, DegenerateCornerError
-from cornergeo.expr import Call, EvalDomainError, Rows, ScalarExpr, as_expr, skipping
+from cornergeo.expr import Call, EvalDomainError, Rows, ScalarExpr, as_expr, skipping, stack_trees
 from cornergeo.family import FamilyParams, build_family, random_family, stack_members
 from cornergeo.fields import ChartDomain, max_abs
 from cornergeo.report import row_max, row_min, seq_max, seq_min
@@ -281,6 +281,23 @@ def test_a_rows_tree_walks_each_part_on_its_own_rows():
     for m, r in enumerate(owner):
         want = np.broadcast_to(ScalarExpr(parts[r]).value(pts[0]), (4,))
         assert bits(flat[m]) == bits(want)
+
+
+@pytest.mark.parametrize("points", [np.full((3, 2, 3), 1.0), np.full((2, 3), 1.0)])
+@pytest.mark.parametrize(
+    "second, named",
+    [
+        ("ln(x1 - 2)", "ln of a non-positive value in 'ln(x1 - 2)'"),  # one stacked tree
+        ("sqrt(x1 - 2)", "sqrt of a non-positive value in 'sqrt(x1 - 2)'"),  # a Rows tree
+        ("ln(x1^2 - 2)", "ln of a non-positive value in 'ln(x1^2 - 2)'"),  # Rows below ln
+    ],
+)
+def test_a_stacked_tree_names_the_first_failing_rows_own_subtree(points, second, named):
+    # at x1 = 1 the first tree is defined and the other two are not
+    trees = [as_expr(src).root for src in ("ln(x1 - 0.5)", second, "ln(x1 - 3)")]
+    with pytest.raises(EvalDomainError) as err:
+        ScalarExpr(stack_trees(trees)).eval_jet2(points)
+    assert str(err.value) == named
 
 
 def test_a_partly_degenerate_member_inside_a_mixed_pass():

@@ -52,3 +52,6 @@ def test_the_tracer_wraps_and_restores_the_binding_sites(capsys):
     assert m["corner.bundle.calls"] > 1 and m["fields.christoffel_jets.calls"] > 1
     assert 0.0 < m["corner.bundle.hit_ratio"] < 1.0
     assert 0.0 < m["fields.christoffel_jets.hit_ratio"] < 1.0
+    # the deform suites record their residuals in the table the tracer spans
+    assert m["report.calls"] > 0
+    assert tracer.names.index("report.ResidualTracker.update") in tracer.name_id
