@@ -11,9 +11,7 @@ from .acms import (
     ClassificationReport,
     check_axioms,
     classify,
-    fundamental_two_form,
     n1_tensor,
-    n3_tensor,
     nijenhuis,
     olszak_alpha_beta,
     trans_sasakian_residual,
@@ -91,9 +89,7 @@ __all__ = [
     "deformed_type",
     "family_corner_criterion",
     "form_identities_residuals",
-    "fundamental_two_form",
     "n1_tensor",
-    "n3_tensor",
     "nijenhuis",
     "ntilde_identity_residual",
     "olszak_alpha_beta",

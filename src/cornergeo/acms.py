@@ -28,18 +28,16 @@ from .fields import DET_GUARD, VectorField, contract, dot, first_order, first_ro
 from .fields import last_batch, mv, vm, vnorm
 from .report import ResidualReport, ResidualTracker, stats
 from .tensor import _as_vector_field, _bracket, _with_jacobian, divergence, exterior_d_oneform
-from .tensor import lie_bracket, nabla_matrix, probe_vectors
+from .tensor import nabla_matrix, probe_vectors
 
 __all__ = [
     "AcmStructure",
     "ClassificationReport",
     "check_axioms",
-    "fundamental_two_form",
     "fundamental_two_form_matrix",
     "fundamental_two_form_fields",
     "nijenhuis",
     "n1_tensor",
-    "n3_tensor",
     "olszak_alpha_beta",
     "trans_sasakian_residual",
     "normality_residual",
@@ -151,13 +149,6 @@ def check_axioms(s: AcmStructure, points, tol: float = 1e-8) -> ResidualReport:
     return tracker.report("axioms", tol, details={"skipped_points": skipped})
 
 
-def fundamental_two_form(s: AcmStructure, X, Y, p):
-    """Phi(X, Y) = g(X, phi Y)."""
-    xv = _as_vector_field(X).values(p)
-    yv = _as_vector_field(Y).values(p)
-    return dot(vm(vm(xv, s.g.matrix(p)), s.phi.matrix(p)), yv)
-
-
 def fundamental_two_form_matrix(s: AcmStructure, p) -> np.ndarray:
     """Coefficients Phi_ij = g(d_i, phi d_j)."""
     return s.g.matrix(p) @ s.phi.matrix(p)
@@ -187,13 +178,6 @@ def n1_tensor(s: AcmStructure, X, Y, p) -> np.ndarray:
     Xf, Yf = _as_vector_field(X), _as_vector_field(Y)
     deta = exterior_d_oneform(s.eta, Xf, Yf, p)
     return nijenhuis(s, Xf, Yf, p) + (2.0 * deta)[..., None] * s.xi.values(p)
-
-
-def n3_tensor(s: AcmStructure, X, p) -> np.ndarray:
-    """N^(3)(X) = phi[X, xi] - [phi X, xi]."""
-    Xf = _as_vector_field(X)
-    phiX = s.phi.apply(Xf)
-    return mv(s.phi.matrix(p), lie_bracket(Xf, s.xi, p)) - lie_bracket(phiX, s.xi, p)
 
 
 def _basis_normality(phi, xi, eta, p) -> SimpleNamespace:
@@ -237,27 +221,20 @@ def trans_sasakian_residual(
 ) -> ResidualReport:
     """Worst g-norm of ``nabla_X xi + alpha phi X + beta phi^2 X`` over probes.
 
-    ``alpha`` and ``beta`` may be numbers or callables of one point.  Probe
+    ``alpha`` and ``beta`` are each a number, or an array of one value per
+    point (as ``classify`` gives them in ``alphas`` and ``betas``).  Probe
     directions are the g-normalized coordinate axes, xi itself, and optional
     seeded random unit vectors.
     """
     p = np.atleast_2d(points)
-    a = _per_point(alpha, p)
-    b = _per_point(beta, p)
+    a, b = (np.asarray(v, dtype=float)[..., None, None] for v in (alpha, beta))
     tracker = ResidualTracker(p)
     G = s.g.matrix(p)
     P = s.phi.matrix(p)
-    R = s.nabla_xi(p) + a[:, None, None] * P + b[:, None, None] * (P @ P)
+    R = s.nabla_xi(p) + a * P + b * (P @ P)
     probes, kept = probe_vectors(s.g, p, rng, n_random, extra=[s.xi.values(p)])
     tracker.update("trans_sasakian", gnorm(G[:, None], mv(R[:, None], probes)), kept)
     return tracker.report("trans_sasakian")
-
-
-def _per_point(f, points) -> np.ndarray:
-    """A number, or a callable of one point, evaluated at every point."""
-    if callable(f):
-        return np.array([float(f(q)) for q in points])
-    return np.full(len(points), float(f))
 
 
 @by_rows
@@ -266,18 +243,18 @@ def normality_residual(s: AcmStructure, points) -> tuple[float, np.ndarray | Non
     and the first point where it is reached.
 
     N^(1) is read from ``s.basis_normality``, which the corner form suite
-    shares, and a non-finite N^(1) raises a ValueError there.
+    shares, and a non-finite N^(1) raises a ValueError there.  Only a norm
+    above zero counts, so a structure with none reads ``(0.0, None)``.
     """
     p = np.atleast_2d(points)
     G = s.g.matrix(p)
-    norms = [gnorm(G, v) for v in s.basis_normality(p).n1]
-    # the first strict maximum in sample order; NaN never counts
-    norms = np.stack(norms, axis=-1).reshape(-1)
-    norms = np.where(np.isnan(norms), -np.inf, norms)
-    k = int(np.argmax(norms))
-    if not norms[k] > 0.0:
+    norms = np.stack([gnorm(G, v) for v in s.basis_normality(p).n1], axis=-1)
+    tracker = ResidualTracker(p)
+    tracker.update("normality", norms, norms > 0.0)
+    rows = tracker.report("normality").residuals
+    if not rows:
         return 0.0, None
-    return float(norms[k]), np.asarray(p[k // 3], dtype=float)
+    return rows[0].max_abs, np.asarray(rows[0].argmax_point)
 
 
 @dataclass

@@ -28,7 +28,6 @@ from .conventions import CONVENTION_BANNER, SCHEMA_VERSION
 from .corner import DegenerateCornerError
 from .expr import _POINT_ERRORS, EvalDomainError, ParseError, skipping
 from .fields import ChartDomain, SingularMetricError, max_abs
-from .report import row_max, row_min
 from .tensor import d_oneform_matrix
 
 __all__ = ["ConfigError", "SceneConfig", "run", "scan_sigma", "main"]
@@ -43,15 +42,9 @@ DEFAULT_TOLERANCES = {
 
 
 # the most sample points `scan` evaluates in one stacked pass, a chunk of
-# consecutive members of any tree shapes.  Each pass pays a fixed cost
-# (building, framing and differentiating one stacked structure) and holds its
-# jets, about 7 KB per point, until it ends.  `scan --draws 60 --samples 10`
-# is one pass of 640 points (5 when each tree shape had passes of its own),
-# with 35-46% more points per second for 1.3-1.5% more peak RSS (40.8-41.0
-# against 40.3-40.4 MB); at 100 samples it is 7 passes of 10 members instead
-# of 10, 0.17-0.20 against 0.19-0.21 s per report for 41.5 against 41.1 MB
-# of peak RSS.  Against 150 points, 1,024 had already given about 27% more
-# points per second for 4% more peak RSS (2 CPUs, Python 3.11, numpy 2.4)
+# consecutive members of any tree shapes: each pass pays a fixed cost
+# (building, framing and differentiating one stacked structure), and holds
+# its jets, about 7 KB per point, until it ends
 STACKED_POINTS = 1024
 
 
@@ -411,8 +404,8 @@ def _scan_pass(members, samples: int, seed: int) -> list:
     something raises is replayed one member at a time, in member order, and
     the first failing member raises its own error.  A lone member leaves out
     its degenerate points.  The first member, in member order, with a
-    maximum or minimum that is not finite raises a ``ValueError`` naming its
-    index in the sweep and the quantity."""
+    quantity that is not finite at one of its points raises a ``ValueError``
+    naming its index in the sweep and the quantity."""
     pts = np.stack(
         [p.domain.sample(samples, np.random.default_rng([seed, i])) for i, p in members]
     )
@@ -429,28 +422,31 @@ def _scan_pass(members, samples: int, seed: int) -> list:
             raise
         return [entry for m in members for entry in _scan_pass([m], samples, seed)]
     rows = len(members)
-    d_omega = sigma = [0.0] * rows
-    gap = [None] * rows
+    folded = {"min_sigma_gap": [None] * rows, "max_d_omega": [0.0] * rows,
+              "max_sigma": [0.0] * rows}
     if f is not None:
-        # one row per member (a lone member's row is its kept points)
-        d_omega = row_max(max_abs(d_oneform_matrix(cf.omega, pts)).reshape(rows, -1), 0.0)
-        sigma = row_max(np.abs(f.sigma).reshape(rows, -1), 0.0)
-        gap = row_min(np.abs(f.sigma - f.e_rho).reshape(rows, -1))
-        d_omega, sigma, gap = d_omega.tolist(), sigma.tolist(), gap.tolist()
-    quantities = {"max_d_omega": d_omega, "max_sigma": sigma, "min_sigma_gap": gap}
-    for m, (i, _) in enumerate(members):
-        for name, values in quantities.items():
-            if values[m] is not None and not np.isfinite(values[m]):
-                raise ValueError(f"{name} of scan member {i} is not finite: {values[m]}")
+        # one row per member (a lone member's row is its kept points); the gap
+        # comes first, so that a sigma that is NaN is named by its gap
+        columns = {
+            "min_sigma_gap": np.abs(f.sigma - f.e_rho).reshape(rows, -1),
+            "max_d_omega": max_abs(d_oneform_matrix(cf.omega, pts)).reshape(rows, -1),
+            "max_sigma": np.abs(f.sigma).reshape(rows, -1),
+        }
+        if not all(np.isfinite(c).all() for c in columns.values()):
+            for m, (i, _) in enumerate(members):
+                for name, c in columns.items():
+                    bad = c[m][~np.isfinite(c[m])]
+                    if bad.size:
+                        raise ValueError(f"{name} of scan member {i} is not finite: {bad[0]}")
+        folded = {name: (np.min if name == "min_sigma_gap" else np.max)(c, axis=1).tolist()
+                  for name, c in columns.items()}
     degenerate = np.count_nonzero(~kept, axis=1).tolist()
     return [
         {
             "tau": str(params.tau),
             "kappa": str(params.kappa),
             "mu": str(params.mu),
-            "max_d_omega": d_omega[m],
-            "max_sigma": sigma[m],
-            "min_sigma_gap": gap[m],
+            **{name: values[m] for name, values in folded.items()},
             "degenerate_points": degenerate[m],
         }
         for m, (_, params) in enumerate(members)

@@ -47,7 +47,7 @@ from .acms import (
 from .expr import Jet2, ScalarExpr, as_expr, by_rows
 from .fields import MetricField, OneFormField, ScalarField, TensorField11, dot, first_order
 from .fields import first_row, max_abs, mv, vm
-from .report import ResidualReport, ResidualTracker, seq_max, stats
+from .report import ResidualReport, ResidualTracker, stats
 from .tensor import d_oneform_matrix, d_twoform_coeff, wedge12_coeff
 
 __all__ = [
@@ -142,16 +142,16 @@ def _twin_theorem(s, points, tol, kind: TwinKind) -> TwinTheoremVerdict:
         theorem, div_name, div_target = "phiv_twin_cosymplectic", "div_v_minus_erho", f.e_rho
         beta_name, beta_target = "beta", 0.0
     cond = {
-        div_name: seq_max(np.abs(f.div_v - div_target), 0.0),
-        "sigma": seq_max(np.abs(f.sigma), 0.0),
-        "phi_v_rho": seq_max(np.abs(f.phi_v_rho), 0.0),
+        div_name: float(np.max(np.abs(f.div_v - div_target))),
+        "sigma": float(np.max(np.abs(f.sigma))),
+        "phi_v_rho": float(np.max(np.abs(f.phi_v_rho))),
     }
     conditions_hold = all(v < tol for v in cond.values())
 
     classified = classify(twin(s, kind), points=points)
     normality, verdict = classified.normality, classified.verdict
     alpha, beta = classified.alphas, classified.betas
-    a_max, b_err = seq_max(np.abs(alpha), 0.0), seq_max(np.abs(beta - beta_target), 0.0)
+    a_max, b_err = float(np.max(np.abs(alpha))), float(np.max(np.abs(beta - beta_target)))
     twin_matches = normality < tol and a_max < tol and b_err < tol
 
     return TwinTheoremVerdict(
@@ -374,7 +374,7 @@ def deformed_type(
     rhs = (1.0 - f.sigma / f.e_rho)[:, None, None] * deta + alphas[:, None, None] * phi_t_mat
     tracker.update("d_eta_tilde", max_abs(deta_t - rhs))
     tracker.update("d_phi_tilde", d_twoform_coeff(phi_t_fields, p) - xi_lnf * eta_wedge)
-    gate = seq_max(np.abs(f.sigma - f.e_rho), 0.0)
+    gate = float(np.max(np.abs(f.sigma - f.e_rho)))
     tolerances = {
         "phi_scaling": kernel_tol / 10.0,
         "lemma_dlnf_wedge": kernel_tol,
@@ -436,7 +436,7 @@ def corollary_gate(
     """Check sigma = e^rho; only then evaluate the special-case corollary."""
     points = np.atleast_2d(points)
     f = s.corner.frame(points)
-    gate = seq_max(np.abs(f.sigma - f.e_rho), 0.0)
+    gate = float(np.max(np.abs(f.sigma - f.e_rho)))
     gate_holds = gate < tol
     case = None
     cases = set()

@@ -57,7 +57,6 @@ __all__ = [
     "ScalarExpr",
     "parse",
     "as_expr",
-    "eval_jet2",
     "to_str",
 ]
 
@@ -513,17 +512,16 @@ _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
 class _Op(NamedTuple):
     level: int
     jet: Callable  # the rule on jets, through Jet2's operators
-    method: str  # ScalarExpr gets __<method>__ and, except for '^', __r<method>__
 
 
-# the binary operators: everything the printer, the parser, evaluation and
-# ScalarExpr's arithmetic know of them
+# the binary operators: everything the printer, the parser and evaluation
+# know of them
 _OPS = {
-    "+": _Op(_LEVEL_ADD, operator.add, "add"),
-    "-": _Op(_LEVEL_ADD, operator.sub, "sub"),
-    "*": _Op(_LEVEL_MUL, operator.mul, "mul"),
-    "/": _Op(_LEVEL_MUL, operator.truediv, "truediv"),
-    "^": _Op(_LEVEL_POW, operator.pow, "pow"),
+    "+": _Op(_LEVEL_ADD, operator.add),
+    "-": _Op(_LEVEL_ADD, operator.sub),
+    "*": _Op(_LEVEL_MUL, operator.mul),
+    "/": _Op(_LEVEL_MUL, operator.truediv),
+    "^": _Op(_LEVEL_POW, operator.pow),
 }
 
 
@@ -717,12 +715,8 @@ def _jets_at(root: Node, point, order: int, known=None) -> Jet2:
 
 @dataclass(frozen=True)
 class ScalarExpr:
-    """A parsed scalar expression in the chart coordinates.
-
-    Supports Python arithmetic with other expressions or numbers (the
-    operators come from ``_OPS``; no ``number ** expr``), which builds new
-    folded trees; ``str()`` renders minimal-parenthesis source.
-    """
+    """A parsed scalar expression in the chart coordinates; ``str()``
+    renders minimal-parenthesis source."""
 
     root: Node
 
@@ -738,37 +732,6 @@ class ScalarExpr:
 
     def __str__(self) -> str:
         return to_str(self.root)
-
-    def __neg__(self) -> "ScalarExpr":
-        return ScalarExpr(_fold_unary(self.root))
-
-
-def _operator(op: str, reflected: bool):
-    """ScalarExpr's method for ``op``; a reflected one puts the other operand first."""
-    if reflected:
-        return lambda self, other: ScalarExpr(_fold_binary(op, _coerce(other), self.root))
-    return lambda self, other: ScalarExpr(_fold_binary(op, self.root, _coerce(other)))
-
-
-for _op, _spec in _OPS.items():
-    setattr(ScalarExpr, f"__{_spec.method}__", _operator(_op, False))
-    if _op != "^":
-        setattr(ScalarExpr, f"__r{_spec.method}__", _operator(_op, True))
-
-
-def _coerce(obj) -> Node:
-    if isinstance(obj, ScalarExpr):
-        return obj.root
-    if isinstance(obj, (Const, Var, Unary, Binary, Call)):
-        return obj
-    return Const(float(obj))
-
-
-@by_rows
-def eval_jet2(expr: ScalarExpr, point, order: int = 2) -> Jet2:
-    """Evaluate an expression to a jet at ``point`` or over a batch of points;
-    ``order`` trims depth."""
-    return _jets_at(expr.root, point, order)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .expr import Binary, Call, Const, Jet2, ScalarExpr, Unary, _jets_at, as_exp
 from .expr import by_rows, stack_trees
 from .fields import ChartDomain, MetricField, OneFormField, TensorField11, VectorField
 from .fields import first_row, last_batch
-from .report import ResidualReport, seq_max
+from .report import ResidualReport
 from .corner import corner_residual
 
 __all__ = [
@@ -184,8 +184,8 @@ def family_corner_criterion(
 ) -> FamilyCriterionReport:
     """Evaluate d(kappa)/dx1 and d(mu)/dx1 and cross-check the corner residual."""
     points = np.atleast_2d(points)
-    max_k1 = seq_max(np.abs(params.kappa.eval_jet2(points).grad[:, 0]))
-    max_m1 = seq_max(np.abs(params.mu.eval_jet2(points).grad[:, 0]))
+    max_k1 = float(np.max(np.abs(params.kappa.eval_jet2(points).grad[:, 0])))
+    max_m1 = float(np.max(np.abs(params.mu.eval_jet2(points).grad[:, 0])))
     criterion = max_k1 < criterion_tol and max_m1 < criterion_tol
 
     rep: ResidualReport = corner_residual(build_family(params), points, tol=residual_tol)
@@ -294,8 +294,8 @@ def random_family(rng: np.random.Generator, corner: bool = True, domain=None) ->
     The coefficients are one ``rng.random`` call of 11 (13 with
     ``corner=False``), each mapped to its range as ``rng.uniform`` maps a
     draw, so they equal one ``uniform`` call per coefficient in this order.
-    The trees are built node by node, as ScalarExpr's operators build
-    ``m1 * c1 + m2 * c2 + ...``.
+    The trees are built node by node, as ``parse`` builds the text
+    ``m1*c1 + m2*c2 + ...`` with each coefficient written as its ``repr``.
     """
     n = 11 if corner else 13
     c = (_LOW[:n] + _SPAN[:n] * rng.random(n)).tolist()

@@ -300,10 +300,6 @@ class ScalarField(_Field):
     __slots__ = ()
 
     @classmethod
-    def from_expr(cls, e) -> "ScalarField":
-        return cls(as_expr(e).eval_jet2)
-
-    @classmethod
     def constant(cls, c) -> "ScalarField":
         """A field with zero derivatives; ``c`` may give one value per sample point."""
         return cls(_constant(c))
@@ -323,10 +319,6 @@ class _ComponentsMixin(_Field):
 
     __slots__ = ()
     _rank = 1
-
-    @classmethod
-    def from_exprs(cls, comps):
-        return cls(comps)
 
     def jets(self, p) -> Jet2:
         return self._fn(p)
@@ -401,10 +393,6 @@ class MetricField(_Field):
         super().__init__(entries)
         self._gamma = last_batch(type(self)._christoffel, self)
 
-    @classmethod
-    def diagonal(cls, d0, d1, d2) -> "MetricField":
-        return cls([[d0, 0.0, 0.0], [0.0, d1, 0.0], [0.0, 0.0, d2]])
-
     # -- plain evaluation ---------------------------------------------------
 
     def matrix(self, p) -> np.ndarray:
@@ -461,8 +449,3 @@ class MetricField(_Field):
     def christoffel(self, p) -> np.ndarray:
         """Values ``Gamma[..., k, i, j]`` of the Levi-Civita connection."""
         return batch_first(self.christoffel_jets(p).value, 3)
-
-    def christoffel_partials(self, p) -> np.ndarray:
-        """Partials ``dGamma[..., a, k, i, j] = d_a Gamma^k_ij``."""
-        g = self.christoffel_jets(p).grad
-        return batch_first(g.transpose(-1, *range(g.ndim - 1)), 4)

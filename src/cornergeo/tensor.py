@@ -18,11 +18,10 @@ import numpy as np
 
 from .expr import as_points, outer
 from .fields import MetricField, OneFormField, SingularMetricError, TensorField11, VectorField
-from .fields import dot, first_row, mv, vm
+from .fields import dot, first_row, mv
 
 __all__ = [
     "christoffel",
-    "covariant_deriv_vec",
     "nabla_matrix",
     "lie_bracket",
     "exterior_d_oneform",
@@ -30,7 +29,6 @@ __all__ = [
     "wedge11_matrix",
     "wedge12_coeff",
     "d_twoform_coeff",
-    "two_form_coeff",
     "divergence",
     "volume_form",
     "volume_cross",
@@ -59,12 +57,6 @@ def nabla_matrix(g: MetricField, Y: VectorField, p) -> np.ndarray:
     gam = g.christoffel(p)
     yv = Y.values(p)
     return Y.jacobian(p) + np.einsum("...kij,...j->...ki", gam, yv)
-
-
-def covariant_deriv_vec(g: MetricField, X, Y: VectorField, p) -> np.ndarray:
-    """Components of ``nabla_X Y`` at ``p``; X may be a field or a direction."""
-    xv = X.values(p) if isinstance(X, VectorField) else np.asarray(X, dtype=float)
-    return mv(nabla_matrix(g, Y, p), xv)
 
 
 def _with_jacobian(X: VectorField, p) -> tuple:
@@ -120,11 +112,6 @@ def d_twoform_coeff(B: TensorField11, p):
     are the field of 3x3 jets ``B``."""
     dB = B.jets(p).grad
     return (dB[1, 2, ..., 0] - dB[0, 2, ..., 1] + dB[0, 1, ..., 2]) / 3.0
-
-
-def two_form_coeff(B, x, y):
-    """Evaluate a 2-form coefficient matrix on a pair of vectors."""
-    return dot(vm(x, np.asarray(B)), y)
 
 
 def divergence(g: MetricField, X: VectorField, p):

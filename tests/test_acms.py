@@ -15,11 +15,9 @@ from cornergeo.acms import (
     AcmStructure,
     check_axioms,
     classify,
-    fundamental_two_form,
     fundamental_two_form_fields,
     fundamental_two_form_matrix,
     n1_tensor,
-    n3_tensor,
     nijenhuis,
     normality_residual,
     olszak_alpha_beta,
@@ -111,11 +109,9 @@ def test_fundamental_form_antisymmetric(structures, points):
 
 def test_fundamental_form_frozen_value(structures):
     # tau = e^{x2}, kappa = mu = 1 at the origin: Phi(d2, d3) = g(d2, phi d3) = -1
-    s = structures["B"]
-    origin = np.zeros(3)
-    e = np.eye(3)
-    assert fundamental_two_form(s, e[1], e[2], origin) == pytest.approx(-1.0)
-    assert fundamental_two_form(s, e[2], e[1], origin) == pytest.approx(1.0)
+    M = fundamental_two_form_matrix(structures["B"], np.zeros(3))
+    assert M[1, 2] == pytest.approx(-1.0)
+    assert M[2, 1] == pytest.approx(1.0)
 
 
 def test_fundamental_form_fields_match_matrix(structures, points):
@@ -130,8 +126,8 @@ def test_fundamental_form_fields_match_matrix(structures, points):
 def test_nijenhuis_matches_fd_oracle(structures, rng, points):
     from cornergeo.fields import VectorField
 
-    X = VectorField.from_exprs(("x2", "exp(x1)", "x1*x3"))
-    Y = VectorField.from_exprs(("sin(x3)", "x1", "1"))
+    X = VectorField(("x2", "exp(x1)", "x1*x3"))
+    Y = VectorField(("sin(x3)", "x1", "1"))
     for name in ("B", "D"):
         s = structures[name]
         phi_fn = s.phi.matrix
@@ -161,21 +157,6 @@ def test_n1_antisymmetric(structures, points):
                     -n1_tensor(s, e[j], e[i], p),
                     atol=1e-12,
                 )
-
-
-def test_n3_vanishes_on_normal_structure(points):
-    s = sasakian_chart()
-    e = np.eye(3)
-    for p in points[:4]:
-        for i in range(3):
-            np.testing.assert_allclose(n3_tensor(s, e[i], p), np.zeros(3), atol=1e-12)
-
-
-def test_n3_nonzero_off_normal(structures):
-    s = structures["B"]
-    e = np.eye(3)
-    # phi d3 = -d2 leaves the kernel of omega, so d3 sees the torsion
-    assert np.linalg.norm(n3_tensor(s, e[2], np.array([0.5, 0.5, 0.5]))) > 1e-2
 
 
 # --------------------------------------------------------------------------
@@ -208,14 +189,15 @@ def test_normality_residual_split(points):
     assert argmax is not None
 
 
-def test_trans_sasakian_residual_accepts_callables(points, rng):
+def test_trans_sasakian_residual_accepts_arrays(points, rng):
     s = family("1", "1 + x1", "1 + x1")
-    res = trans_sasakian_residual(
-        s, 0.0, lambda p: 1.0 / (1.0 + p[0]), points[:8], rng
-    )
+    res = trans_sasakian_residual(s, 0.0, 1.0 / (1.0 + points[:8, 0]), points[:8], rng)
     assert res.worst() < 1e-10
     wrong = trans_sasakian_residual(s, 0.0, 1.0, points[:8], rng)
     assert wrong.worst() > 1e-2
+    # the pointwise type functions classify reads off the same points
+    c = classify(s, points=points[:8])
+    assert trans_sasakian_residual(s, c.alphas, c.betas, points[:8], rng).worst() < 1e-10
 
 
 @pytest.mark.parametrize(

@@ -42,7 +42,6 @@ from cornergeo.fields import (
     ChartDomain,
     MetricField,
     OneFormField,
-    ScalarField,
     SingularMetricError,
     TensorField11,
     VectorField,
@@ -95,11 +94,11 @@ def test_expression_jets_row_by_row(params):
 @pytest.mark.parametrize("params", PARAMS, ids=IDS)
 def test_christoffel_row_by_row(params):
     g = build_family(params).g
-    values, partials = g.christoffel(POINTS), g.christoffel_partials(POINTS)
+    values, partials = g.christoffel(POINTS), g.christoffel_jets(POINTS).grad
     for n in range(len(POINTS)):
         one = POINTS[n : n + 1]
         assert same(values[n], g.christoffel(one)[0])
-        assert same(partials[n], g.christoffel_partials(one)[0])
+        assert same(partials[..., n, :], g.christoffel_jets(one).grad[..., 0, :])
 
 
 @pytest.mark.parametrize("params", [p for p, i in zip(PARAMS, IDS) if i != "C"],
@@ -209,7 +208,7 @@ def test_twin_and_deformed_jets_match_their_per_entry_formulas(params):
     the component jets, as the twin and the deformation define it."""
     s = build_family(params)
     cf = CornerFields(s)
-    f = ScalarField.from_expr(DEFORMATION.f).jet(POINTS)
+    f = DEFORMATION.f.eval_jet2(POINTS)
     xi, eta, phi, g = (x.jets(POINTS) for x in (s.xi, s.eta, s.phi, s.g))
     v, phi_v, theta1, theta2 = (x.jets(POINTS) for x in (cf.v, cf.phi_v, cf.theta1, cf.theta2))
     v_twin, phiv_twin = twin(s, TwinKind.V), twin(s, TwinKind.PHI_V)
@@ -372,7 +371,7 @@ SUITES = {
     "deformed_type": lambda s, pts, rng: deformed_type(s, DEFORMATION, pts).residuals,
     "ntilde": lambda s, pts, rng: ntilde_identity_residual(s, DEFORMATION, pts, rng),
     "trans_sasakian": lambda s, pts, rng: trans_sasakian_residual(
-        s, lambda q: 0.5 * q[0], 0.25, pts, rng
+        s, 0.5 * np.atleast_2d(pts)[:, 0], 0.25, pts, rng
     ),
     "phi_derivative": lambda s, pts, rng: phi_derivative_residual(s, pts, rng),
 }
@@ -611,11 +610,12 @@ def per_entry_fields(params):
     t, k, m = params.tau.root, params.kappa.root, params.mu.root
     zero = as_expr(0)
     phi12, phi21 = ScalarExpr(Unary("-", Binary("/", m, k))), ScalarExpr(Binary("/", k, m))
+    g = [ScalarExpr(Binary("^", e, Const(2.0))) for e in (t, k, m)]
     return {
         "phi": TensorField11([[zero, zero, zero], [zero, zero, phi12], [zero, phi21, zero]]),
         "xi": VectorField([ScalarExpr(Binary("/", Const(1.0), t)), zero, zero]),
         "eta": OneFormField([params.tau, zero, zero]),
-        "g": MetricField.diagonal(*(ScalarExpr(Binary("^", e, Const(2.0))) for e in (t, k, m))),
+        "g": MetricField([[g[0], 0.0, 0.0], [0.0, g[1], 0.0], [0.0, 0.0, g[2]]]),
     }
 
 

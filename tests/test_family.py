@@ -6,7 +6,6 @@ import pytest
 from oracles import fd_grad, fd_hess
 
 from cornergeo.corner import CornerFields
-from cornergeo.expr import Call, ScalarExpr, as_expr
 from cornergeo.family import (
     PRESET_NAMES,
     FamilyParams,
@@ -149,28 +148,24 @@ def test_random_family_is_deterministic():
     )
 
 
-_MONOMIALS = {m: as_expr(m) for m in "x1 x2 x3 x1*x2 x1*x3 x2*x3 x1^2 x2^2 x3^2".split()}
+def terms(first, monomials, coefficients) -> str:
+    """``first + m1*c1 + m2*c2 + ...`` with each coefficient as its ``repr``."""
+    return " + ".join([first] + [f"{m}*{c!r}" for m, c in zip(monomials, coefficients)])
 
 
 def reference_random_family(rng, corner=True, domain=None) -> FamilyParams:
-    """``random_family`` as ScalarExpr arithmetic and one ``uniform`` call per
-    group of coefficients."""
-    mono = _MONOMIALS
-    a = rng.uniform(-1.0, 1.0, size=5)
-    exponent = mono["x2"] * a[0] + mono["x3"] * a[1] + mono["x1*x2"] * a[2]
-    exponent = exponent + mono["x1*x3"] * a[3] + mono["x1"] * a[4]
-    tau_expr = ScalarExpr(Call("exp", exponent.root))
-
+    """``random_family`` as parsed text and one ``uniform`` call per group of
+    coefficients."""
+    a = rng.uniform(-1.0, 1.0, size=5).tolist()
+    exponent = terms(f"x2*{a[0]!r}", ("x3", "x1*x2", "x1*x3", "x1"), a[1:])
     k = rng.uniform(0.5, 1.5)
-    k2, k3 = rng.uniform(0.0, 1.0, size=2)
-    kappa = as_expr(k) + mono["x2^2"] * k2 + mono["x2*x3"] * k3
+    kappa = terms(repr(k), ("x2^2", "x2*x3"), rng.uniform(0.0, 1.0, size=2).tolist())
     m = rng.uniform(0.5, 1.5)
-    m2, m3 = rng.uniform(0.0, 1.0, size=2)
-    mu = as_expr(m) + mono["x3^2"] * m2 + mono["x2*x3"] * m3
+    mu = terms(repr(m), ("x3^2", "x2*x3"), rng.uniform(0.0, 1.0, size=2).tolist())
     if not corner:
-        kappa = kappa + mono["x1^2"] * rng.uniform(0.5, 1.5)
-        mu = mu + mono["x1"] * rng.uniform(0.5, 1.5)
-    return FamilyParams.of(tau_expr, kappa, mu, domain=domain)
+        kappa = terms(kappa, ("x1^2",), [rng.uniform(0.5, 1.5)])
+        mu = terms(mu, ("x1",), [rng.uniform(0.5, 1.5)])
+    return FamilyParams.of(f"exp({exponent})", kappa, mu, domain=domain)
 
 
 @pytest.mark.parametrize("corner", [True, False])

@@ -1,19 +1,19 @@
 """`scan` over family members: the stacked member axis against member-by-member evaluation."""
 
-import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from test_family import terms
+
 from cornergeo import family
 from cornergeo.cli import STACKED_POINTS, main, scan_sigma
 from cornergeo.corner import CornerFields, DegenerateCornerError
-from cornergeo.expr import Call, EvalDomainError, Rows, ScalarExpr, as_expr, skipping, stack_trees
+from cornergeo.expr import EvalDomainError, Rows, ScalarExpr, as_expr, skipping, stack_trees
 from cornergeo.family import FamilyParams, build_family, random_family, stack_members
 from cornergeo.fields import ChartDomain, max_abs
-from cornergeo.report import row_max, row_min, seq_max, seq_min
 from cornergeo.tensor import d_oneform_matrix
 
 
@@ -30,9 +30,9 @@ def reference_scan(params_list, samples, seed) -> dict:
         degenerate = int(np.count_nonzero(~kept))
         pts = pts[kept]
         if f is not None:
-            max_domega = seq_max(max_abs(d_oneform_matrix(cf.omega, pts)), 0.0)
-            max_sigma = seq_max(np.abs(f.sigma), 0.0)
-            min_gap = seq_min(np.abs(f.sigma - f.e_rho))
+            max_domega = max([0.0, *max_abs(d_oneform_matrix(cf.omega, pts)).tolist()])
+            max_sigma = max([0.0, *np.abs(f.sigma).tolist()])
+            min_gap = min(np.abs(f.sigma - f.e_rho).tolist())
         draws.append({
             "tau": str(params.tau),
             "kappa": str(params.kappa),
@@ -61,13 +61,10 @@ def same(a: dict, b: dict) -> bool:
 
 def member(a, k=(1.0, 0.5, 0.5), m=(1.0, 0.5, 0.5)) -> FamilyParams:
     """A member with ``random_family``'s tree and the given coefficients."""
-    mono = family._MONOMIALS
-    exponent = mono["x2"] * a[0] + mono["x3"] * a[1] + mono["x1*x2"] * a[2]
-    exponent = exponent + mono["x1*x3"] * a[3] + mono["x1"] * a[4]
-    tau = ScalarExpr(Call("exp", exponent.root))
-    kappa = as_expr(k[0]) + mono["x2^2"] * k[1] + mono["x2*x3"] * k[2]
-    mu = as_expr(m[0]) + mono["x3^2"] * m[1] + mono["x2*x3"] * m[2]
-    return FamilyParams.of(tau, kappa, mu)
+    exponent = terms(f"x2*{a[0]!r}", ("x3", "x1*x2", "x1*x3", "x1"), a[1:])
+    kappa = terms(repr(k[0]), ("x2^2", "x2*x3"), k[1:])
+    mu = terms(repr(m[0]), ("x3^2", "x2*x3"), m[1:])
+    return FamilyParams.of(f"exp({exponent})", kappa, mu)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123])
@@ -148,6 +145,24 @@ def test_the_first_member_with_a_number_that_is_not_finite_is_named():
     with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
         scan_sigma(members, samples=10, seed=4)
     assert str(err.value) == "min_sigma_gap of scan member 6 is not finite: nan"
+
+
+def test_a_sigma_that_is_nan_at_a_few_points_is_named(tmp_path, capsys):
+    # 0*exp(750*x1) is NaN where exp overflows, so kappa's Hessian, and sigma
+    # with it, is NaN at 5 of the 40 points, the first of them point 3
+    fam = {"tau": "exp(x1*x2 + x3)", "kappa": "1 + x2^2 + 0*exp(750*x1)", "mu": "1 + x3"}
+    params = FamilyParams.of(fam["tau"], fam["kappa"], fam["mu"])
+    pts = params.domain.sample(40, np.random.default_rng([0, 0]))
+    with np.errstate(all="ignore"):
+        sigma = build_family(params).corner.frame(pts).sigma
+    assert np.flatnonzero(np.isnan(sigma)).tolist() == [3, 9, 26, 29, 30]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"family": fam, "samples": 40}))
+    with np.errstate(all="ignore"):
+        code = main(["scan", "--config", str(path)])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error["message"] == "min_sigma_gap of scan member 0 is not finite: nan"
 
 
 def test_one_frame_bundle_per_group(capsys, monkeypatch):
@@ -330,42 +345,3 @@ def test_the_first_failing_member_of_a_mixed_pass_raises(order):
     assert str(got.value) == str(ref.value)
     first = "power overflows" if order == "draw-first" else "family requires tau > 0"
     assert str(got.value).startswith(first)
-
-
-NAN, INF = float("nan"), float("inf")
-REDUCTION_ROWS = [
-    [NAN, 1.0, 2.0],
-    [1.0, NAN, 3.0, NAN],
-    [-0.0, 0.0, -0.0],
-    [0.0, -0.0, 0.0],
-    [-1.0, -0.0, 0.0],
-    [-1.0, 0.0, -0.0],
-    [INF, 1.0, NAN],
-    [-INF, -INF, NAN],
-    [NAN, NAN, NAN],
-    [2.0, -INF, INF, 1.0],
-    [-0.0] * 20 + [0.0] * 20,
-]
-
-
-def python_fold(values, start=None):
-    """Python's ``max`` folded over ``values``, as ``seq_max`` describes itself."""
-    values = list(values)
-    if start is None:
-        start, values = values[0], values[1:]
-    return functools.reduce(max, values, start)
-
-
-@pytest.mark.parametrize("start", [None, 0.0, -0.0, NAN, -INF])
-def test_row_reductions_equal_seq_max_and_seq_min_row_by_row(start):
-    width = max(len(r) for r in REDUCTION_ROWS)
-    # rows of one length: each row padded at the back with its last value, and
-    # at the front with NaN, which makes NaN the first value
-    rows = np.array(
-        [r + r[-1:] * (width - len(r)) for r in REDUCTION_ROWS]
-        + [[NAN] * (width - len(r)) + r for r in REDUCTION_ROWS]
-    )
-    maxima, minima = row_max(rows, start), row_min(rows)
-    for row, top, bottom in zip(rows, maxima, minima):
-        assert bits(top) == bits(seq_max(row, start)) == bits(python_fold(row.tolist(), start))
-        assert bits(bottom) == bits(seq_min(row)) == bits(-python_fold((-row).tolist()))
