@@ -24,11 +24,11 @@ import numpy as np
 
 from .expr import by_rows, outer, skipping
 from .fields import ChartDomain, MetricField, OneFormField, SingularMetricError, TensorField11
-from .fields import DET_GUARD, VectorField, contract, dot, first_order, first_row, gnorm
-from .fields import last_batch, mv, vm, vnorm
+from .fields import VectorField, contract, dot, first_order, first_row, gnorm, last_batch, mv
+from .fields import vm, vnorm
 from .report import ResidualReport, ResidualTracker, stats
-from .tensor import _as_vector_field, _bracket, _with_jacobian, divergence, exterior_d_oneform
-from .tensor import nabla_matrix, probe_vectors
+from .tensor import _as_vector_field, _bracket, _with_jacobian, divergence, nabla_matrix
+from .tensor import probe_vectors
 
 __all__ = [
     "AcmStructure",
@@ -122,18 +122,16 @@ def check_axioms(s: AcmStructure, points, tol: float = 1e-8) -> ResidualReport:
     it, before any matrix norm is taken.
     """
     p = np.atleast_2d(points)
-    G = s.g.matrix(p)
-    used = ~(np.abs(np.linalg.det(G)) < DET_GUARD)
+    used, Ginv = skipping(s.g.inverse, p, SingularMetricError)
     skipped = int(np.count_nonzero(~used))
-    p, G = p[used], G[used]
+    p = p[used]
     tracker = ResidualTracker(p)
-    if len(p):
-        P, xi, eta = s.phi.matrix(p), s.xi.values(p), s.eta.values(p)
+    if Ginv is not None:
+        G, P, xi, eta = s.g.matrix(p), s.phi.matrix(p), s.xi.values(p), s.eta.values(p)
         for name, v in (("g", G), ("phi", P), ("xi", xi), ("eta", eta)):
             bad = first_row(p, ~np.isfinite(v.reshape(len(p), -1)).all(axis=-1))
             if bad is not None:
                 raise ValueError(f"{name} is not finite at {bad[1].tolist()}")
-        Ginv = np.linalg.inv(G)
         tracker.update("eta_xi", dot(eta, xi) - 1.0)
         tracker.update(
             "phi_square", np.linalg.norm(P @ P + np.eye(3) - outer(xi, eta), 2, axis=(-2, -1))
@@ -161,46 +159,43 @@ def fundamental_two_form_fields(s: AcmStructure) -> TensorField11:
 
 def nijenhuis(s: AcmStructure, X, Y, p) -> np.ndarray:
     """The Nijenhuis torsion of phi on (X, Y) at p."""
-    Xf, Yf = _as_vector_field(X), _as_vector_field(Y)
-    x, y = _with_jacobian(Xf, p), _with_jacobian(Yf, p)
-    px, py = _with_jacobian(s.phi.apply(Xf), p), _with_jacobian(s.phi.apply(Yf), p)
-    return _n_phi(s.phi.matrix(p), x, y, px, py, _bracket(x, y))
-
-
-def _n_phi(P, x, y, px, py, br) -> np.ndarray:
-    """N_phi(X, Y) from the matrix of phi, the values and Jacobians of X, Y,
-    phi X and phi Y (see :func:`cornergeo.tensor._bracket`), and [X, Y]."""
-    return mv(P, mv(P, br)) + _bracket(px, py) - mv(P, _bracket(px, y)) - mv(P, _bracket(x, py))
+    return _normality(s.phi, s.xi, s.eta, [(X, Y)], p).n_phi[0]
 
 
 def n1_tensor(s: AcmStructure, X, Y, p) -> np.ndarray:
     """N^(1)(X, Y) = N_phi(X, Y) + 2 d eta(X, Y) xi (normality tensor)."""
-    Xf, Yf = _as_vector_field(X), _as_vector_field(Y)
-    deta = exterior_d_oneform(s.eta, Xf, Yf, p)
-    return nijenhuis(s, Xf, Yf, p) + (2.0 * deta)[..., None] * s.xi.values(p)
+    return _normality(s.phi, s.xi, s.eta, [(X, Y)], p).n1[0]
+
+
+def _normality(phi, xi, eta, pairs: list, p) -> SimpleNamespace:
+    """``n_phi`` and ``n1``: N_phi and N^(1) on each (X, Y) of ``pairs``
+    (vector fields, or arrays taken as constant fields), stacked in that
+    order on a leading axis.  Each distinct X gives its values, Jacobian,
+    phi X and d(eta(X)) once, and each [X, Y] serves both N_phi and d eta."""
+    P, xi_v, eta_v = phi.matrix(p), xi.values(p), eta.values(p)
+    known = {}  # by id, which is unique: ``pairs`` keeps every X alive
+    for X in itertools.chain(*pairs):
+        if id(X) not in known:
+            Xf = _as_vector_field(X)
+            known[id(X)] = (_with_jacobian(Xf, p), _with_jacobian(phi.apply(Xf), p),
+                            eta.pair(Xf).jet(p).grad)
+    n_phi, n1 = [], []
+    for X, Y in pairs:
+        (x, px, d_eta_x), (y, py, d_eta_y) = known[id(X)], known[id(Y)]
+        br = _bracket(x, y)
+        n = mv(P, mv(P, br)) + _bracket(px, py) - mv(P, _bracket(px, y)) - mv(P, _bracket(x, py))
+        # d eta(X, Y), with the 1/2 convention of exterior_d_oneform
+        deta = 0.5 * (dot(x[0], d_eta_y) - dot(y[0], d_eta_x) - dot(eta_v, br))
+        n_phi.append(n)
+        n1.append(n + (2.0 * deta)[..., None] * xi_v)
+    return SimpleNamespace(n_phi=np.stack(n_phi), n1=np.stack(n1))
 
 
 def _basis_normality(phi, xi, eta, p) -> SimpleNamespace:
-    """``n_phi`` and ``n1``: N_phi and N^(1) on the coordinate pairs
-    (d_0, d_1), (d_0, d_2), (d_1, d_2), stacked in that order on a leading
-    axis, each bit for bit as :func:`nijenhuis` and :func:`n1_tensor` give
-    it.  Each d_i gives its values, Jacobian, phi d_i and eta(d_i) once,
-    and each [d_i, d_j] serves both N_phi and d eta.  Raises a ValueError
-    at the first point where N^(1) is not finite."""
-    P, xi_v, eta_v = phi.matrix(p), xi.values(p), eta.values(p)
-    basis = []
-    for e in np.eye(3):
-        E = VectorField.constant(e)
-        basis.append((_with_jacobian(E, p), _with_jacobian(phi.apply(E), p),
-                      eta.pair(E).jet(p).grad))
-    n_phi, n1 = [], []
-    for (x, px, d_eta_x), (y, py, d_eta_y) in itertools.combinations(basis, 2):
-        br = _bracket(x, y)
-        n_phi.append(_n_phi(P, x, y, px, py, br))
-        # d eta(X, Y), as exterior_d_oneform computes it
-        deta = 0.5 * (dot(x[0], d_eta_y) - dot(y[0], d_eta_x) - dot(eta_v, br))
-        n1.append(n_phi[-1] + (2.0 * deta)[..., None] * xi_v)
-    b = SimpleNamespace(n_phi=np.stack(n_phi), n1=np.stack(n1))
+    """:func:`_normality` on the coordinate pairs (d_0, d_1), (d_0, d_2) and
+    (d_1, d_2); raises a ValueError at the first point where N^(1) is not finite."""
+    pairs = list(itertools.combinations([VectorField.constant(e) for e in np.eye(3)], 2))
+    b = _normality(phi, xi, eta, pairs, p)
     # N^(1) = N_phi + 2 d eta (x) xi is not finite wherever N_phi is not
     bad = first_row(p, ~np.isfinite(b.n1).all(axis=(0, -1)))
     if bad is not None:
@@ -303,7 +298,7 @@ def classify(
     used, alpha_beta = skipping(lambda q: olszak_alpha_beta(s, q), points, SingularMetricError)
     skipped = int(np.count_nonzero(~used))
     if alpha_beta is None:
-        raise SingularMetricError(points[0], 0.0)
+        olszak_alpha_beta(s, points[:1])  # singular everywhere: the first point raises
     alphas, betas = alpha_beta
     bad = first_row(points[used], ~(np.isfinite(alphas) & np.isfinite(betas)))
     if bad is not None:

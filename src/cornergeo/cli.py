@@ -409,24 +409,20 @@ def _scan_pass(members, samples: int, seed: int) -> list:
     pts = np.stack(
         [p.domain.sample(samples, np.random.default_rng([seed, i])) for i, p in members]
     )
-    lone = len(members) == 1
+    rows = len(members)
     try:
         cf = family.build_family(family.stack_members([p for _, p in members])).corner
-        if lone:
-            kept, f = skipping(cf.frame, pts[0], DegenerateCornerError)
-            pts, kept = pts[0][kept], kept[None]
-        else:
-            kept, f = np.ones(pts.shape[:-1], dtype=bool), cf.frame(pts)
+        kept, f = skipping(cf.frame, pts, DegenerateCornerError if rows == 1 else ())
     except _POINT_ERRORS:
-        if lone:
+        if rows == 1:
             raise
         return [entry for m in members for entry in _scan_pass([m], samples, seed)]
-    rows = len(members)
+    pts = pts[:, kept]
     folded = {"min_sigma_gap": [None] * rows, "max_d_omega": [0.0] * rows,
               "max_sigma": [0.0] * rows}
     if f is not None:
-        # one row per member (a lone member's row is its kept points); the gap
-        # comes first, so that a sigma that is NaN is named by its gap
+        # one row per member, over its kept points; the gap comes first, so
+        # that a sigma that is NaN is named by its gap
         columns = {
             "min_sigma_gap": np.abs(f.sigma - f.e_rho).reshape(rows, -1),
             "max_d_omega": max_abs(d_oneform_matrix(cf.omega, pts)).reshape(rows, -1),
@@ -440,14 +436,14 @@ def _scan_pass(members, samples: int, seed: int) -> list:
                         raise ValueError(f"{name} of scan member {i} is not finite: {bad[0]}")
         folded = {name: (np.min if name == "min_sigma_gap" else np.max)(c, axis=1).tolist()
                   for name, c in columns.items()}
-    degenerate = np.count_nonzero(~kept, axis=1).tolist()
+    degenerate = int(np.count_nonzero(~kept))
     return [
         {
             "tau": str(params.tau),
             "kappa": str(params.kappa),
             "mu": str(params.mu),
             **{name: values[m] for name, values in folded.items()},
-            "degenerate_points": degenerate[m],
+            "degenerate_points": degenerate,
         }
         for m, (_, params) in enumerate(members)
     ]

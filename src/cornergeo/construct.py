@@ -421,13 +421,9 @@ class GateReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "gate_holds": self.gate_holds,
-            "sigma_minus_erho_max": self.gate_residual_max,
-            "case": self.case,
-            "cases_seen": self.cases_seen,
-            "tolerance": self.tolerance,
-        }
+        out = dataclasses.asdict(self)
+        out["sigma_minus_erho_max"] = out.pop("gate_residual_max")
+        return out
 
 
 def corollary_gate(

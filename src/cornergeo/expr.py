@@ -21,7 +21,8 @@ Grammar accepted by :func:`parse`::
 means ``-(x1^2)``.  Numbers are decimal with optional exponent; one too
 large for a float is infinite, and an infinite constant prints as ``1e999``.
 Constant subexpressions are folded at parse time, except one that leaves a
-domain or whose value is NaN.
+domain or whose value is NaN.  A tree, or a nesting, deeper than
+:data:`MAX_DEPTH` is refused.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class AbsAtZeroWarning(RuntimeWarning):
 
 # elementwise libm pow: np.power rounds differently from Python's float pow
 _POW = np.frompyfunc(pow, 2, 1)
-# errors whose cause is one chart point; see :func:`rowwise`
+# errors whose cause is one chart point; see :func:`skipping`
 _POINT_ERRORS = (ArithmeticError, ValueError, RuntimeError)
 
 
@@ -116,23 +117,9 @@ def as_points(p) -> np.ndarray:
     return x
 
 
-def rowwise(fn, points):
-    """``fn(points)``, failing the way a point-by-point loop would: a batch
-    that raises is replayed one point at a time, in sample order, and the
-    first point that fails on its own raises its error (points ``(M, N, 3)``
-    on member axes: one sample index at a time, for every member at once)."""
-    try:
-        return fn(points)
-    except _POINT_ERRORS:
-        x = np.reshape(points, (-1, 3)) if np.ndim(points) < 3 else np.asarray(points)
-        for n in range(x.shape[-2]):
-            fn(x[..., n : n + 1, :])
-        raise
-
-
 def by_rows(fn):
-    """``fn`` failing like :func:`rowwise` in its argument called ``points``,
-    or else in its second argument."""
+    """``fn`` failing like a point-by-point loop (see :func:`skipping`) in its
+    argument called ``points``, or else in its second argument."""
     names = list(inspect.signature(fn).parameters)
     at = names.index("points") if "points" in names else 1
 
@@ -140,31 +127,34 @@ def by_rows(fn):
     def wrapper(*args, **kwargs):
         if "points" in kwargs:
             points = kwargs.pop("points")
-            return rowwise(lambda q: fn(*args, points=q, **kwargs), points)
-        return rowwise(lambda q: fn(*args[:at], q, *args[at + 1 :], **kwargs), args[at])
+            return skipping(lambda q: fn(*args, points=q, **kwargs), points)[1]
+        return skipping(lambda q: fn(*args[:at], q, *args[at + 1 :], **kwargs), args[at])[1]
 
     return wrapper
 
 
-def skipping(fn, points, error) -> tuple:
-    """``(kept, fn(points[kept]))``: ``fn`` over the ``(N, 3)`` points at which
-    it does not raise ``error`` (the result is None when it raises at all).
+def skipping(fn, points, error=()) -> tuple:
+    """``(kept, fn(points[..., kept, :]))``: ``fn`` over the sample indices of
+    the points ``(3,)``, ``(N, 3)`` or ``(M, N, 3)`` at which it does not
+    raise ``error`` (the result is None when it raises at every one).
 
-    The batch is tried first.  If it fails, the points are taken one at a
-    time in sample order: those raising ``error`` are left out, and any
-    other error propagates from the first point that raises it.
-    """
-    kept = np.ones(len(points), dtype=bool)
+    The batch is tried first.  If it fails, it is replayed one sample index
+    at a time (for every member at once), in sample order: those raising
+    ``error`` are left out, and any other error propagates from the first
+    index that raises it, as it would from a point-by-point loop."""
+    x = np.reshape(points, (-1, 3)) if np.ndim(points) < 2 else np.asarray(points)
+    kept = np.ones(x.shape[-2], dtype=bool)
     try:
         return kept, fn(points)
     except _POINT_ERRORS:
-        pass
-    for i in range(len(points)):
-        try:
-            fn(points[i : i + 1])
-        except error:
-            kept[i] = False
-    return kept, fn(points[kept]) if kept.any() else None
+        for n in range(len(kept)):
+            try:
+                fn(x[..., n : n + 1, :])
+            except error:
+                kept[n] = False
+        if kept.all():
+            raise
+    return kept, fn(x[..., kept, :]) if kept.any() else None
 
 
 def jet_sum(terms):
@@ -758,25 +748,12 @@ def _tokenize(src: str) -> list[tuple]:
     return tokens
 
 
-def _fold_unary(node: Node) -> Node:
-    if isinstance(node, Const):
-        return Const(-node.value)
-    return Unary("-", node)
-
-
-def _fold_binary(op: str, left: Node, right: Node) -> Node:
-    node = Binary(op, left, right)
-    return _fold(node) if isinstance(left, Const) and isinstance(right, Const) else node
-
-
-def _fold_call(name: str, arg: Node) -> Node:
-    node = Call(name, arg)
-    return _fold(node) if isinstance(arg, Const) else node
-
-
 def _fold(node: Node) -> Node:
-    """A node with constant operands as its value, unless it leaves a domain
-    or its value is NaN, which has no literal to print."""
+    """A node whose operands are all constants as its value, unless it leaves
+    a domain or its value is NaN, which has no literal to print."""
+    operands = (node.arg,) if isinstance(node, (Unary, Call)) else (node.left, node.right)
+    if not all(isinstance(o, Const) for o in operands):
+        return node
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AbsAtZeroWarning)
@@ -786,10 +763,18 @@ def _fold(node: Node) -> Node:
     return node if np.isnan(value) else Const(value)
 
 
+# the deepest tree that parse builds, and the deepest nesting of brackets,
+# calls, signs and powers that it reads: walking, printing or stacking a tree
+# recurses at most twice per level, and the parser four times per nesting, so
+# both stay far inside Python's recursion limit
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0  # the parse_factor calls under way
 
     def peek(self) -> str:
         """The text of the next token."""
@@ -805,33 +790,49 @@ class _Parser:
             return ParseError("unexpected end of input", offset)
         return ParseError(f"unexpected {text!r}", offset)
 
-    def parse_expr(self, level: int = _LEVEL_ADD) -> Node:
+    def bounded(self, depth: int, offset: int) -> int:
+        """``depth``, reached at ``offset``, unless it passes MAX_DEPTH."""
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+        return depth
+
+    def build(self, kind: type, offset: int, head: str, *operands: tuple) -> tuple:
+        """``(node, depth)``, as each ``parse_*`` method gives it: the node
+        ``kind(head, ...)`` on the ``(node, depth)`` operands, folded."""
+        nodes, depths = zip(*operands)
+        return _fold(kind(head, *nodes)), self.bounded(1 + max(depths), offset)
+
+    def parse_expr(self, level: int = _LEVEL_ADD) -> tuple:
         """Operands of the next level (factors at the level of ``*``), joined
         left to right by the operators of ``level``."""
         tighter = functools.partial(self.parse_expr, _LEVEL_MUL)
         operand = self.parse_factor if level == _LEVEL_MUL else tighter
         node = operand()
         while self.peek() in _OPS and _OPS[self.peek()].level == level:
-            node = _fold_binary(self.advance()[1], node, operand())
+            _, op, offset = self.advance()
+            node = self.build(Binary, offset, op, node, operand())
         return node
 
-    def parse_factor(self) -> Node:
+    def parse_factor(self) -> tuple:
+        offset = self.tokens[self.pos][2]
+        self.nesting = self.bounded(self.nesting + 1, offset)
         if self.peek() == "-":
             self.advance()
-            return _fold_unary(self.parse_factor())
-        base = self.parse_atom()
-        if self.peek() != "^":
-            return base
-        self.advance()
-        return _fold_binary("^", base, self.parse_factor())
+            node = self.build(Unary, offset, "-", self.parse_factor())
+        else:
+            node = self.parse_atom()
+            if self.peek() == "^":
+                node = self.build(Binary, self.advance()[2], "^", node, self.parse_factor())
+        self.nesting -= 1
+        return node
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self) -> tuple:
         """A number, a variable, or a call or parenthesized expression and its ')'."""
         kind, text, offset = tok = self.advance()
         if kind == "number":
-            return Const(float(text))
+            return Const(float(text)), 1
         if text in _VARIABLES:
-            return Var(_VARIABLES[text])
+            return Var(_VARIABLES[text]), 1
         if kind == "ident":
             if text not in _FUNCTIONS:
                 raise ParseError(f"unknown identifier {text!r}", offset)
@@ -846,13 +847,14 @@ class _Parser:
             raise ParseError(f"{text!r} takes a single argument", closer[2])
         if closer[1] != ")":
             raise self.fail(closer)
-        return _fold_call(text, node) if kind == "ident" else node
+        return self.build(Call, offset, text, node) if kind == "ident" else node
 
 
 def parse(src: str) -> ScalarExpr:
-    """Parse expression source text; raises :class:`ParseError` with offset."""
+    """Parse expression source text; raises :class:`ParseError` with offset,
+    also for a tree deeper than :data:`MAX_DEPTH`."""
     parser = _Parser(_tokenize(src))
-    node = parser.parse_expr()
+    node = parser.parse_expr()[0]
     trailing = parser.advance()
     if trailing[0] != "eof":
         raise parser.fail(trailing)

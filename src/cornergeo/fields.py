@@ -34,7 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .expr import Jet2, ScalarExpr, as_expr, as_points, jet_sum, rowwise
+from .expr import Jet2, as_expr, as_points, jet_sum, skipping
 
 __all__ = [
     "SingularMetricError",
@@ -100,7 +100,7 @@ def last_batch(fn, owner=None):
     (by :func:`batch_key`) it hands that result back without calling ``fn``.
     Every array in it is made read-only (see :func:`_frozen`), so no caller
     can change later reads.  It fails as a point-by-point loop would (see
-    :func:`cornergeo.expr.rowwise`).
+    :func:`cornergeo.expr.skipping`).
     With an ``owner``, ``fn`` is a method called on a weak proxy of it, so
     the owner can keep the memo without a reference cycle."""
     if owner is not None:
@@ -111,7 +111,7 @@ def last_batch(fn, owner=None):
         nonlocal key, result
         k = batch_key(p)
         if k != key:
-            result = _frozen(rowwise(fn, p))
+            result = _frozen(skipping(fn, p)[1])
             key = k
         return result
 
@@ -241,25 +241,13 @@ def _half_product_sum(pairs) -> Jet2:
     return Jet2(value, grad)
 
 
-def _constant(c):
-    """The jet function of a field with zero derivatives and value ``c``
-    (copied, since the memo makes the jet's arrays read-only)."""
-    c = np.array(c, dtype=float)
-    return lambda p: Jet2.constant(c, shape=as_points(p).shape[:-1])
-
-
 def _grid_jets(grid, rank: int, kind: str):
     """The jet function of a rank-1 or rank-2 field given by a grid of entries
     (scalar fields, expressions or their source text, numbers), rows first:
     the entries' jets stacked on the leading component axes."""
     fns = []
     for row in [grid] if rank == 1 else grid:
-        row = [
-            e.jet if isinstance(e, ScalarField)
-            else as_expr(e).eval_jet2 if isinstance(e, (ScalarExpr, str))
-            else _constant(float(e))
-            for e in row
-        ]
+        row = [e.jet if isinstance(e, ScalarField) else as_expr(e).eval_jet2 for e in row]
         if len(row) != 3:
             raise ValueError(f"expected 3 components, got {len(row)}")
         fns += row
@@ -272,8 +260,8 @@ class _Field:
     """A field: one function from points to its whole jet (component axes
     first), memoized for the last batch of points.  A field of rank 1 or 2
     may be given by a grid of entries instead (see :func:`_grid_jets`);
-    ``components`` (alias ``entries``) and indexing slice its jet into
-    component fields, and for rank 2 into rows."""
+    ``components`` and indexing slice its jet into component fields, and for
+    rank 2 into rows."""
 
     __slots__ = ("_fn",)
     _rank, _kind = 0, ""
@@ -284,8 +272,6 @@ class _Field:
     @property
     def components(self) -> tuple:
         return tuple(self[k] for k in range(3))
-
-    entries = components
 
     def __getitem__(self, k):
         if not self._rank:
@@ -298,11 +284,6 @@ class ScalarField(_Field):
     """A scalar quantity on the chart, the field of rank 0."""
 
     __slots__ = ()
-
-    @classmethod
-    def constant(cls, c) -> "ScalarField":
-        """A field with zero derivatives; ``c`` may give one value per sample point."""
-        return cls(_constant(c))
 
     def jet(self, p) -> Jet2:
         return self._fn(p)
@@ -339,9 +320,10 @@ class VectorField(_ComponentsMixin):
     def constant(cls, vec) -> "VectorField":
         """A field with constant components; ``vec`` is ``(3,)``, or ``(N, 3)``
         for one direction per sample point."""
-        vec = np.asarray(vec, dtype=float)
+        vec = np.array(vec, dtype=float)  # a copy, which no later write of the caller reaches
         vec = vec.reshape(3) if vec.size == 3 else vec
-        return cls([ScalarField.constant(vec[..., k]) for k in range(3)])
+        return cls(lambda p: Jet2.constant(
+            np.moveaxis(np.broadcast_to(vec, as_points(p).shape[:-1] + (3,)), -1, 0)))
 
 
 class OneFormField(_ComponentsMixin):
@@ -375,6 +357,13 @@ _R0, _R1 = np.array([1, 0, 0]), np.array([2, 2, 1])
 _COFACTOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
 
 
+def _check_det(p, det) -> None:
+    """Raise a :class:`SingularMetricError` at the first point where |det g| < DET_GUARD."""
+    bad = first_row(p, np.abs(det) < DET_GUARD)
+    if bad is not None:
+        raise SingularMetricError(bad[1], np.reshape(det, -1)[bad[0]])
+
+
 class MetricField(_Field):
     """A symmetric metric field with jet-level Christoffel symbols.
 
@@ -406,10 +395,7 @@ class MetricField(_Field):
 
     def inverse(self, p) -> np.ndarray:
         G = self.matrix(p)
-        det = np.linalg.det(G)
-        bad = first_row(p, np.abs(det) < DET_GUARD)
-        if bad is not None:
-            raise SingularMetricError(bad[1], np.reshape(det, -1)[bad[0]])
+        _check_det(p, np.linalg.det(G))
         return np.linalg.inv(G)
 
     def norm(self, p, a):
@@ -433,11 +419,9 @@ class MetricField(_Field):
         cof.value *= sign
         cof.grad *= sign[..., None]
         det = jet_sum(g[0] * cof[0])
+        _check_det(p, det.value)  # before the division, which a det of 0 would fail
         ginv = cof.transpose(1, 0) / det
         del cof  # freed before the products below, where the memory peaks
-        bad = first_row(p, np.abs(det.value) < DET_GUARD)
-        if bad is not None:
-            raise SingularMetricError(bad[1], np.reshape(det.value, -1)[bad[0]])
 
         # Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2, with D[a, i, j] = d_a g_ij
         D = jet_partials(G)

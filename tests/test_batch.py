@@ -36,7 +36,7 @@ from cornergeo.corner import (
 )
 from cornergeo import expr
 from cornergeo.expr import Binary, Const, EvalDomainError, Jet2, ScalarExpr, Unary, as_expr
-from cornergeo.expr import jet_sum, parse
+from cornergeo.expr import jet_sum, parse, skipping
 from cornergeo.family import FamilyParams, build_family, preset, random_family
 from cornergeo.fields import (
     ChartDomain,
@@ -254,7 +254,7 @@ def test_fields_given_by_one_jet_function_expose_their_components():
 def christoffel_per_entry(g: MetricField, p):
     """Gamma^k_ij entry by entry from the metric's component jets: the
     adjugate inverse and g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
-    G = [[e.jet(p) for e in row] for row in g.entries]
+    G = [[e.jet(p) for e in row] for row in g.components]
     idx = ((1, 2), (0, 2), (0, 1))
     c = [[None] * 3 for _ in range(3)]
     for i, r in enumerate(idx):
@@ -469,6 +469,45 @@ def test_degenerate_points_are_counted_as_one_at_a_time():
     with pytest.raises(SingularMetricError) as err:
         closed_omega_check(s, mixed_points())
     np.testing.assert_array_equal(err.value.point, SINGULAR)
+
+
+def test_skipping_on_a_member_axis_leaves_out_one_sample_index_for_every_member():
+    def fn(q):
+        if np.any(q[..., 0] == 0.0):
+            raise ZeroDivisionError("x1 = 0")
+        if np.any(q[..., 1] < 0.0):
+            raise ValueError(f"x2 = {q[..., 1].min()}")
+        return q.sum(axis=-1)
+
+    pts = np.ones((2, 5, 3))
+    pts[1, 1, 0] = pts[0, 3, 0] = 0.0  # member 1 at sample 1, member 0 at sample 3
+    kept, out = skipping(fn, pts, ZeroDivisionError)
+    assert kept.tolist() == [True, False, True, False, True]
+    assert out.tobytes() == pts[:, kept].sum(axis=-1).tobytes()
+    # any other error comes from the first sample index that raises it
+    pts[1, 4, 1], pts[0, 2, 1] = -1.0, -2.0
+    with pytest.raises(ValueError, match=r"^x2 = -2\.0$"):
+        skipping(fn, pts, ZeroDivisionError)
+    with pytest.raises(ZeroDivisionError):
+        skipping(fn, pts)
+
+
+@pytest.mark.parametrize(
+    "vec, points",
+    [
+        ([0.5, -0.0, 2.0], POINTS[:7]),
+        ([0.5, -0.0, 2.0], POINTS[0]),
+        (POINTS[:7] - 0.5, POINTS[:7]),
+    ],
+    ids=["one-vector-sample", "one-vector-point", "vector-per-point"],
+)
+def test_a_constant_vector_field_is_its_constant_entries_stacked_bit_for_bit(vec, points):
+    vec = np.asarray(vec)
+    batch = np.shape(points)[:-1]
+    want = Jet2.stack([Jet2.constant(np.broadcast_to(vec[..., k], batch)) for k in range(3)])
+    got = VectorField.constant(vec).jets(points)
+    for a, b in ((got.value, want.value), (got.grad, want.grad), (got.hess, want.hess)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_the_first_failing_point_raises():

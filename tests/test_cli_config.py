@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from cornergeo import acms
 from cornergeo.cli import main
-from cornergeo.fields import ChartDomain
+from cornergeo.expr import MAX_DEPTH
+from cornergeo.fields import ChartDomain, SingularMetricError
 
 
 def run_config(tmp_path, capsys, command, data):
@@ -236,3 +238,48 @@ def test_the_axioms_name_a_field_that_is_not_finite(tmp_path, capsys, command, d
     assert payload["error"]["type"] == "ValueError"
     point = ChartDomain().sample(5, 0)[0]  # the scene's first point (seed 0)
     assert payload["error"]["message"] == f"g is not finite at {point.tolist()}"
+
+
+@pytest.mark.parametrize("g22, det", [("1e-7", 1e-14), ("0", 0.0)], ids=["tiny", "zero"])
+def test_a_metric_singular_at_every_point_names_its_true_determinant(tmp_path, capsys, g22,
+                                                                     det):
+    """|det g| under the guard at every point: classify, which skips singular
+    points, has none left and raises what its first point raises alone, as
+    check does; a det of exactly 0 is singular too, not a division by zero."""
+    g = [[1, 0, 0], [0, g22, 0], [0, 0, "1e-7"]]
+    data = {"structure": {**FLAT, "g": g}, "samples": 5}
+    errors = [run_config(tmp_path, capsys, command, data)[1]["error"]
+              for command in ("check", "classify")]
+    point = ChartDomain().sample(5, 0)[0]
+    assert errors[0] == errors[1] == {
+        "type": "SingularMetricError",
+        "message": f"metric is singular at {point.tolist()}: det = {det:.3e}",
+    }
+    s = acms.AcmStructure.from_expressions(**data["structure"])
+    with pytest.raises(SingularMetricError) as err:
+        acms.classify(s, ChartDomain().sample(5, 0))
+    assert err.value.det == pytest.approx(det, rel=1e-12, abs=0.0)
+
+
+DEEP = "2+" + "(" * 260 + "x1" + ")" * 260  # nesting 261, tree depth 2
+LONG = "+".join(["x1"] * 1500)  # nesting 1, tree depth 1,500; 100 terms have depth 100
+TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
+
+
+@pytest.mark.parametrize("f, offset", [(DEEP, 2 + MAX_DEPTH), (LONG, 3 * MAX_DEPTH - 1)],
+                         ids=["nested", "long"])
+def test_a_deformation_factor_too_deep_to_walk_is_a_parse_error(capsys, f, offset):
+    """Input that would pass the interpreter's recursion limit in the parser
+    or in a walk is refused as it is parsed, where it passes MAX_DEPTH."""
+    code = main(["deform", "--preset", "family:A", "--f", f])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"]["message"] == f"bad deformation factor: {TOO_DEEP} (offset {offset})"
+
+
+def test_a_family_tau_too_deep_to_walk_is_a_parse_error(tmp_path, capsys):
+    data = {"family": {"tau": LONG, "kappa": "1", "mu": "1"}, "samples": 5}
+    code, payload = run_config(tmp_path, capsys, "check", data)
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"] == {"type": "ParseError",
+                                "message": f"{TOO_DEEP} (offset {3 * MAX_DEPTH - 1})"}

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cornergeo import acms, construct, family
+from cornergeo import acms, cli, construct, corner, family, fields
 from cornergeo.corner import CornerFields
 from cornergeo.fields import ChartDomain
 from cornergeo.tensor import nabla_matrix
@@ -101,3 +101,20 @@ def test_a_non_finite_normality_tensor_names_the_first_point():
             with pytest.raises(ValueError, match=r"^N\^\(1\) is not finite at ") as err:
                 compute(POINTS)
             assert str(err.value).endswith(f"{first.tolist()}")
+
+
+def test_a_check_report_builds_at_most_27_memos(monkeypatch, capsys):
+    """A constant vector field, such as each coordinate basis field of N_phi
+    and N^(1), is one memo, not a grid of memoized constant entries: a check
+    report on D builds 27 memos, against 36 with the grid."""
+    built, memo = [], fields.last_batch
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return memo(*args, **kwargs)
+
+    for module in (acms, corner, family, fields):  # every module that builds memos
+        monkeypatch.setattr(module, "last_batch", counted)
+    assert cli.main(["check", "--preset", "family:D", "--samples", "200"]) == 0
+    capsys.readouterr()
+    assert 0 < len(built) <= 27

@@ -16,10 +16,9 @@ from cornergeo.expr import (  # noqa: E402
     EvalDomainError,
     Rows,
     ScalarExpr,
+    Unary,
     Var,
-    _fold_binary,
-    _fold_call,
-    _fold_unary,
+    _fold,
     parse,
     stack_trees,
     to_str,
@@ -76,9 +75,9 @@ NUMBERS = st.one_of(
 PARSED = st.recursive(
     st.one_of(st.builds(Var, st.integers(0, 2)), st.builds(Const, NUMBERS)),
     lambda sub: st.one_of(
-        st.builds(_fold_binary, st.sampled_from("+-*/^"), sub, sub),
-        st.builds(_fold_call, st.sampled_from(sorted(_FUNCTIONS)), sub),
-        st.builds(_fold_unary, sub),
+        st.builds(Binary, st.sampled_from("+-*/^"), sub, sub).map(_fold),
+        st.builds(Call, st.sampled_from(sorted(_FUNCTIONS)), sub).map(_fold),
+        st.builds(Unary, st.just("-"), sub).map(_fold),
     ),
     max_leaves=8,
 )

@@ -315,6 +315,17 @@ def test_a_stacked_tree_names_the_first_failing_rows_own_subtree(points, second,
     assert str(err.value) == named
 
 
+def test_a_stacked_tree_walks_each_rows_own_tree_on_that_rows_points():
+    # x1 = 1 on row 0 and 3 on rows 1 and 2: only the third tree fails on its
+    # own row, though the second would fail on row 0's points
+    trees = [as_expr(src).root for src in ("ln(x1 - 0.5)", "ln(x1 - 2)", "ln(x1 - 5)")]
+    points = np.full((3, 2, 3), 3.0)
+    points[0] = 1.0
+    with pytest.raises(EvalDomainError) as err:
+        ScalarExpr(stack_trees(trees)).eval_jet2(points)
+    assert str(err.value) == "ln of a non-positive value in 'ln(x1 - 5)'"
+
+
 def test_a_partly_degenerate_member_inside_a_mixed_pass():
     # psi = 0 where x2 < 0.5: the exponent is 0.5 there, whatever x2 is
     partly = FamilyParams.of("exp(abs(x2 - 0.5) + x2)", "1", "1 + x3")
@@ -326,6 +337,11 @@ def test_a_partly_degenerate_member_inside_a_mixed_pass():
     entry = got["entries"][6]
     assert entry["degenerate_points"] == int(np.count_nonzero(pts[:, 1] < 0.5)) > 0
     assert entry["min_sigma_gap"] is not None
+    # alone, it is a pass of one member, which leaves its degenerate points out
+    alone = scan_sigma([partly], samples=20, seed=6)
+    assert same(alone, reference_scan([partly], 20, 6))
+    pts = ChartDomain().sample(20, np.random.default_rng([6, 0]))
+    assert alone["entries"][0]["degenerate_points"] == int(np.count_nonzero(pts[:, 1] < 0.5)) > 0
 
 
 @pytest.mark.parametrize("order", ["draw-first", "block-first"])
