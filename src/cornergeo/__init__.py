@@ -40,7 +40,7 @@ from .construct import (
     thken_check,
     twin,
 )
-from .expr import EvalDomainError, Jet2, ParseError, ScalarExpr, parse
+from .expr import EvalDomainError, Jet2, ParseError, PointError, ScalarExpr, parse
 from .family import (
     FamilyParams,
     build_family,
@@ -70,6 +70,7 @@ __all__ = [
     "NonPositiveFError",
     "OneFormField",
     "ParseError",
+    "PointError",
     "ResidualReport",
     "ScalarExpr",
     "SingularMetricError",

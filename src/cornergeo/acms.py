@@ -22,10 +22,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .expr import by_rows, outer, skipping
+from .expr import by_rows, outer, require, skipping
 from .fields import ChartDomain, MetricField, OneFormField, SingularMetricError, TensorField11
-from .fields import VectorField, contract, dot, first_order, first_row, gnorm, last_batch, mv
-from .fields import vm, vnorm
+from .fields import VectorField, contract, dot, first_order, gnorm, last_batch, mv, vm, vnorm
 from .report import ResidualReport, ResidualTracker, stats
 from .tensor import _as_vector_field, _bracket, _with_jacobian, divergence, nabla_matrix
 from .tensor import probe_vectors
@@ -129,9 +128,8 @@ def check_axioms(s: AcmStructure, points, tol: float = 1e-8) -> ResidualReport:
     if Ginv is not None:
         G, P, xi, eta = s.g.matrix(p), s.phi.matrix(p), s.xi.values(p), s.eta.values(p)
         for name, v in (("g", G), ("phi", P), ("xi", xi), ("eta", eta)):
-            bad = first_row(p, ~np.isfinite(v.reshape(len(p), -1)).all(axis=-1))
-            if bad is not None:
-                raise ValueError(f"{name} is not finite at {bad[1].tolist()}")
+            require(p, ~np.isfinite(v.reshape(len(p), -1)).all(axis=-1),
+                    lambda q: ValueError(f"{name} is not finite at {q.tolist()}"))
         tracker.update("eta_xi", dot(eta, xi) - 1.0)
         tracker.update(
             "phi_square", np.linalg.norm(P @ P + np.eye(3) - outer(xi, eta), 2, axis=(-2, -1))
@@ -197,9 +195,8 @@ def _basis_normality(phi, xi, eta, p) -> SimpleNamespace:
     pairs = list(itertools.combinations([VectorField.constant(e) for e in np.eye(3)], 2))
     b = _normality(phi, xi, eta, pairs, p)
     # N^(1) = N_phi + 2 d eta (x) xi is not finite wherever N_phi is not
-    bad = first_row(p, ~np.isfinite(b.n1).all(axis=(0, -1)))
-    if bad is not None:
-        raise ValueError(f"N^(1) is not finite at {bad[1].tolist()}")
+    require(p, ~np.isfinite(b.n1).all(axis=(0, -1)),
+            lambda q: ValueError(f"N^(1) is not finite at {q.tolist()}"))
     return b
 
 
@@ -300,13 +297,9 @@ def classify(
     if alpha_beta is None:
         olszak_alpha_beta(s, points[:1])  # singular everywhere: the first point raises
     alphas, betas = alpha_beta
-    bad = first_row(points[used], ~(np.isfinite(alphas) & np.isfinite(betas)))
-    if bad is not None:
-        k, q = bad
-        raise ValueError(
-            f"alpha or beta is not finite at {q.tolist()}: "
-            f"alpha = {alphas[k]:g}, beta = {betas[k]:g}"
-        )
+    require(points[used], ~(np.isfinite(alphas) & np.isfinite(betas)), lambda q, a, b: ValueError(
+        f"alpha or beta is not finite at {q.tolist()}: alpha = {a:g}, beta = {b:g}"
+    ), alphas, betas)
 
     normality, arg = normality_residual(s, points)
 

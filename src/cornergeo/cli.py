@@ -26,8 +26,9 @@ import numpy as np
 from . import acms, construct, corner, family
 from .conventions import CONVENTION_BANNER, SCHEMA_VERSION
 from .corner import DegenerateCornerError
-from .expr import _POINT_ERRORS, EvalDomainError, ParseError, skipping
-from .fields import ChartDomain, SingularMetricError, max_abs
+from .expr import _POINT_ERRORS, EvalDomainError, ParseError, PointError, as_expr, require
+from .expr import skipping
+from .fields import ChartDomain, max_abs
 from .tensor import d_oneform_matrix
 
 __all__ = ["ConfigError", "SceneConfig", "run", "scan_sigma", "main"]
@@ -181,12 +182,23 @@ def _check_expression(value, name: str, depth: int = 0) -> None:
 
 def _entries(block: dict, name: str, depths: dict) -> list:
     """The entries of a family or structure block, in the order of ``depths``,
-    each checked as an expression of its depth (see :func:`_check_expression`)."""
+    each checked as an expression of its depth (see :func:`_check_expression`)
+    and parsed; a :class:`ParseError` names the entry, e.g. ``structure 'eta'[2]``."""
     for key, depth in depths.items():
         if key not in block:
             raise ConfigError(f"{name} config needs {key!r}")
         _check_expression(block[key], f"{name} {key!r}", depth)
-    return [block[key] for key in depths]
+    return [_parsed(block[key], f"{name} {key!r}") for key in depths]
+
+
+def _parsed(value, name: str):
+    """``value``, an expression or a (nested) list of them, parsed entry by entry."""
+    if isinstance(value, list):
+        return [_parsed(item, f"{name}[{i}]") for i, item in enumerate(value)]
+    try:
+        return as_expr(value)
+    except ParseError as err:
+        raise ParseError(f"{name}: {err.message}", err.offset) from None
 
 
 def _family_params(cfg: SceneConfig, domain: ChartDomain):
@@ -428,12 +440,10 @@ def _scan_pass(members, samples: int, seed: int) -> list:
             "max_d_omega": max_abs(d_oneform_matrix(cf.omega, pts)).reshape(rows, -1),
             "max_sigma": np.abs(f.sigma).reshape(rows, -1),
         }
-        if not all(np.isfinite(c).all() for c in columns.values()):
-            for m, (i, _) in enumerate(members):
-                for name, c in columns.items():
-                    bad = c[m][~np.isfinite(c[m])]
-                    if bad.size:
-                        raise ValueError(f"{name} of scan member {i} is not finite: {bad[0]}")
+        table = np.stack(list(columns.values()), axis=1)  # (member, quantity, point)
+        require(np.moveaxis(np.indices(table.shape), 0, -1), ~np.isfinite(table),
+                lambda at, v: ValueError(f"{list(columns)[int(at[1])]} of scan member "
+                                         f"{members[int(at[0])][0]} is not finite: {v}"), table)
         folded = {name: (np.min if name == "min_sigma_gap" else np.max)(c, axis=1).tolist()
                   for name, c in columns.items()}
     degenerate = int(np.count_nonzero(~kept))
@@ -509,7 +519,7 @@ def main(argv=None) -> int:
         cfg = SceneConfig.load(args)
         payload, code = run(cfg, args.command)
         text = _dumps(payload)  # raises a ValueError on NaN or infinity
-    except (ValueError, EvalDomainError, SingularMetricError, DegenerateCornerError) as err:
+    except (ValueError, EvalDomainError, PointError) as err:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,

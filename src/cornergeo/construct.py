@@ -44,9 +44,9 @@ from .acms import (
     fundamental_two_form_matrix,
     n1_tensor,
 )
-from .expr import Jet2, ScalarExpr, as_expr, by_rows
+from .expr import Jet2, PointError, ScalarExpr, as_expr, by_rows, require
 from .fields import MetricField, OneFormField, ScalarField, TensorField11, dot, first_order
-from .fields import first_row, max_abs, mv, vm
+from .fields import max_abs, mv, vm
 from .report import ResidualReport, ResidualTracker, stats
 from .tensor import d_oneform_matrix, d_twoform_coeff, wedge12_coeff
 
@@ -148,7 +148,7 @@ def _twin_theorem(s, points, tol, kind: TwinKind) -> TwinTheoremVerdict:
     }
     conditions_hold = all(v < tol for v in cond.values())
 
-    classified = classify(twin(s, kind), points=points)
+    classified = classify(twin(s, kind), points=points, zero_tol=tol, const_tol=tol)
     normality, verdict = classified.normality, classified.verdict
     alpha, beta = classified.alphas, classified.betas
     a_max, b_err = float(np.max(np.abs(alpha))), float(np.max(np.abs(beta - beta_target)))
@@ -173,16 +173,10 @@ def _twin_theorem(s, points, tol, kind: TwinKind) -> TwinTheoremVerdict:
 # ---------------------------------------------------------------------------
 
 
-class NonPositiveFError(ValueError):
+class NonPositiveFError(PointError, ValueError):
     """The deformation factor must stay positive on the domain."""
 
-    def __init__(self, point, value: float):
-        super().__init__(
-            f"deformation factor is not positive at {np.asarray(point).tolist()}: "
-            f"f = {value:.6g}"
-        )
-        self.point = np.asarray(point, dtype=float)
-        self.value = float(value)
+    template = "deformation factor is not positive at {point}: f = {value:.6g}"
 
 
 @dataclass(frozen=True)
@@ -203,13 +197,11 @@ class DeformationParams:
 
         def positive(points) -> Jet2:
             fj = f.eval_jet2(points)
-            bad = first_row(points, ~((fj.value > 0.0) & np.isfinite(fj.value)))
-            if bad is None:
-                return fj
-            p, value = bad[1], np.reshape(fj.value, -1)[bad[0]]
-            if np.isfinite(value):
-                raise NonPositiveFError(p, value)
-            raise ValueError(f"deformation factor is not finite at {p.tolist()}: f = {value:g}")
+            require(points, ~((fj.value > 0.0) & np.isfinite(fj.value)), lambda q, v: (
+                NonPositiveFError(q, v) if np.isfinite(v)
+                else ValueError(f"deformation factor is not finite at {q.tolist()}: f = {v:g}")
+            ), fj.value)
+            return fj
 
         object.__setattr__(self, "_field", ScalarField(positive))
 

@@ -21,8 +21,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .acms import AcmStructure, fundamental_two_form_fields, fundamental_two_form_matrix
-from .expr import as_points, by_rows, jet_log, jet_sqrt, jet_sum, skipping
-from .fields import OneFormField, ScalarField, VectorField, batch_first, contract, dot, first_row
+from .expr import PointError, as_points, by_rows, jet_log, jet_sqrt, jet_sum, require, skipping
+from .fields import OneFormField, ScalarField, VectorField, batch_first, contract, dot
 from .fields import gnorm, jet_partials, last_batch, max_abs, mv, vm
 from .report import ResidualReport, ResidualTracker
 from .tensor import d_oneform_matrix, d_twoform_coeff, nabla_matrix, probe_vectors, wedge11_matrix
@@ -46,16 +46,11 @@ __all__ = [
 DEGENERACY_TOL = 1e-8
 
 
-class DegenerateCornerError(RuntimeError):
+class DegenerateCornerError(PointError, RuntimeError):
     """|psi| fell under the degeneracy threshold; the frame is undefined."""
 
-    def __init__(self, point, psi_norm: float):
-        super().__init__(
-            f"degenerate corner point {np.asarray(point).tolist()}: "
-            f"|psi| = {psi_norm:.3e}"
-        )
-        self.point = np.asarray(point, dtype=float)
-        self.psi_norm = float(psi_norm)
+    template = "degenerate corner point {point}: |psi| = {value:.3e}"
+    psi_norm = property(lambda self: self.value)
 
 
 @dataclass(frozen=True)
@@ -130,10 +125,8 @@ class CornerFields:
 
         norm2 = jet_sum(b.psi * b.omega)
         b.norm2 = norm2
-        bad = first_row(p, norm2.value <= DEGENERACY_TOL**2)
-        if bad is not None:
-            value = np.reshape(norm2.value, -1)[bad[0]]
-            raise DegenerateCornerError(bad[1], float(np.sqrt(max(value, 0.0))))
+        require(p, norm2.value <= DEGENERACY_TOL**2,
+                lambda q, v: DegenerateCornerError(q, np.sqrt(max(v, 0.0))), norm2.value)
 
         b.e_rho = jet_sqrt(norm2)
         b.rho = jet_log(norm2) * 0.5

@@ -43,6 +43,7 @@ __all__ = [
     "ParseError",
     "EvalDomainError",
     "AbsAtZeroWarning",
+    "PointError",
     "Jet2",
     "jet_exp",
     "jet_log",
@@ -99,6 +100,18 @@ class AbsAtZeroWarning(RuntimeWarning):
     """abs() was differentiated at zero; the derivative was taken to be 0."""
 
 
+class PointError(Exception):
+    """A quantity is undefined at one chart point: the message is the class's
+    ``template`` filled in with that ``point`` and the ``value`` there."""
+
+    template = "{point}: {value}"
+
+    def __init__(self, point, value: float):
+        super().__init__(self.template.format(point=np.asarray(point).tolist(), value=value))
+        self.point = np.asarray(point, dtype=float)
+        self.value = float(value)
+
+
 # ---------------------------------------------------------------------------
 # jets
 # ---------------------------------------------------------------------------
@@ -106,7 +119,7 @@ class AbsAtZeroWarning(RuntimeWarning):
 # elementwise libm pow: np.power rounds differently from Python's float pow
 _POW = np.frompyfunc(pow, 2, 1)
 # errors whose cause is one chart point; see :func:`skipping`
-_POINT_ERRORS = (ArithmeticError, ValueError, RuntimeError)
+_POINT_ERRORS = (ArithmeticError, ValueError, PointError)
 
 
 def as_points(p) -> np.ndarray:
@@ -115,6 +128,16 @@ def as_points(p) -> np.ndarray:
     if x.ndim == 0 or x.shape[-1] != 3:
         x = x.reshape(3)
     return x
+
+
+def require(p, bad, error, *values) -> None:
+    """Raise ``error(point, *values at that point)`` at the first point of the
+    points ``p``, in C order, where the mask ``bad`` holds; ``bad`` and each
+    of ``values`` hold one entry per point."""
+    flat = np.reshape(bad, -1)
+    if flat.any():
+        i = int(np.argmax(flat))
+        raise error(as_points(p).reshape(-1, 3)[i], *(np.reshape(v, -1)[i] for v in values))
 
 
 def by_rows(fn):
@@ -198,12 +221,11 @@ class Jet2:
         self.hess = None if hess is None else np.asarray(hess, dtype=float)
 
     @classmethod
-    def constant(cls, value, order: int = 2, shape=None) -> "Jet2":
+    def constant(cls, value, order: int = 2) -> "Jet2":
         value = np.asarray(value, dtype=float)
-        shape = value.shape if shape is None else tuple(shape)
-        g = np.zeros(shape + (3,)) if order >= 1 else None
-        h = np.zeros(shape + (3, 3)) if order >= 2 else None
-        return cls(value if value.shape == shape else np.broadcast_to(value, shape), g, h)
+        g = np.zeros(value.shape + (3,)) if order >= 1 else None
+        h = np.zeros(value.shape + (3, 3)) if order >= 2 else None
+        return cls(value, g, h)
 
     @classmethod
     def variable(cls, index: int, value, order: int = 2) -> "Jet2":

@@ -24,9 +24,8 @@ import numpy as np
 
 from .acms import AcmStructure
 from .expr import Binary, Call, Const, Jet2, ScalarExpr, Unary, _jets_at, as_expr, as_points
-from .expr import by_rows, stack_trees
-from .fields import ChartDomain, MetricField, OneFormField, TensorField11, VectorField
-from .fields import first_row, last_batch
+from .expr import by_rows, require, stack_trees
+from .fields import ChartDomain, MetricField, OneFormField, TensorField11, VectorField, last_batch
 from .report import ResidualReport
 from .corner import corner_residual
 
@@ -83,7 +82,7 @@ def build_family(params: FamilyParams) -> AcmStructure:
 
     def guarded_tau(p) -> Jet2:
         t = tau.eval_jet2(p)
-        _require_tau(t.value, p)
+        require(p, ~((t.value > 0.0) & np.isfinite(t.value)), _tau_error, t.value)
         return t
 
     tau_jet = last_batch(guarded_tau)
@@ -116,14 +115,11 @@ def build_family(params: FamilyParams) -> AcmStructure:
     )
 
 
-def _require_tau(t, points) -> None:
-    bad = first_row(points, ~((t > 0.0) & np.isfinite(t)))
-    if bad is None:
-        return
-    value, p = np.reshape(t, -1)[bad[0]], bad[1].tolist()
-    if np.isfinite(value):
-        raise ValueError(f"family requires tau > 0; tau({p}) = {value:.3e}")
-    raise ValueError(f"family requires a finite tau; tau({p}) = {value:.3e} is not finite")
+def _tau_error(p, t) -> ValueError:
+    """The error for a tau = ``t`` at ``p`` that is not positive or not finite."""
+    if np.isfinite(t):
+        return ValueError(f"family requires tau > 0; tau({p.tolist()}) = {t:.3e}")
+    return ValueError(f"family requires a finite tau; tau({p.tolist()}) = {t:.3e} is not finite")
 
 
 @by_rows
@@ -132,15 +128,10 @@ def _check_generators(params: FamilyParams, points) -> None:
     # stacked members (see :func:`stack_members`) add a member axis to the values
     t, tkm = np.broadcast_arrays(t, t * k * m)
     points = np.broadcast_to(points, t.shape + (3,))
-    bad = first_row(points, ~(t > 0.0) | (np.abs(tkm) < 1e-9))
-    if bad is None:
-        return
-    i, p = bad
-    t, tkm = np.reshape(t, -1)[i], np.reshape(tkm, -1)[i]
-    _require_tau(t, p)
-    raise ValueError(
-        f"family requires tau*kappa*mu != 0; value at {p.tolist()} = {tkm:.3e}"
-    )
+    require(points, ~(t > 0.0) | (np.abs(tkm) < 1e-9), lambda p, t, tkm: (
+        ValueError(f"family requires tau*kappa*mu != 0; value at {p.tolist()} = {tkm:.3e}")
+        if t > 0.0 and np.isfinite(t) else _tau_error(p, t)
+    ), t, tkm)
 
 
 def stack_members(members) -> FamilyParams:

@@ -34,7 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .expr import Jet2, as_expr, as_points, jet_sum, skipping
+from .expr import Jet2, PointError, as_expr, as_points, jet_sum, require, skipping
 
 __all__ = [
     "SingularMetricError",
@@ -51,15 +51,11 @@ __all__ = [
 DET_GUARD = 1e-12
 
 
-class SingularMetricError(RuntimeError):
+class SingularMetricError(PointError, RuntimeError):
     """Metric determinant fell under the regularity guard at a point."""
 
-    def __init__(self, point, det: float):
-        super().__init__(
-            f"metric is singular at {np.asarray(point).tolist()}: det = {det:.3e}"
-        )
-        self.point = np.asarray(point, dtype=float)
-        self.det = float(det)
+    template = "metric is singular at {point}: det = {value:.3e}"
+    det = property(lambda self: self.value)
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,8 @@ def batch_key(p) -> tuple:
     """Cache key of a point batch; non-finite coordinates raise a ValueError."""
     x = as_points(p)
     if not np.isfinite(x).all():
-        row = first_row(x, ~np.all(np.isfinite(x), axis=-1))[1]
-        raise ValueError(f"chart point has non-finite coordinates: {row.tolist()}")
+        require(x, ~np.all(np.isfinite(x), axis=-1),
+                lambda row: ValueError(f"chart point has non-finite coordinates: {row.tolist()}"))
     return x.shape, x.tobytes()
 
 
@@ -130,15 +126,6 @@ def _frozen(x):
         for part in vars(x).values():
             _frozen(part)
     return x
-
-
-def first_row(p, mask) -> tuple:
-    """``(index, point)`` of the first True row of ``mask``, or None."""
-    flat = np.reshape(mask, -1)
-    if not flat.any():
-        return None
-    i = int(np.argmax(flat))
-    return i, as_points(p).reshape(-1, 3)[i]
 
 
 def jet_partial(j: Jet2, i: int) -> Jet2:
@@ -359,9 +346,7 @@ _COFACTOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]
 
 def _check_det(p, det) -> None:
     """Raise a :class:`SingularMetricError` at the first point where |det g| < DET_GUARD."""
-    bad = first_row(p, np.abs(det) < DET_GUARD)
-    if bad is not None:
-        raise SingularMetricError(bad[1], np.reshape(det, -1)[bad[0]])
+    require(p, np.abs(det) < DET_GUARD, SingularMetricError, det)
 
 
 class MetricField(_Field):

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import as_points, outer
+from .expr import as_points, outer, require
 from .fields import MetricField, OneFormField, SingularMetricError, TensorField11, VectorField
-from .fields import dot, first_row, mv
+from .fields import dot, mv
 
 __all__ = [
     "christoffel",
@@ -123,9 +123,7 @@ def divergence(g: MetricField, X: VectorField, p):
 
 def _volume_density(g: MetricField, p):
     det = g.det(p)
-    bad = first_row(p, det <= 0.0)
-    if bad is not None:
-        raise SingularMetricError(bad[1], np.reshape(det, -1)[bad[0]])
+    require(p, det <= 0.0, SingularMetricError, det)
     return np.sqrt(det)
 
 

@@ -282,4 +282,41 @@ def test_a_family_tau_too_deep_to_walk_is_a_parse_error(tmp_path, capsys):
     code, payload = run_config(tmp_path, capsys, "check", data)
     assert code == 2 and payload["exit_code"] == 2
     assert payload["error"] == {"type": "ParseError",
-                                "message": f"{TOO_DEEP} (offset {3 * MAX_DEPTH - 1})"}
+                                "message": f"family 'tau': {TOO_DEEP} (offset {3 * MAX_DEPTH - 1})"}
+
+
+@pytest.mark.parametrize(
+    "command, scene, message",
+    [
+        ("check", {"family": {"tau": "exp(x2)", "kappa": "1 +", "mu": "1"}},
+         "family 'kappa': unexpected end of input (offset 3)"),
+        ("scan", {"family": {"tau": "exp(x2)", "kappa": "1 +", "mu": "1"}},
+         "family 'kappa': unexpected end of input (offset 3)"),
+        ("check", {"structure": {**FLAT, "eta": [1, 0, "x1+"]}},
+         "structure 'eta'[2]: unexpected end of input (offset 3)"),
+        ("check", {"structure": {**FLAT, "phi": [[0, 0, 0], [0, 0, "-)"], [0, 1, 0]]}},
+         "structure 'phi'[1][2]: unexpected ')' (offset 1)"),
+    ],
+    ids=["family-kappa", "scan-family-kappa", "structure-eta", "structure-phi"],
+)
+def test_a_scene_entry_that_does_not_parse_names_itself(tmp_path, capsys, command, scene,
+                                                         message):
+    code, payload = run_config(tmp_path, capsys, command, {**scene, "samples": 5})
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"] == {"type": "ParseError", "message": message}
+
+
+def test_a_twin_is_classified_at_the_scene_tolerance(tmp_path, capsys):
+    from cornergeo import FamilyParams, build_family, twin
+
+    family = {"tau": "exp(x2)", "kappa": "1", "mu": "exp(1.00001*x2)"}
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps({"family": family, "samples": 12,
+                               "tolerances": {"classification": 1e-3}}))
+    assert main(["twin", "--kind", "v", "--config", str(cfg)]) == 0
+    theorem = json.loads(capsys.readouterr().out)["suites"]["twins"]["v_twin"]["theorem"]
+    assert theorem["conditions_hold"] and theorem["twin_matches"] and theorem["routes_agree"]
+    s = build_family(FamilyParams.of(*family.values()))
+    pts = ChartDomain().sample(12, 0)
+    verdict = acms.classify(twin(s, "v"), pts, zero_tol=1e-3, const_tol=1e-3).verdict
+    assert theorem["twin_verdict"] == verdict == "Kenmotsu"

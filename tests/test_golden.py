@@ -40,6 +40,16 @@ CONFIGS = {
         "family": {"tau": "exp(x1*x3 + x2)", "kappa": "1 + x3^2", "mu": "2 + x2*x3"},
         "box": [[0.2, 1.5], [0.1, 0.8], [0.3, 1.2]],
     },
+    # the third component of eta does not parse
+    "parse-error-eta": {"structure": {
+        "phi": [[0, 0, 0], [0, 0, -1], [0, 1, 0]], "xi": [1, 0, 0], "eta": [1, 0, "x1+"],
+        "g": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    }},
+    # the V-twin is Kenmotsu at the scene's tolerance, not at 1e-6
+    "twin-tolerance": {
+        "family": {"tau": "exp(x2)", "kappa": "1", "mu": "exp(1.00001*x2)"},
+        "tolerances": {"classification": 0.001},
+    },
 }
 
 SCENES = {
@@ -64,6 +74,8 @@ SCENES = {
     "family-sigma-check": ["check", "--config", "sigma"],
     "parse-error-f": ["deform", "--preset", "family:A", "--f", "2 +"],
     "parse-error-tau": ["check", "--config", "parse-error"],
+    "parse-error-eta": ["check", "--config", "parse-error-eta"],
+    "twin-v-tolerance": ["twin", "--config", "twin-tolerance", "--kind", "v"],
     "tau-le-0": ["check", "--config", "tau-le-0"],
     "f-le-0": ["deform", "--preset", "family:A", "--f", "x1 - 2"],
     "degenerate": ["check", "--config", "degenerate"],
@@ -101,7 +113,8 @@ DIGESTS = {
     "non-finite-alpha": "9530d50b21b765bfb0987f6744e4e3608952d90fe3bff4abf04210316d64ec99",
     "non-finite-sigma-gap": "6ace9fb7d98f87c46330234f5b8e6358fe36918b94f3f6d064d3d3449958cf2f",
     "parse-error-f": "4648c435d701140e48ecc21468f232bce266d3f2a07778e91c7180fe7d0a98fa",
-    "parse-error-tau": "04b800e8df1aa9bf439907ed161bea4772413e5ba7e513a11b02c199670a7ca1",
+    "parse-error-eta": "fcd4144498a7562c4e78309bce374209f82404abdbcb5cc1065bbbfefca3655a",
+    "parse-error-tau": "8f82613d8d01835b7724872a4be03b023993f011da32af7b41d5ab8999e0225a",
     "scan-A": "553272c3921df05008a6c2f9235d990c4e8a782de2cf584e68a80417d5e3bdd9",
     "scan-B": "8119706546754751f2184757df54f7f025a51ffc617e211500cf2f1b1d6d5619",
     "scan-C": "57bc069ba6242d9f2189813663ee0e5ef9dc6691ba093e1f104387f8bfff11a8",
@@ -118,6 +131,7 @@ DIGESTS = {
     "twin-D": "275afc5441447b06df484344840b5438a2062228154ecd96b598b68349ffc27a",
     "twin-phi_v-D": "f4e2945bd4c7ec138f926bc3770883c98a3a31f6a95df4cfa2216e9fdab9b1ba",
     "twin-v-D": "f59432e22782dce05b4376cb362c582beae6fa2a7748d4910ceca53511eb6642",
+    "twin-v-tolerance": "5be0d9677a93af3d0ced59b733b0e7548a6cf58b196edc72a3eb7b8e4e848c24",
 }
 
 
@@ -138,3 +152,15 @@ def run_scene(argv, tmp_path) -> str:
 @pytest.mark.parametrize("name", sorted(SCENES))
 def test_scene_output_is_unchanged(name, tmp_path):
     assert run_scene(SCENES[name], tmp_path) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    # print every scene's digest as a DIGESTS entry, marking those that differ
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(SCENES):
+            digest = run_scene(SCENES[name], pathlib.Path(tmp))
+            mark = "" if DIGESTS.get(name) == digest else "  # differs"
+            print(f'    "{name}": "{digest}",{mark}')
