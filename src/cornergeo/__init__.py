@@ -49,7 +49,8 @@ from .family import (
     preset_structure,
     random_family,
 )
-from .fields import ChartDomain, MetricField, OneFormField, SingularMetricError, TensorField11, VectorField
+from .fields import ChartDomain, MetricField, NonPositiveMetricError, OneFormField
+from .fields import SingularMetricError, TensorField11, VectorField
 from .report import ResidualReport
 
 __version__ = "0.1.0"
@@ -68,6 +69,7 @@ __all__ = [
     "Jet2",
     "MetricField",
     "NonPositiveFError",
+    "NonPositiveMetricError",
     "OneFormField",
     "ParseError",
     "PointError",

@@ -22,12 +22,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .expr import by_rows, outer, require, skipping
+from .expr import by_rows, jet_sum, outer, require, skipping
 from .fields import ChartDomain, MetricField, OneFormField, SingularMetricError, TensorField11
-from .fields import VectorField, contract, dot, first_order, gnorm, last_batch, mv, vm, vnorm
+from .fields import VectorField, contract, dot, first_order, gnorm, last_batch, mv, vector_jets
+from .fields import vm, vnorm
 from .report import ResidualReport, ResidualTracker, stats
-from .tensor import _as_vector_field, _bracket, _with_jacobian, divergence, nabla_matrix
-from .tensor import probe_vectors
+from .tensor import _bracket, _columns, divergence, nabla_matrix, probe_vectors
 
 __all__ = [
     "AcmStructure",
@@ -112,36 +112,42 @@ class AcmStructure:
         return last_batch(lambda p: _basis_normality(phi, xi, eta, p))
 
 
+def _regular(fn, points) -> tuple:
+    """``skipping(fn, points, SingularMetricError)``: ``fn`` over the points
+    where g is regular, or, with none, the error its first point raises."""
+    used, out = skipping(fn, points, SingularMetricError)
+    return used, fn(points[:1]) if out is None else out
+
+
 @by_rows
 def check_axioms(s: AcmStructure, points, tol: float = 1e-8) -> ResidualReport:
     """Max residuals of the three axioms and the two derived identities.
 
-    Singular-metric points are skipped and counted in the report details.
-    A field that is not finite at a point raises a ValueError that names
-    it, before any matrix norm is taken.
+    Points where g is not regular are skipped and counted in the report
+    details (see :func:`_regular`).  A field that is not finite at a point
+    raises a ValueError that names it, before any matrix norm is taken.
     """
     p = np.atleast_2d(points)
-    used, Ginv = skipping(s.g.inverse, p, SingularMetricError)
+    used, Ginv = _regular(s.g.inverse, p)
     skipped = int(np.count_nonzero(~used))
     p = p[used]
     tracker = ResidualTracker(p)
-    if Ginv is not None:
-        G, P, xi, eta = s.g.matrix(p), s.phi.matrix(p), s.xi.values(p), s.eta.values(p)
-        for name, v in (("g", G), ("phi", P), ("xi", xi), ("eta", eta)):
-            require(p, ~np.isfinite(v.reshape(len(p), -1)).all(axis=-1),
-                    lambda q: ValueError(f"{name} is not finite at {q.tolist()}"))
-        tracker.update("eta_xi", dot(eta, xi) - 1.0)
-        tracker.update(
-            "phi_square", np.linalg.norm(P @ P + np.eye(3) - outer(xi, eta), 2, axis=(-2, -1))
-        )
-        tracker.update(
-            "metric_compat",
-            np.linalg.norm(np.swapaxes(P, -1, -2) @ G @ P - G + outer(eta, eta), 2, axis=(-2, -1)),
-        )
-        tracker.update("phi_xi", gnorm(G, mv(P, xi)))
-        tracker.update("eta_phi", vnorm(vm(eta, P)))
-        # eta must be the metric dual of xi (derived, but cheap to verify)
-        tracker.update("eta_sharp_xi", vnorm(mv(Ginv, eta) - xi))
+    G, P, xi, eta = s.g.matrix(p), s.phi.matrix(p), s.xi.values(p), s.eta.values(p)
+    for name, v in (("g", G), ("phi", P), ("xi", xi), ("eta", eta)):
+        require(p, ~np.isfinite(v.reshape(len(p), -1)).all(axis=-1),
+                lambda q: ValueError(f"{name} is not finite at {q.tolist()}"))
+    tracker.update("eta_xi", dot(eta, xi) - 1.0)
+    tracker.update(
+        "phi_square", np.linalg.norm(P @ P + np.eye(3) - outer(xi, eta), 2, axis=(-2, -1))
+    )
+    tracker.update(
+        "metric_compat",
+        np.linalg.norm(np.swapaxes(P, -1, -2) @ G @ P - G + outer(eta, eta), 2, axis=(-2, -1)),
+    )
+    tracker.update("phi_xi", gnorm(G, mv(P, xi)))
+    tracker.update("eta_phi", vnorm(vm(eta, P)))
+    # eta must be the metric dual of xi (derived, but cheap to verify)
+    tracker.update("eta_sharp_xi", vnorm(mv(Ginv, eta) - xi))
     return tracker.report("axioms", tol, details={"skipped_points": skipped})
 
 
@@ -166,17 +172,17 @@ def n1_tensor(s: AcmStructure, X, Y, p) -> np.ndarray:
 
 
 def _normality(phi, xi, eta, pairs: list, p) -> SimpleNamespace:
-    """``n_phi`` and ``n1``: N_phi and N^(1) on each (X, Y) of ``pairs``
-    (vector fields, or arrays taken as constant fields), stacked in that
-    order on a leading axis.  Each distinct X gives its values, Jacobian,
-    phi X and d(eta(X)) once, and each [X, Y] serves both N_phi and d eta."""
+    """``n_phi`` and ``n1``: N_phi and N^(1) on each (X, Y) of ``pairs`` (see
+    :func:`cornergeo.fields.vector_jets`), stacked in that order on a leading
+    axis.  Each distinct X gives its values, Jacobian, phi X and d(eta(X))
+    once, from jets, and each [X, Y] serves both N_phi and d eta."""
     P, xi_v, eta_v = phi.matrix(p), xi.values(p), eta.values(p)
+    phi_j, eta_j = first_order(phi.jets(p)), first_order(eta.jets(p))
     known = {}  # by id, which is unique: ``pairs`` keeps every X alive
     for X in itertools.chain(*pairs):
         if id(X) not in known:
-            Xf = _as_vector_field(X)
-            known[id(X)] = (_with_jacobian(Xf, p), _with_jacobian(phi.apply(Xf), p),
-                            eta.pair(Xf).jet(p).grad)
+            x = vector_jets(X, p)
+            known[id(X)] = (_columns(x), _columns(contract(phi_j, x)), jet_sum(eta_j * x).grad)
     n_phi, n1 = [], []
     for X, Y in pairs:
         (x, px, d_eta_x), (y, py, d_eta_y) = known[id(X)], known[id(Y)]
@@ -192,8 +198,7 @@ def _normality(phi, xi, eta, pairs: list, p) -> SimpleNamespace:
 def _basis_normality(phi, xi, eta, p) -> SimpleNamespace:
     """:func:`_normality` on the coordinate pairs (d_0, d_1), (d_0, d_2) and
     (d_1, d_2); raises a ValueError at the first point where N^(1) is not finite."""
-    pairs = list(itertools.combinations([VectorField.constant(e) for e in np.eye(3)], 2))
-    b = _normality(phi, xi, eta, pairs, p)
+    b = _normality(phi, xi, eta, list(itertools.combinations(np.eye(3), 2)), p)
     # N^(1) = N_phi + 2 d eta (x) xi is not finite wherever N_phi is not
     require(p, ~np.isfinite(b.n1).all(axis=(0, -1)),
             lambda q: ValueError(f"N^(1) is not finite at {q.tolist()}"))
@@ -277,14 +282,15 @@ def classify(
     points=None,
     samples: int = 100,
     seed: int = 0,
-    zero_tol: float = 1e-6,
-    const_tol: float = 1e-6,
+    tol: float = 1e-6,
 ) -> ClassificationReport:
     """Place a structure in the trans-Sasakian taxonomy.
 
-    Not-normal wins whenever the normality residual exceeds ``zero_tol``;
+    Not-normal wins whenever the normality residual reaches ``tol``;
     otherwise the verdict follows from which of alpha, beta vanish or are
-    constant across the sample.  The report keeps the statistics either way.
+    constant (a std under ``tol``) across the sample.  The report keeps the
+    statistics either way.  Points where g is not regular are skipped (see
+    :func:`_regular`).
     An alpha or beta that is not finite gives no verdict: it raises a
     ValueError that names the first such point.
     """
@@ -292,11 +298,7 @@ def classify(
         points = s.domain.sample(samples, seed)
     points = np.atleast_2d(points)
 
-    used, alpha_beta = skipping(lambda q: olszak_alpha_beta(s, q), points, SingularMetricError)
-    skipped = int(np.count_nonzero(~used))
-    if alpha_beta is None:
-        olszak_alpha_beta(s, points[:1])  # singular everywhere: the first point raises
-    alphas, betas = alpha_beta
+    used, (alphas, betas) = _regular(lambda q: olszak_alpha_beta(s, q), points)
     require(points[used], ~(np.isfinite(alphas) & np.isfinite(betas)), lambda q, a, b: ValueError(
         f"alpha or beta is not finite at {q.tolist()}: alpha = {a:g}, beta = {b:g}"
     ), alphas, betas)
@@ -304,23 +306,21 @@ def classify(
     normality, arg = normality_residual(s, points)
 
     alpha, beta = stats(alphas), stats(betas)
-    a_zero = np.max(np.abs(alphas)) < zero_tol
-    b_zero = np.max(np.abs(betas)) < zero_tol
-    a_const = alpha["std"] < const_tol
-    b_const = beta["std"] < const_tol
+    a_zero, b_zero = np.max(np.abs(alphas)) < tol, np.max(np.abs(betas)) < tol
+    a_const, b_const = alpha["std"] < tol, beta["std"] < tol
     a_mean, b_mean = alpha["mean"], beta["mean"]
 
-    if normality >= zero_tol:
+    if normality >= tol:
         verdict = NOT_NORMAL
     elif a_zero and b_zero:
         verdict = COSYMPLECTIC
     elif a_zero:
-        if b_const and abs(b_mean - 1.0) < zero_tol:
+        if b_const and abs(b_mean - 1.0) < tol:
             verdict = KENMOTSU
         else:
             verdict = BETA_KENMOTSU
     elif b_zero:
-        if a_const and abs(a_mean - 1.0) < zero_tol:
+        if a_const and abs(a_mean - 1.0) < tol:
             verdict = SASAKIAN
         elif a_const:
             verdict = ALPHA_SASAKIAN
@@ -336,8 +336,8 @@ def classify(
         normality=float(normality),
         normality_argmax=None if arg is None else [float(v) for v in arg],
         points_used=len(alphas),
-        thresholds={"zero": zero_tol, "const": const_tol},
-        notes={"skipped_points": skipped},
+        thresholds={"zero": tol, "const": tol},
+        notes={"skipped_points": int(np.count_nonzero(~used))},
         alphas=alphas,
         betas=betas,
     )

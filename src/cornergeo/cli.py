@@ -273,7 +273,7 @@ def _suite_forms(s, pts, cfg, pre) -> dict:
 
 def _suite_classify(s, pts, cfg, pre) -> dict:
     cls_tol = cfg.tolerances["classification"]
-    rep = acms.classify(s, points=pts, zero_tol=cls_tol, const_tol=cls_tol)
+    rep = acms.classify(s, points=pts, tol=cls_tol)
     out = {"suite": "classify", "classification": rep.to_dict()}
     expected = pre.expected.get("base_verdict") if pre is not None else None
     out["expected_verdict"] = expected
@@ -316,7 +316,7 @@ def _suite_deform(s, pts, cfg, pre) -> dict:
         s, params, pts, rng=_rng(cfg, "deform"), tol=kernel * 10.0
     )
     gate = construct.corollary_gate(s, params, pts, tol=cls_tol)
-    cls = acms.classify(deformed, points=pts, zero_tol=cls_tol, const_tol=cls_tol)
+    cls = acms.classify(deformed, points=pts, tol=cls_tol)
 
     return {
         "suite": "deform",
@@ -437,7 +437,7 @@ def _scan_pass(members, samples: int, seed: int) -> list:
         # that a sigma that is NaN is named by its gap
         columns = {
             "min_sigma_gap": np.abs(f.sigma - f.e_rho).reshape(rows, -1),
-            "max_d_omega": max_abs(d_oneform_matrix(cf.omega, pts)).reshape(rows, -1),
+            "max_d_omega": max_abs(d_oneform_matrix(cf.bundle(pts).omega, pts)).reshape(rows, -1),
             "max_sigma": np.abs(f.sigma).reshape(rows, -1),
         }
         table = np.stack(list(columns.values()), axis=1)  # (member, quantity, point)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .acms import (
     classify,
     fundamental_two_form_fields,
     fundamental_two_form_matrix,
-    n1_tensor,
+    _normality,
 )
 from .expr import Jet2, PointError, ScalarExpr, as_expr, by_rows, require
 from .fields import MetricField, OneFormField, ScalarField, TensorField11, dot, first_order
@@ -82,14 +83,15 @@ def twin(s: AcmStructure, kind: TwinKind) -> AcmStructure:
     kind = TwinKind(kind)
     if kind not in s.derived:
         cf = s.corner
-        # phi' at [k, j] is a_j b^k - c_j d^k
+        # phi' at [k, j] is a_j b^k - c_j d^k, for the bundle's jets a, b, c and d
         if kind is TwinKind.V:
-            (a, b, c, d), new_xi, new_eta = (cf.theta2, s.xi, s.eta, cf.phi_v), cf.v, cf.theta1
+            parts, new_xi, new_eta = attrgetter("theta2", "xi", "eta", "phi_v"), cf.v, cf.theta1
         else:
-            (a, b, c, d), new_xi, new_eta = (s.eta, cf.v, cf.theta1, s.xi), cf.phi_v, cf.theta2
+            parts, new_xi, new_eta = attrgetter("eta", "v", "theta1", "xi"), cf.phi_v, cf.theta2
 
         def phi(p):
-            return a.jets(p)[None] * b.jets(p)[:, None] - c.jets(p)[None] * d.jets(p)[:, None]
+            a, b, c, d = parts(cf.bundle(p))
+            return a[None] * b[:, None] - c[None] * d[:, None]
 
         s.derived[kind] = AcmStructure(
             phi=TensorField11(phi), xi=new_xi, eta=new_eta, g=s.g, domain=s.domain
@@ -148,7 +150,7 @@ def _twin_theorem(s, points, tol, kind: TwinKind) -> TwinTheoremVerdict:
     }
     conditions_hold = all(v < tol for v in cond.values())
 
-    classified = classify(twin(s, kind), points=points, zero_tol=tol, const_tol=tol)
+    classified = classify(twin(s, kind), points=points, tol=tol)
     normality, verdict = classified.normality, classified.verdict
     alpha, beta = classified.alphas, classified.betas
     a_max, b_err = float(np.max(np.abs(alpha))), float(np.max(np.abs(beta - beta_target)))
@@ -226,14 +228,13 @@ def deform(s: AcmStructure, params: DeformationParams) -> AcmStructure:
     if last is not None and last[0] is params:
         return last[1]
     params.validate(s.domain)
-    phi, xi, eta, g = s.phi, s.xi, s.eta, s.g
-    theta1, theta2 = s.corner.theta1, s.corner.theta2
+    phi, xi, eta, g, cf = s.phi, s.xi, s.eta, s.g, s.corner
 
     def eta_t(p):
-        return eta.jets(p) - theta2.jets(p)
+        return eta.jets(p) - cf.bundle(p).theta2
 
     def phi_t(p):
-        return phi.jets(p) + theta1.jets(p)[None] * xi.jets(p)[:, None]
+        return phi.jets(p) + cf.bundle(p).theta1[None] * xi.jets(p)[:, None]
 
     def g_t(p):
         # eta_t carries no Hessian, so g~ carries none: none is computed
@@ -267,33 +268,28 @@ def ntilde_identity_residual(
     p = np.atleast_2d(points)
     tracker = ResidualTracker(p)
     f = s.corner.frame(p)
-    P = s.phi.matrix(p)
-    xi = s.xi.values(p)
-    deta = d_oneform_matrix(s.eta, p)
-    th2 = f.theta2
+    # a pair axis k follows the sample axis: x[n, k] is the k-th X at point n
+    P, xi = s.phi.matrix(p)[:, None], s.xi.values(p)[:, None]
+    deta, th2 = d_oneform_matrix(s.eta, p)[:, None], f.theta2[:, None]
     factor = 2.0 * (1.0 - f.sigma / f.e_rho)
     n_pairs = max(1, pairs_per_point)
     if rng is None:
         draws = np.broadcast_to(np.eye(3)[:2], (len(p), n_pairs, 2, 3))
     else:
         draws = rng.standard_normal((len(p), n_pairs, 2, 3))
-    gaps, sizes = np.empty((2, len(p), n_pairs))
-    for k in range(n_pairs):
-        x, y = draws[:, k, 0], draws[:, k, 1]
-        px, py = mv(P, x), mv(P, y)
-        scalar = (
-            dot(vm(x, deta), y)
-            - dot(vm(px, deta), xi) * dot(th2, py)
-            - dot(vm(xi, deta), py) * dot(th2, px)
-        )
-        closed = (factor * scalar)[:, None] * xi
-        brute = n1_tensor(deformed, x, y, p)
-        gaps[:, k] = np.max(np.abs(closed - brute), axis=-1)
-        sizes[:, k] = np.max(np.abs(brute), axis=-1)
-    tracker.update("ntilde_closed_vs_brute", gaps)
-    tracker.update("ntilde_max", sizes)
-    tolerances = {"ntilde_closed_vs_brute": tol, "ntilde_max": None}
-    return tracker.report("ntilde_identity", tolerances)
+    x, y = draws[:, :, 0], draws[:, :, 1]
+    px, py = mv(P, x), mv(P, y)
+    scalar = (
+        dot(vm(x, deta), y)
+        - dot(vm(px, deta), xi) * dot(th2, py)
+        - dot(vm(xi, deta), py) * dot(th2, px)
+    )
+    closed = (factor[:, None] * scalar)[..., None] * xi
+    pairs = list(zip(x.swapaxes(0, 1), y.swapaxes(0, 1)))
+    brute = _normality(deformed.phi, deformed.xi, deformed.eta, pairs, p).n1.swapaxes(0, 1)
+    tracker.update("ntilde_closed_vs_brute", np.max(np.abs(closed - brute), axis=-1))
+    tracker.update("ntilde_max", np.max(np.abs(brute), axis=-1))
+    return tracker.report("ntilde_identity", {"ntilde_closed_vs_brute": tol, "ntilde_max": None})
 
 
 @dataclass

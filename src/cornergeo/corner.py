@@ -23,9 +23,10 @@ import numpy as np
 from .acms import AcmStructure, fundamental_two_form_fields, fundamental_two_form_matrix
 from .expr import PointError, as_points, by_rows, jet_log, jet_sqrt, jet_sum, require, skipping
 from .fields import OneFormField, ScalarField, VectorField, batch_first, contract, dot
-from .fields import gnorm, jet_partials, last_batch, max_abs, mv, vm
+from .fields import gnorm, jet_jacobian, jet_partials, last_batch, max_abs, mv, vm
 from .report import ResidualReport, ResidualTracker
-from .tensor import d_oneform_matrix, d_twoform_coeff, nabla_matrix, probe_vectors, wedge11_matrix
+from .tensor import d_oneform_matrix, d_twoform_coeff, divergence, nabla_matrix, probe_vectors
+from .tensor import wedge11_matrix
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -84,10 +85,10 @@ class CornerFields:
 
     Each structure has one, its ``corner`` attribute (see
     :class:`cornergeo.acms.AcmStructure`), which every residual suite, twin
-    and deformation reads.  The accessors (``v``, ``phi_v``, ``theta1``,
-    ``theta2``, ``rho``, ...) build ordinary field objects whose jets read
-    from the bundle of jets of the batch being evaluated, so they compose
-    with every operation in :mod:`cornergeo.tensor`.  The bundle and the
+    and deformation reads.  The suites pass the jets of the bundle to
+    :mod:`cornergeo.tensor` as they are; the accessors (``v``, ``phi_v``,
+    ``theta1``, ``theta2``, ``rho``, ...) build field objects that read them,
+    for the structures built on the frame, such as a twin.  The bundle and the
     frame scalars (``frame``) are memoized like a field (see
     :func:`cornergeo.fields.last_batch`), so each is computed once per
     sample.  It keeps the structure's fields, not the structure.
@@ -148,14 +149,12 @@ class CornerFields:
         G = self.g.matrix(p)
         gam = self.g.christoffel(p)
 
-        xi_v = batch_first(b.xi.value, 1)
-        v = batch_first(b.v.value, 1)
-        phi_v = batch_first(b.phi_v.value, 1)
-        jac_v = batch_first(b.v.grad.transpose(0, -1, *range(1, b.v.grad.ndim - 1)), 2)
+        xi_v, v, phi_v = (batch_first(j.value, 1) for j in (b.xi, b.v, b.phi_v))
+        jac_v = jet_jacobian(b.v)
 
         nabla_xi_v = mv(jac_v, xi_v) + np.einsum("...kij,...i,...j->...k", gam, xi_v, v)
         sigma = dot(vm(nabla_xi_v, G), phi_v)
-        div_v = np.trace(jac_v, axis1=-2, axis2=-1) + np.einsum("...kki,...i->...", gam, v)
+        div_v = divergence(self.g, b.v, p)
         phi_v_rho = dot(phi_v, b.rho.grad)
 
         return CornerFrame(
@@ -245,13 +244,13 @@ def connection_table_residuals(
     cf = s.corner
     p = np.atleast_2d(points)
     tracker = ResidualTracker(p)
-    f = cf.frame(p)
+    f, b = cf.frame(p), cf.bundle(p)
     G = s.g.matrix(p)
     xi = s.xi.values(p)
     eta = s.eta.values(p)
     A = s.nabla_xi(p)
-    Mv = nabla_matrix(s.g, cf.v, p)
-    Mpv = nabla_matrix(s.g, cf.phi_v, p)
+    Mv = nabla_matrix(s.g, b.v, p)
+    Mpv = nabla_matrix(s.g, b.phi_v, p)
 
     x, kept = probe_vectors(s.g, p, rng, n_random, extra=[xi])
     r = mv(A[:, None], x) + (f.e_rho[:, None] * dot(eta[:, None], x))[..., None] * f.v[:, None]
@@ -330,12 +329,12 @@ def form_identities_residuals(s: AcmStructure, points, tol: float = 1e-8) -> Res
     cf = s.corner
     p = np.atleast_2d(points)
     tracker = ResidualTracker(p)
-    f = cf.frame(p)
+    f, b = cf.frame(p), cf.bundle(p)
     eta = s.eta.values(p)
     phi_mat = fundamental_two_form_matrix(s, p)
     deta = d_oneform_matrix(s.eta, p)
-    dth1 = d_oneform_matrix(cf.theta1, p)
-    dth2 = d_oneform_matrix(cf.theta2, p)
+    dth1 = d_oneform_matrix(b.theta1, p)
+    dth2 = d_oneform_matrix(b.theta2, p)
     w_eta_th2 = wedge11_matrix(eta, f.theta2)
     w_eta_th1 = wedge11_matrix(eta, f.theta1)
     w_th1_th2 = wedge11_matrix(f.theta1, f.theta2)
@@ -367,7 +366,7 @@ def closed_omega_check(
     p = p[used]
     tracker = ResidualTracker(p)
     if f is not None:
-        tracker.update("d_omega", max_abs(d_oneform_matrix(cf.omega, p)))
+        tracker.update("d_omega", max_abs(d_oneform_matrix(cf.bundle(p).omega, p)))
         tracker.update("sigma", f.sigma)
     report = tracker.report("closed_omega")
     d_max = report.max_abs("d_omega") if report.residuals else 0.0

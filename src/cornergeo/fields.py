@@ -38,6 +38,7 @@ from .expr import Jet2, PointError, as_expr, as_points, jet_sum, require, skippi
 
 __all__ = [
     "SingularMetricError",
+    "NonPositiveMetricError",
     "ChartDomain",
     "jet_partial",
     "ScalarField",
@@ -56,6 +57,12 @@ class SingularMetricError(PointError, RuntimeError):
 
     template = "metric is singular at {point}: det = {value:.3e}"
     det = property(lambda self: self.value)
+
+
+class NonPositiveMetricError(SingularMetricError):
+    """The metric is regular but not positive definite at a point."""
+
+    template = "metric is not positive definite at {point}: det = {value:.3e}"
 
 
 @dataclass(frozen=True)
@@ -142,6 +149,24 @@ def jet_partials(j: Jet2) -> Jet2:
         raise ValueError("jet carries no gradient; cannot take a partial")
     h = None if j.hess is None else j.hess.transpose(-2, *range(j.hess.ndim - 2), -1)
     return Jet2(j.grad.transpose(-1, *range(j.grad.ndim - 1)), h)
+
+
+def vector_jets(X, p) -> Jet2:
+    """The jet at ``p`` of a direction: a vector field or one-form, a jet (as
+    it is), or components ``(3,)`` or ``(N, 3)`` taken as a constant field."""
+    if isinstance(X, Jet2):
+        return X
+    if isinstance(X, _ComponentsMixin):
+        return X.jets(p)
+    vec = np.asarray(X, dtype=float)
+    vec = vec.reshape(3) if vec.size == 3 else vec
+    return Jet2.constant(np.moveaxis(np.broadcast_to(vec, as_points(p).shape[:-1] + (3,)), -1, 0))
+
+
+def jet_jacobian(j: Jet2) -> np.ndarray:
+    """Matrix of partials ``J[..., k, i] = d_i comp_k`` of a vector jet ``j``."""
+    g = j.grad
+    return batch_first(g.transpose(0, -1, *range(1, g.ndim - 1)), 2)
 
 
 def batch_first(a: np.ndarray, n: int) -> np.ndarray:
@@ -296,8 +321,7 @@ class _ComponentsMixin(_Field):
 
     def jacobian(self, p) -> np.ndarray:
         """Matrix of partials ``J[..., k, i] = d_i comp_k``."""
-        g = self.jets(p).grad
-        return batch_first(g.transpose(0, -1, *range(1, g.ndim - 1)), 2)
+        return jet_jacobian(self.jets(p))
 
 
 class VectorField(_ComponentsMixin):
@@ -308,17 +332,11 @@ class VectorField(_ComponentsMixin):
         """A field with constant components; ``vec`` is ``(3,)``, or ``(N, 3)``
         for one direction per sample point."""
         vec = np.array(vec, dtype=float)  # a copy, which no later write of the caller reaches
-        vec = vec.reshape(3) if vec.size == 3 else vec
-        return cls(lambda p: Jet2.constant(
-            np.moveaxis(np.broadcast_to(vec, as_points(p).shape[:-1] + (3,)), -1, 0)))
+        return cls(lambda p: vector_jets(vec, p))
 
 
 class OneFormField(_ComponentsMixin):
     __slots__ = ()
-
-    def pair(self, X: VectorField) -> ScalarField:
-        """The scalar field theta(X)."""
-        return ScalarField(lambda p: jet_sum(first_order(self.jets(p)) * X.jets(p)))
 
 
 class TensorField11(_Field):
@@ -333,10 +351,6 @@ class TensorField11(_Field):
     def jets(self, p) -> Jet2:
         return self._fn(p)
 
-    def apply(self, X: VectorField) -> VectorField:
-        """phi(X) as a vector field."""
-        return VectorField(lambda p: contract(first_order(self.jets(p)), X.jets(p)))
-
 
 # cofactor (i, j) of a 3x3 matrix: the minor of rows (_R0[i], _R1[i]) and
 # columns (_R0[j], _R1[j]), with sign (-1)^(i + j)
@@ -344,9 +358,15 @@ _R0, _R1 = np.array([1, 0, 0]), np.array([2, 2, 1])
 _COFACTOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
 
 
-def _check_det(p, det) -> None:
-    """Raise a :class:`SingularMetricError` at the first point where |det g| < DET_GUARD."""
-    require(p, np.abs(det) < DET_GUARD, SingularMetricError, det)
+def _check_det(p, g, det) -> None:
+    """Raise at the first point where g, its values ``g`` with the component
+    axes first, is not a Riemannian metric: a :class:`SingularMetricError`
+    where |det g| < DET_GUARD, else a :class:`NonPositiveMetricError` where
+    a leading principal minor is not positive.  A NaN fails neither test."""
+    singular = np.abs(det) < DET_GUARD
+    indefinite = (g[0, 0] <= 0.0) | (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] <= 0.0) | (det <= 0.0)
+    require(p, singular | indefinite, lambda q, d, s: (
+        SingularMetricError if s else NonPositiveMetricError)(q, d), det, singular)
 
 
 class MetricField(_Field):
@@ -380,7 +400,7 @@ class MetricField(_Field):
 
     def inverse(self, p) -> np.ndarray:
         G = self.matrix(p)
-        _check_det(p, np.linalg.det(G))
+        _check_det(p, self.jets(p).value, np.linalg.det(G))
         return np.linalg.inv(G)
 
     def norm(self, p, a):
@@ -404,7 +424,7 @@ class MetricField(_Field):
         cof.value *= sign
         cof.grad *= sign[..., None]
         det = jet_sum(g[0] * cof[0])
-        _check_det(p, det.value)  # before the division, which a det of 0 would fail
+        _check_det(p, G.value, det.value)  # before the division, which a det of 0 would fail
         ginv = cof.transpose(1, 0) / det
         del cof  # freed before the products below, where the memory peaks
 

@@ -1,8 +1,9 @@
 """Chart-level tensor calculus: connection, brackets, exterior calculus, cross product.
 
 All operations work on the field containers from :mod:`cornergeo.fields`.
-Direction arguments may be plain component arrays (treated as constant
-fields) wherever only pointwise tensorial data is needed.  Every ``p``
+A direction or one-form argument may be a field, its jet over ``p``, or
+a plain component array (a constant field); see
+:func:`cornergeo.fields.vector_jets`.  Every ``p``
 may be one point ``(3,)`` or a sample ``(N, 3)``; results then carry the
 sample axis in front, and each row equals the result at that point alone.
 
@@ -16,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import as_points, outer, require
-from .fields import MetricField, OneFormField, SingularMetricError, TensorField11, VectorField
-from .fields import dot, mv
+from .expr import Jet2, as_points, jet_sum, outer
+from .fields import MetricField, TensorField11, _check_det, batch_first, dot, first_order
+from .fields import jet_jacobian, mv, vector_jets
 
 __all__ = [
     "christoffel",
@@ -41,53 +42,44 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS3[_j, _i, _k] = -1.0
 
 
-def _as_vector_field(X) -> VectorField:
-    if isinstance(X, VectorField):
-        return X
-    return VectorField.constant(X)
-
-
 def christoffel(g: MetricField, p) -> np.ndarray:
     """Levi-Civita symbols ``Gamma[..., k, i, j]`` of ``g`` at ``p``."""
     return g.christoffel(p)
 
 
-def nabla_matrix(g: MetricField, Y: VectorField, p) -> np.ndarray:
+def nabla_matrix(g: MetricField, Y, p) -> np.ndarray:
     """The endomorphism ``A[..., k, i] = (nabla_{d_i} Y)^k`` at ``p``."""
     gam = g.christoffel(p)
-    yv = Y.values(p)
-    return Y.jacobian(p) + np.einsum("...kij,...j->...ki", gam, yv)
+    y = vector_jets(Y, p)
+    return jet_jacobian(y) + np.einsum("...kij,...j->...ki", gam, batch_first(y.value, 1))
 
 
-def _with_jacobian(X: VectorField, p) -> tuple:
-    """The values and the Jacobian of a vector field at ``p``."""
-    return X.values(p), X.jacobian(p)
+def _columns(j: Jet2) -> tuple:
+    """The values ``(..., 3)`` and the Jacobian ``(..., 3, 3)`` of a vector jet."""
+    return batch_first(j.value, 1), jet_jacobian(j)
 
 
 def _bracket(x: tuple, y: tuple) -> np.ndarray:
-    """``[X, Y]`` from the :func:`_with_jacobian` pairs of X and Y."""
+    """``[X, Y]`` from the :func:`_columns` of X and Y."""
     return mv(y[1], x[0]) - mv(x[1], y[0])
 
 
 def lie_bracket(X, Y, p) -> np.ndarray:
     """Components of ``[X, Y]`` at ``p``."""
-    Xf, Yf = _as_vector_field(X), _as_vector_field(Y)
-    return _bracket(_with_jacobian(Xf, p), _with_jacobian(Yf, p))
+    return _bracket(_columns(vector_jets(X, p)), _columns(vector_jets(Y, p)))
 
 
-def exterior_d_oneform(theta: OneFormField, X, Y, p):
+def exterior_d_oneform(theta, X, Y, p):
     """``d theta(X, Y)`` via the invariant formula (1/2 convention)."""
-    Xf, Yf = _as_vector_field(X), _as_vector_field(Y)
-    xv, yv = Xf.values(p), Yf.values(p)
-    d_thY = theta.pair(Yf).jet(p).grad
-    d_thX = theta.pair(Xf).jet(p).grad
-    br = lie_bracket(Xf, Yf, p)
-    return 0.5 * (dot(xv, d_thY) - dot(yv, d_thX) - dot(theta.values(p), br))
+    x, y, t = (vector_jets(V, p) for V in (X, Y, theta))
+    d_thX, d_thY = (jet_sum(first_order(t) * v).grad for v in (x, y))
+    x, y, tv = _columns(x), _columns(y), batch_first(t.value, 1)
+    return 0.5 * (dot(x[0], d_thY) - dot(y[0], d_thX) - dot(tv, _bracket(x, y)))
 
 
-def d_oneform_matrix(theta: OneFormField, p) -> np.ndarray:
+def d_oneform_matrix(theta, p) -> np.ndarray:
     """Coefficients ``(d theta)_ij = (d_i theta_j - d_j theta_i) / 2``."""
-    J = theta.jacobian(p)  # J[..., k, i] = d_i theta_k
+    J = jet_jacobian(vector_jets(theta, p))  # J[..., k, i] = d_i theta_k
     return 0.5 * (np.swapaxes(J, -1, -2) - J)
 
 
@@ -114,31 +106,28 @@ def d_twoform_coeff(B: TensorField11, p):
     return (dB[1, 2, ..., 0] - dB[0, 2, ..., 1] + dB[0, 1, ..., 2]) / 3.0
 
 
-def divergence(g: MetricField, X: VectorField, p):
+def divergence(g: MetricField, X, p):
     """``div X = d_k X^k + Gamma^k_{ki} X^i`` at ``p``."""
     gam = g.christoffel(p)
-    J = X.jacobian(p)
-    return np.trace(J, axis1=-2, axis2=-1) + np.einsum("...kki,...i->...", gam, X.values(p))
+    xv, J = _columns(vector_jets(X, p))
+    return np.trace(J, axis1=-2, axis2=-1) + np.einsum("...kki,...i->...", gam, xv)
 
 
 def _volume_density(g: MetricField, p):
     det = g.det(p)
-    require(p, det <= 0.0, SingularMetricError, det)
+    _check_det(p, g.jets(p).value, det)
     return np.sqrt(det)
 
 
 def volume_form(g: MetricField, X, Y, Z, p):
     """``dv_g(X, Y, Z) = sqrt(det g) det[X Y Z]`` (unnormalized volume form)."""
-    xv = _as_vector_field(X).values(p)
-    yv = _as_vector_field(Y).values(p)
-    zv = _as_vector_field(Z).values(p)
+    xv, yv, zv = (batch_first(vector_jets(V, p).value, 1) for V in (X, Y, Z))
     return _volume_density(g, p) * np.linalg.det(np.stack([xv, yv, zv], axis=-1))
 
 
 def volume_cross(g: MetricField, X, Y, p) -> np.ndarray:
     """The metric cross product defined by ``g(X x Y, Z) = dv_g(X, Y, Z)``."""
-    xv = _as_vector_field(X).values(p)
-    yv = _as_vector_field(Y).values(p)
+    xv, yv = (batch_first(vector_jets(V, p).value, 1) for V in (X, Y))
     lower = _volume_density(g, p)[..., None] * np.einsum("mnl,...m,...n->...l", _EPS3, xv, yv)
     return mv(g.inverse(p), lower)
 

@@ -439,11 +439,16 @@ def test_singular_points_are_skipped_as_one_at_a_time():
     s = build_family(SKIP_PARAMS)
     pts = mixed_points()
     batch = check_axioms(s, pts)
-    singles = [check_axioms(s, p) for p in pts]
-    assert batch.details["skipped_points"] == 1
-    assert sum(r.details["skipped_points"] for r in singles) == 1
+    # alone, the singular point leaves no regular point and raises: it is skipped
+    singles, skipped = [], 0
+    for p in pts:
+        try:
+            singles.append(check_axioms(s, p))
+        except SingularMetricError:
+            skipped += 1
+    assert batch.details["skipped_points"] == skipped == 1
     for r in batch.residuals:
-        assert same(r.max_abs, max(x.max_abs(r.name) for x in singles if x.residuals))
+        assert same(r.max_abs, max(x.max_abs(r.name) for x in singles))
 
     rep = classify(s, points=pts)
     skipped = 0

@@ -261,6 +261,43 @@ def test_a_metric_singular_at_every_point_names_its_true_determinant(tmp_path, c
     assert err.value.det == pytest.approx(det, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "g, kind, message",
+    [
+        ([[1, 0, 0], [0, "1e-7", 0], [0, 0, "1e-7"]], "SingularMetricError",
+         "metric is singular at {}: det = 1.000e-14"),
+        ([[1, 0, 0], [0, -1, 0], [0, 0, 1]], "NonPositiveMetricError",
+         "metric is not positive definite at {}: det = -1.000e+00"),
+    ],
+    ids=["singular", "not-positive-definite"],
+)
+@pytest.mark.parametrize("command, suites", [("check", ["axioms"]), ("classify", None),
+                                             ("check", None)], ids=["axioms", "classify", "check"])
+def test_a_sample_with_no_riemannian_point_names_its_first_point(tmp_path, capsys, g, kind,
+                                                                 message, command, suites):
+    """Each suite skips the points where g is singular or not positive
+    definite; with none left, it raises what its first point raises alone."""
+    data = {"structure": {**FLAT, "g": g}, "samples": 5}
+    if suites:
+        data["suites"] = suites
+    with np.errstate(all="ignore"):
+        code, payload = run_config(tmp_path, capsys, command, data)
+    point = ChartDomain().sample(5, 0)[0]
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"] == {"type": kind, "message": message.format(point.tolist())}
+
+
+def test_a_point_where_g_is_not_positive_definite_is_skipped_like_a_singular_one():
+    """g22 = x1 - 0.5 is negative, with det g far above the guard, at x1 < 0.5."""
+    s = acms.AcmStructure.from_expressions(**{**FLAT, "g": [[1, 0, 0], [0, "x1 - 0.5", 0],
+                                                            [0, 0, 1]]})
+    pts = ChartDomain().sample(8, 0)
+    negative = np.count_nonzero(pts[:, 0] < 0.5)
+    assert 0 < negative < len(pts)
+    assert acms.check_axioms(s, pts).details["skipped_points"] == negative
+    assert acms.classify(s, pts).notes["skipped_points"] == negative
+
+
 DEEP = "2+" + "(" * 260 + "x1" + ")" * 260  # nesting 261, tree depth 2
 LONG = "+".join(["x1"] * 1500)  # nesting 1, tree depth 1,500; 100 terms have depth 100
 TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
@@ -318,5 +355,5 @@ def test_a_twin_is_classified_at_the_scene_tolerance(tmp_path, capsys):
     assert theorem["conditions_hold"] and theorem["twin_matches"] and theorem["routes_agree"]
     s = build_family(FamilyParams.of(*family.values()))
     pts = ChartDomain().sample(12, 0)
-    verdict = acms.classify(twin(s, "v"), pts, zero_tol=1e-3, const_tol=1e-3).verdict
+    verdict = acms.classify(twin(s, "v"), pts, tol=1e-3).verdict
     assert theorem["twin_verdict"] == verdict == "Kenmotsu"

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import fd_d_oneform, fd_divergence, metric_fn_of
 
+from cornergeo import construct
 from cornergeo.acms import (
     COSYMPLECTIC,
     KENMOTSU,
@@ -13,6 +14,7 @@ from cornergeo.acms import (
     check_axioms,
     classify,
     fundamental_two_form_matrix,
+    n1_tensor,
     olszak_alpha_beta,
 )
 from cornergeo.construct import (
@@ -30,6 +32,8 @@ from cornergeo.construct import (
 )
 from cornergeo.corner import CornerFields
 from cornergeo.family import FamilyParams, build_family, random_family
+from cornergeo.fields import dot, mv, vm
+from cornergeo.tensor import d_oneform_matrix
 
 SIGMA_PARAMS = FamilyParams.of("exp(x2 + x1*x3)", "1 + x2^2", "1 + x2*x3")
 
@@ -243,6 +247,58 @@ def test_ntilde_closed_form_sigma_nonzero(points, rng):
     )
     assert rep.passed
     assert rep.max_abs("ntilde_closed_vs_brute") < 1e-12
+
+
+def ntilde_columns_pair_by_pair(s, params, p, rng, n_pairs) -> tuple:
+    """The two columns of ``ntilde_identity_residual``, one pair at a time,
+    with the brute-force route through ``n1_tensor``."""
+    deformed = deform(s, params)
+    f = s.corner.frame(p)
+    P, xi, deta, th2 = s.phi.matrix(p), s.xi.values(p), d_oneform_matrix(s.eta, p), f.theta2
+    factor = 2.0 * (1.0 - f.sigma / f.e_rho)
+    if rng is None:
+        draws = np.broadcast_to(np.eye(3)[:2], (len(p), n_pairs, 2, 3))
+    else:
+        draws = rng.standard_normal((len(p), n_pairs, 2, 3))
+    gaps, sizes = np.empty((2, len(p), n_pairs))
+    for k in range(n_pairs):
+        x, y = draws[:, k, 0], draws[:, k, 1]
+        px, py = mv(P, x), mv(P, y)
+        scalar = (
+            dot(vm(x, deta), y)
+            - dot(vm(px, deta), xi) * dot(th2, py)
+            - dot(vm(xi, deta), py) * dot(th2, px)
+        )
+        brute = n1_tensor(deformed, x, y, p)
+        gaps[:, k] = np.max(np.abs((factor * scalar)[:, None] * xi - brute), axis=-1)
+        sizes[:, k] = np.max(np.abs(brute), axis=-1)
+    return gaps, sizes
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["axes", "seeded"])
+@pytest.mark.parametrize("n_pairs", [1, 2, 5])
+@pytest.mark.parametrize("name", ["D", "sigma"])
+def test_ntilde_over_all_pairs_at_once_is_the_pair_by_pair_loop_bit_for_bit(
+    monkeypatch, structures, points, name, n_pairs, seeded
+):
+    columns = {}
+
+    class Recording(construct.ResidualTracker):
+        def update(self, column, values, kept=None):
+            columns[column] = np.asarray(values)
+            super().update(column, values, kept)
+
+    monkeypatch.setattr(construct, "ResidualTracker", Recording)
+    s = structures["D"] if name == "D" else build_family(SIGMA_PARAMS)
+    params = DeformationParams.of("exp(x1)")
+    ntilde_identity_residual(s, params, points, np.random.default_rng(7) if seeded else None,
+                             pairs_per_point=n_pairs)
+    want = ntilde_columns_pair_by_pair(s, params, points,
+                                       np.random.default_rng(7) if seeded else None, n_pairs)
+    for column, expected in zip(("ntilde_closed_vs_brute", "ntilde_max"), want):
+        got = columns[column]
+        assert got.shape == expected.shape == (len(points), n_pairs)
+        assert got.tobytes() == expected.tobytes(), column
 
 
 # --------------------------------------------------------------------------

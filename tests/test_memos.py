@@ -2,9 +2,14 @@
 stand for compute afresh: ``s.nabla_xi`` is ``nabla_matrix(g, xi, p)``,
 ``s.basis_normality`` holds ``nijenhuis`` and ``n1_tensor`` on the three
 coordinate pairs, and ``s.corner.frame`` is the frame a new ``CornerFields``
-computes.  Bytes are compared, so signed zeros count."""
+computes.  Bytes are compared, so signed zeros count.  A report builds a
+pinned number of memos; run as a script, this module prints the memos and
+the Python calls of one report of each benchmark kind and preset."""
 
+import contextlib
+import cProfile
 import dataclasses
+import io
 import itertools
 
 import numpy as np
@@ -103,18 +108,70 @@ def test_a_non_finite_normality_tensor_names_the_first_point():
             assert str(err.value).endswith(f"{first.tolist()}")
 
 
-def test_a_check_report_builds_at_most_27_memos(monkeypatch, capsys):
-    """A constant vector field, such as each coordinate basis field of N_phi
-    and N^(1), is one memo, not a grid of memoized constant entries: a check
-    report on D builds 27 memos, against 36 with the grid."""
+@contextlib.contextmanager
+def counting_memos():
+    """The list that gets one entry per memo built while the context is open."""
     built, memo = [], fields.last_batch
 
     def counted(*args, **kwargs):
         built.append(1)
         return memo(*args, **kwargs)
 
-    for module in (acms, corner, family, fields):  # every module that builds memos
-        monkeypatch.setattr(module, "last_batch", counted)
-    assert cli.main(["check", "--preset", "family:D", "--samples", "200"]) == 0
+    modules = (acms, corner, family, fields)  # every module that builds memos
+    for module in modules:
+        module.last_batch = counted
+    try:
+        yield built
+    finally:
+        for module in modules:
+            module.last_batch = memo
+
+
+def counts(argv) -> tuple:
+    """The memos built and the Python calls (cProfile) of one report, after
+    a first run of it.  The calls are summed over the profiler's entries,
+    one per code object: ``pstats`` merges entries by file, line and name,
+    such as the ``__init__`` of every dataclass."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        with counting_memos() as built:
+            cli.main(argv)
+        profile = cProfile.Profile()
+        profile.runcall(cli.main, argv)
+    return len(built), sum(entry.callcount for entry in profile.getstats())
+
+
+# memos per report: a direction or frame quantity read once is computed
+# from jets and builds none (they were 27, 42 and 41 with a field each)
+PINNED_MEMOS = {
+    "check-D": (["check", "--preset", "family:D", "--samples", "200"], 13),
+    "twin-A": (["twin", "--preset", "family:A", "--samples", "50"], 20),
+    "deform-D": (["deform", "--preset", "family:D", "--samples", "50", "--f", "exp(x1)"], 18),
+}
+
+
+@pytest.mark.parametrize("report", PINNED_MEMOS)
+def test_a_report_builds_its_pinned_memos(report, capsys):
+    argv, pinned = PINNED_MEMOS[report]
+    with counting_memos() as built:
+        assert cli.main(argv) == 0
     capsys.readouterr()
-    assert 0 < len(built) <= 27
+    assert len(built) == pinned
+
+
+def benchmark_reports():
+    """One report of each kind and preset of the benchmark's workloads."""
+    for name in "ABCD":
+        yield ["check", "--preset", f"family:{name}", "--samples", "200"]
+    for name in "ABD":
+        yield ["twin", "--preset", f"family:{name}", "--samples", "50", "--kind", "both"]
+        for f in ("exp(x1)", "1 + x2^2"):
+            yield ["deform", "--preset", f"family:{name}", "--samples", "50", "--f", f]
+    yield ["scan", "--draws", "60", "--samples", "10"]
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_memos.py: deterministic counts per report
+    print(f"{'report':<58} {'memos':>5} {'python calls':>12}")
+    for argv in benchmark_reports():
+        memos, calls = counts(argv)
+        print(f"{' '.join(argv):<58} {memos:>5} {calls:>12,}")

@@ -13,6 +13,7 @@ from cornergeo import (
     DegenerateCornerError,
     FamilyParams,
     NonPositiveFError,
+    NonPositiveMetricError,
     PointError,
     SingularMetricError,
     build_family,
@@ -88,6 +89,8 @@ def test_require_raises_at_the_first_point_in_c_order_with_its_values():
     [
         (SingularMetricError, 1e-13, "det", RuntimeError,
          "metric is singular at [0.5, 0.25, 1.0]: det = 1.000e-13"),
+        (NonPositiveMetricError, -2.0, "det", SingularMetricError,
+         "metric is not positive definite at [0.5, 0.25, 1.0]: det = -2.000e+00"),
         (DegenerateCornerError, 2.5e-9, "psi_norm", RuntimeError,
          "degenerate corner point [0.5, 0.25, 1.0]: |psi| = 2.500e-09"),
         (NonPositiveFError, -0.125, "value", ValueError,
@@ -115,6 +118,10 @@ def test_each_point_error_keeps_its_message_point_alias_and_base(cls, value, ali
             "phi": [[0, 0, 0], [0, 0, -1], [0, 1, 0]], "xi": [1, 0, 0], "eta": [1, 0, 0],
             "g": [[1, 0, 0], [0, "0*x1", 0], [0, 0, 1]]}}],
          "SingularMetricError"),
+        (["classify", "--config", {"structure": {
+            "phi": [[0, 0, 0], [0, 0, -1], [0, 1, 0]], "xi": [1, 0, 0], "eta": [1, 0, 0],
+            "g": [[1, 0, 0], [0, "x1 - 2", 0], [0, 0, 1]]}}],
+         "NonPositiveMetricError"),
     ],
 )
 def test_main_reports_each_point_error_by_its_own_type(tmp_path, capsys, argv, kind):

@@ -243,6 +243,53 @@ def test_cross_is_g_orthogonal_and_matches_volume():
     )
 
 
+# three directions, as constant components (3,) or one row per point of POINTS
+DIRECTIONS = np.array([[0.3, -1.2, 0.5], [1.0, 0.25, -0.75], [-0.4, 0.9, 2.0]])
+PER_POINT = ChartDomain(((-1.0, 1.0),) * 3).sample(3 * len(POINTS), 8).reshape(3, -1, 3)
+
+
+def direction_results(x, y, z, p) -> list:
+    """Every tensor helper that takes a direction, on the directions x, y, z."""
+    return [
+        lie_bracket(x, y, p),
+        lie_bracket(X_FIELD, y, p),
+        exterior_d_oneform(THETA, x, y, p),
+        exterior_d_oneform(x, X_FIELD, y, p),
+        volume_form(DENSE_METRIC, x, y, z, p),
+        volume_cross(DENSE_METRIC, x, y, p),
+        nabla_matrix(DENSE_METRIC, x, p),
+        d_oneform_matrix(x, p),
+    ]
+
+
+@pytest.mark.parametrize(
+    "dirs, p",
+    [(DIRECTIONS, POINTS), (DIRECTIONS, POINTS[2]), (PER_POINT, POINTS)],
+    ids=["constant-sample", "constant-point", "per-point-sample"],
+)
+def test_a_direction_as_an_array_a_constant_field_or_its_jet_gives_the_same_bytes(dirs, p):
+    arrays = direction_results(*dirs, p)
+    fields = direction_results(*(VectorField.constant(v) for v in dirs), p)
+    jets = direction_results(*(VectorField.constant(v).jets(p) for v in dirs), p)
+    for a, f, j in zip(arrays, fields, jets):
+        assert a.shape == f.shape == j.shape and a.dtype == f.dtype == j.dtype
+        assert a.tobytes() == f.tobytes() == j.tobytes()
+
+
+def test_a_field_and_its_jet_give_the_same_bytes():
+    x, y, theta = X_FIELD.jets(POINTS), Y_FIELD.jets(POINTS), THETA.jets(POINTS)
+    pairs = [
+        (lie_bracket(X_FIELD, Y_FIELD, POINTS), lie_bracket(x, y, POINTS)),
+        (exterior_d_oneform(THETA, X_FIELD, Y_FIELD, POINTS),
+         exterior_d_oneform(theta, x, y, POINTS)),
+        (nabla_matrix(DENSE_METRIC, Y_FIELD, POINTS), nabla_matrix(DENSE_METRIC, y, POINTS)),
+        (d_oneform_matrix(THETA, POINTS), d_oneform_matrix(theta, POINTS)),
+        (divergence(DENSE_METRIC, X_FIELD, POINTS), divergence(DENSE_METRIC, x, POINTS)),
+    ]
+    for field_result, jet_result in pairs:
+        assert field_result.tobytes() == jet_result.tobytes()
+
+
 def test_singular_metric_raises():
     bad = diagonal("x1 - 0.5", 1.0, 1.0)
     with pytest.raises(SingularMetricError):
