@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .expr import by_rows, jet_sum, outer, require, skipping
+from .expr import Jet2, by_rows, jet_sum, outer, require, skipping
 from .fields import ChartDomain, MetricField, OneFormField, SingularMetricError, TensorField11
 from .fields import VectorField, contract, dot, first_order, gnorm, last_batch, mv, vector_jets
 from .fields import vm, vnorm
@@ -34,7 +34,7 @@ __all__ = [
     "ClassificationReport",
     "check_axioms",
     "fundamental_two_form_matrix",
-    "fundamental_two_form_fields",
+    "fundamental_two_form_jets",
     "nijenhuis",
     "n1_tensor",
     "olszak_alpha_beta",
@@ -156,9 +156,9 @@ def fundamental_two_form_matrix(s: AcmStructure, p) -> np.ndarray:
     return s.g.matrix(p) @ s.phi.matrix(p)
 
 
-def fundamental_two_form_fields(s: AcmStructure) -> TensorField11:
-    """The coefficients Phi_ij as one field of 3x3 jets (for exterior derivatives)."""
-    return TensorField11(lambda p: contract(first_order(s.g.jets(p))[:, :, None], s.phi.jets(p)))
+def fundamental_two_form_jets(s: AcmStructure, p) -> Jet2:
+    """The coefficients Phi_ij at ``p`` as one 3x3 jet (for exterior derivatives)."""
+    return contract(first_order(s.g.jets(p))[:, :, None], s.phi.jets(p))
 
 
 def nijenhuis(s: AcmStructure, X, Y, p) -> np.ndarray:

@@ -9,7 +9,8 @@ failed, 2 configuration or domain error (bad expressions, singular metric,
 degenerate frame, a tau or deformation factor that is not finite and positive,
 an alpha, beta or normality tensor that is not finite, unknown preset) and
 also any report that would hold a number that is not finite, since JSON has
-none.  The argument parser is built once per process, at import.
+none, or that cannot be written to ``--out`` (that error goes to stdout).
+The argument parser is built once per process, at import.
 """
 
 from __future__ import annotations
@@ -136,8 +137,10 @@ class SceneConfig:
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {name!r}")
-            if isinstance(value, bool) or not (isinstance(value, (int, float)) and value > 0.0):
-                raise ConfigError(f"tolerance {name!r} must be positive")
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and 0.0 < value <= sys.float_info.max
+            ):
+                raise ConfigError(f"tolerance {name!r} must be finite and positive, got {value!r}")
         unknown = [s for s in self.suites if s not in ALL_SUITES]
         if unknown:
             raise ConfigError(
@@ -146,8 +149,8 @@ class SceneConfig:
         try:
             self.box = tuple(tuple(b) for b in self.box)
             ChartDomain(self.box)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+        except (ValueError, OverflowError) as err:  # an integer literal can exceed every float
+            raise ConfigError(f"box: {err}") from None
         except TypeError:
             raise ConfigError(f"box must be three [low, high] pairs, got {self.box!r}") from None
 
@@ -169,15 +172,20 @@ class SceneConfig:
 
 
 def _check_expression(value, name: str, depth: int = 0) -> None:
-    """Raise a ConfigError unless ``value`` is an expression (a string or a
-    number), or for ``depth`` 1 and 2 a list, or list of lists, of them."""
+    """Raise a ConfigError unless ``value`` is an expression (a string, or a
+    number in the range of finite floats: json reads 1e999 as infinity, and
+    an integer literal can exceed every float), or for ``depth`` 1 and 2 a
+    list, or list of lists, of them."""
     if depth:
         if not isinstance(value, list):
             raise ConfigError(f"{name} must be a list, got {value!r}")
         for item in value:
             _check_expression(item, name, depth - 1)
-    elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ConfigError(f"{name} must be an expression string or a number, got {value!r}")
+    elif not isinstance(value, str):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be an expression string or a number, got {value!r}")
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def _entries(block: dict, name: str, depths: dict) -> list:
@@ -513,6 +521,13 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _error(command: str, err: Exception) -> str:
+    """The report of an error: its type name and message, with exit code 2."""
+    error = {"type": type(err).__name__, "message": str(err)}
+    return _dumps({"schema_version": SCHEMA_VERSION, "command": command, "error": error,
+                   "exit_code": 2})
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
@@ -520,20 +535,16 @@ def main(argv=None) -> int:
         payload, code = run(cfg, args.command)
         text = _dumps(payload)  # raises a ValueError on NaN or infinity
     except (ValueError, EvalDomainError, PointError) as err:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "error": {"type": type(err).__name__, "message": str(err)},
-            "exit_code": 2,
-        }
-        code = 2
-        text = _dumps(payload)
+        code, text = 2, _error(args.command, err)
 
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        except OSError as err:
+            code, text = 2, _error(args.command, err)
+    sys.stdout.write(text)
     return code
 
 

@@ -28,7 +28,8 @@ is trans-Sasakian of type (alpha~, beta~) with
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
@@ -41,12 +42,12 @@ from .acms import (
     SASAKIAN,
     TRANS_SASAKIAN,
     classify,
-    fundamental_two_form_fields,
+    fundamental_two_form_jets,
     fundamental_two_form_matrix,
     _normality,
 )
 from .expr import Jet2, PointError, ScalarExpr, as_expr, by_rows, require
-from .fields import MetricField, OneFormField, ScalarField, TensorField11, dot, first_order
+from .fields import MetricField, OneFormField, TensorField11, dot, first_order, last_batch
 from .fields import max_abs, mv, vm
 from .report import ResidualReport, ResidualTracker, stats
 from .tensor import d_oneform_matrix, d_twoform_coeff, wedge12_coeff
@@ -186,16 +187,26 @@ class DeformationParams:
     """The conformal-like factor f (finite and > 0) driving the deformation.
 
     ``validate`` checks f on 50 fixed points of the domain; the deformed
-    metric checks it again at every point it is evaluated at.  The jet of f
-    is one memoized field (see :func:`cornergeo.fields.last_batch`), so the
-    deformed metric and the type functions of a sample share one evaluation.
+    metric checks it again at every point it is evaluated at.
     """
 
     f: ScalarExpr
-    _field: ScalarField = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        f = self.f  # the field closes over f, not over the params
+    @classmethod
+    def of(cls, f) -> "DeformationParams":
+        return cls(f=as_expr(f))
+
+    def validate(self, domain) -> None:
+        self.jet(domain.sample(50, seed_or_rng=0))
+
+    @functools.cached_property
+    def jet(self):
+        """``jet(points)``, the jet of f over ``points``, memoized (see
+        :func:`cornergeo.fields.last_batch`) so that the deformed metric and
+        the type functions of a sample share one evaluation.  It raises at
+        the first point where f is not finite (a ValueError) or f <= 0 (a
+        :class:`NonPositiveFError`)."""
+        f = self.f  # the memo closes over f, not over the params
 
         def positive(points) -> Jet2:
             fj = f.eval_jet2(points)
@@ -205,45 +216,30 @@ class DeformationParams:
             ), fj.value)
             return fj
 
-        object.__setattr__(self, "_field", ScalarField(positive))
-
-    @classmethod
-    def of(cls, f) -> "DeformationParams":
-        return cls(f=as_expr(f))
-
-    def validate(self, domain) -> None:
-        self.jet(domain.sample(50, seed_or_rng=0))
-
-    def jet(self, points) -> Jet2:
-        """The jet of f over ``points``; raises at the first point where f is
-        not finite (a ValueError) or f <= 0 (a :class:`NonPositiveFError`)."""
-        return self._field.jet(points)
+        return last_batch(positive)
 
 
 def deform(s: AcmStructure, params: DeformationParams) -> AcmStructure:
     """The deformed structure (phi~, xi, eta~, g~) of a corner structure,
     built and validated once per ``params`` object: ``s.derived`` keeps the
-    last one with its ``params``.  It refers to the fields of ``s``, not ``s``."""
+    last one with its ``params``.  It refers to the fields of ``s``, not ``s``,
+    and g~ reads eta~ from its field."""
     last = s.derived.get("deform")
     if last is not None and last[0] is params:
         return last[1]
     params.validate(s.domain)
     phi, xi, eta, g, cf = s.phi, s.xi, s.eta, s.g, s.corner
-
-    def eta_t(p):
-        return eta.jets(p) - cf.bundle(p).theta2
+    eta_t = OneFormField(lambda p: eta.jets(p) - cf.bundle(p).theta2)
 
     def phi_t(p):
         return phi.jets(p) + cf.bundle(p).theta1[None] * xi.jets(p)[:, None]
 
     def g_t(p):
-        # eta_t carries no Hessian, so g~ carries none: none is computed
-        f, e, et = first_order(params.jet(p)), eta.jets(p), eta_t(p)
+        # eta~ carries no Hessian, so g~ carries none: none is computed
+        f, e, et = first_order(params.jet(p)), eta.jets(p), eta_t.jets(p)
         return f * g.jets(p) - (f * e)[:, None] * e[None] + et[:, None] * et[None]
 
-    deformed = AcmStructure(
-        TensorField11(phi_t), xi, OneFormField(eta_t), MetricField(g_t), s.domain
-    )
+    deformed = AcmStructure(TensorField11(phi_t), xi, eta_t, MetricField(g_t), s.domain)
     s.derived["deform"] = (params, deformed)
     return deformed
 
@@ -339,7 +335,6 @@ def deformed_type(
     reported regardless, since they are defined whenever the gate holds.
     """
     deformed = deform(s, params)
-    phi_t_fields = fundamental_two_form_fields(deformed)
     p = np.atleast_2d(points)
     tracker = ResidualTracker(p)
     f = s.corner.frame(p)
@@ -361,7 +356,8 @@ def deformed_type(
     alphas = (f.div_v - f.e_rho) / (2.0 * fj.value)
     rhs = (1.0 - f.sigma / f.e_rho)[:, None, None] * deta + alphas[:, None, None] * phi_t_mat
     tracker.update("d_eta_tilde", max_abs(deta_t - rhs))
-    tracker.update("d_phi_tilde", d_twoform_coeff(phi_t_fields, p) - xi_lnf * eta_wedge)
+    d_phi_t = d_twoform_coeff(fundamental_two_form_jets(deformed, p))
+    tracker.update("d_phi_tilde", d_phi_t - xi_lnf * eta_wedge)
     gate = float(np.max(np.abs(f.sigma - f.e_rho)))
     tolerances = {
         "phi_scaling": kernel_tol / 10.0,

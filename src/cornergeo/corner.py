@@ -20,9 +20,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .acms import AcmStructure, fundamental_two_form_fields, fundamental_two_form_matrix
+from .acms import AcmStructure, fundamental_two_form_jets, fundamental_two_form_matrix
 from .expr import PointError, as_points, by_rows, jet_log, jet_sqrt, jet_sum, require, skipping
-from .fields import OneFormField, ScalarField, VectorField, batch_first, contract, dot
+from .fields import OneFormField, VectorField, batch_first, contract, dot
 from .fields import gnorm, jet_jacobian, jet_partials, last_batch, max_abs, mv, vm
 from .report import ResidualReport, ResidualTracker
 from .tensor import d_oneform_matrix, d_twoform_coeff, divergence, nabla_matrix, probe_vectors
@@ -86,22 +86,18 @@ class CornerFields:
     Each structure has one, its ``corner`` attribute (see
     :class:`cornergeo.acms.AcmStructure`), which every residual suite, twin
     and deformation reads.  The suites pass the jets of the bundle to
-    :mod:`cornergeo.tensor` as they are; the accessors (``v``, ``phi_v``,
-    ``theta1``, ``theta2``, ``rho``, ...) build field objects that read them,
-    for the structures built on the frame, such as a twin.  The bundle and the
-    frame scalars (``frame``) are memoized like a field (see
-    :func:`cornergeo.fields.last_batch`), so each is computed once per
+    :mod:`cornergeo.tensor` as they are; ``v``, ``phi_v``, ``theta1`` and
+    ``theta2`` build the fields that read them, the xi and eta of the twins.
+    The bundle and the frame scalars (``frame``) are memoized like a field
+    (see :func:`cornergeo.fields.last_batch`), so each is computed once per
     sample.  It keeps the structure's fields, not the structure.
     """
 
     # built anew on each access, so the fields refer to this object, never it to them
-    psi = property(lambda self: VectorField(lambda p: self.bundle(p).psi))
     v = property(lambda self: VectorField(lambda p: self.bundle(p).v))
     phi_v = property(lambda self: VectorField(lambda p: self.bundle(p).phi_v))
-    omega = property(lambda self: OneFormField(lambda p: self.bundle(p).omega))
     theta1 = property(lambda self: OneFormField(lambda p: self.bundle(p).theta1))
     theta2 = property(lambda self: OneFormField(lambda p: self.bundle(p).theta2))
-    rho = property(lambda self: ScalarField(lambda p: self.bundle(p).rho))
 
     def __init__(self, s: AcmStructure):
         self.phi, self.xi, self.eta, self.g = s.phi, s.xi, s.eta, s.g
@@ -215,7 +211,6 @@ def corner_residual_forms(s: AcmStructure, points, tol: float = 1e-7) -> Residua
     :func:`cornergeo.acms.normality_residual` shares; a non-finite N^(1)
     raises a ValueError there.
     """
-    phi_fields = fundamental_two_form_fields(s)
     p = np.atleast_2d(points)
     tracker = ResidualTracker(p)
     G = s.g.matrix(p)
@@ -225,7 +220,7 @@ def corner_residual_forms(s: AcmStructure, points, tol: float = 1e-7) -> Residua
     omega = mv(G, -mv(A, xi))
     deta = d_oneform_matrix(s.eta, p)
     tracker.update("d_eta_vs_omega_wedge_eta", max_abs(deta - wedge11_matrix(omega, eta)))
-    tracker.update("d_phi", d_twoform_coeff(phi_fields, p))
+    tracker.update("d_phi", d_twoform_coeff(fundamental_two_form_jets(s, p)))
     tracker.update("nijenhuis", np.stack([gnorm(G, n) for n in s.basis_normality(p).n_phi], -1))
     return tracker.report("corner_forms", tol)
 

@@ -12,16 +12,16 @@ The plain arrays keep the sample axis first, in contiguous memory
 ``christoffel`` ``(N, 3, 3, 3)``), and the batched products (``mv``,
 ``vm``, ``dot``) give each row the bits of the single-point ``@``.
 
-Every field, a :class:`ScalarField` included, is one function of the
-points that returns its whole jet.  A vector, one-form, tensor or metric
-field may be given instead by a grid of entries (scalar fields,
-expressions or their source text, numbers), and its function stacks their
-jets.  Either way a field is evaluated once per sample: it keeps the jet
-of the last batch of points it was asked for (see :func:`last_batch`)
-until it is asked for another, and every accessor reads that jet.
-Fields built from parsed expressions carry exact value/gradient/Hessian;
-fields derived from them (e.g. Christoffel symbols, frame components)
-carry value/gradient.
+The fields are the phi, xi, eta and g of a structure.  Each is one
+function of the points that returns its whole jet, or is given by a grid
+of entries (expressions or their source text, numbers) whose jets its
+function stacks.  Either way a field is evaluated once per sample: it keeps
+the jet of the last batch of points it was asked for (see
+:func:`last_batch`) until it is asked for another, and every accessor reads
+that jet.  Any other quantity, such as a direction, a one-form or the
+fundamental form, is a jet or an array.  Fields built from parsed
+expressions carry exact value/gradient/Hessian; fields derived from them
+(e.g. a twin's or a deformation's) carry value/gradient.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "NonPositiveMetricError",
     "ChartDomain",
     "jet_partial",
-    "ScalarField",
     "VectorField",
     "OneFormField",
     "TensorField11",
@@ -153,7 +152,7 @@ def jet_partials(j: Jet2) -> Jet2:
 
 def vector_jets(X, p) -> Jet2:
     """The jet at ``p`` of a direction: a vector field or one-form, a jet (as
-    it is), or components ``(3,)`` or ``(N, 3)`` taken as a constant field."""
+    it is), or components ``(3,)`` or ``(N, 3)`` taken as a constant direction."""
     if isinstance(X, Jet2):
         return X
     if isinstance(X, _ComponentsMixin):
@@ -255,11 +254,11 @@ def _half_product_sum(pairs) -> Jet2:
 
 def _grid_jets(grid, rank: int, kind: str):
     """The jet function of a rank-1 or rank-2 field given by a grid of entries
-    (scalar fields, expressions or their source text, numbers), rows first:
-    the entries' jets stacked on the leading component axes."""
+    (expressions or their source text, numbers), rows first: the entries'
+    jets stacked on the leading component axes."""
     fns = []
     for row in [grid] if rank == 1 else grid:
-        row = [e.jet if isinstance(e, ScalarField) else as_expr(e).eval_jet2 for e in row]
+        row = [as_expr(e).eval_jet2 for e in row]
         if len(row) != 3:
             raise ValueError(f"expected 3 components, got {len(row)}")
         fns += row
@@ -270,48 +269,20 @@ def _grid_jets(grid, rank: int, kind: str):
 
 class _Field:
     """A field: one function from points to its whole jet (component axes
-    first), memoized for the last batch of points.  A field of rank 1 or 2
-    may be given by a grid of entries instead (see :func:`_grid_jets`);
-    ``components`` and indexing slice its jet into component fields, and for
-    rank 2 into rows."""
+    first), memoized for the last batch of points, or a grid of entries
+    (see :func:`_grid_jets`)."""
 
     __slots__ = ("_fn",)
-    _rank, _kind = 0, ""
+    _rank, _kind = 1, ""
 
     def __init__(self, fn):
         self._fn = last_batch(fn if callable(fn) else _grid_jets(fn, self._rank, self._kind))
-
-    @property
-    def components(self) -> tuple:
-        return tuple(self[k] for k in range(3))
-
-    def __getitem__(self, k):
-        if not self._rank:
-            raise TypeError("a scalar field has no components")
-        k = range(3)[k]  # out of range raises IndexError, which also ends iteration
-        return (ScalarField if self._rank == 1 else OneFormField)(lambda p: self.jets(p)[k])
-
-
-class ScalarField(_Field):
-    """A scalar quantity on the chart, the field of rank 0."""
-
-    __slots__ = ()
-
-    def jet(self, p) -> Jet2:
-        return self._fn(p)
-
-    def value(self, p):
-        return self._fn(p).value
-
-    def partial(self, i: int) -> "ScalarField":
-        return ScalarField(lambda p: jet_partial(self.jet(p), i))
 
 
 class _ComponentsMixin(_Field):
     """Shared evaluation helpers for rank-1 fields (vector / one-form)."""
 
     __slots__ = ()
-    _rank = 1
 
     def jets(self, p) -> Jet2:
         return self._fn(p)
@@ -326,13 +297,6 @@ class _ComponentsMixin(_Field):
 
 class VectorField(_ComponentsMixin):
     __slots__ = ()
-
-    @classmethod
-    def constant(cls, vec) -> "VectorField":
-        """A field with constant components; ``vec`` is ``(3,)``, or ``(N, 3)``
-        for one direction per sample point."""
-        vec = np.array(vec, dtype=float)  # a copy, which no later write of the caller reaches
-        return cls(lambda p: vector_jets(vec, p))
 
 
 class OneFormField(_ComponentsMixin):
@@ -395,16 +359,10 @@ class MetricField(_Field):
     def jets(self, p) -> Jet2:
         return self._fn(p)
 
-    def det(self, p):
-        return np.linalg.det(self.matrix(p))
-
     def inverse(self, p) -> np.ndarray:
         G = self.matrix(p)
         _check_det(p, self.jets(p).value, np.linalg.det(G))
         return np.linalg.inv(G)
-
-    def norm(self, p, a):
-        return gnorm(self.matrix(p), a)
 
     # -- Christoffel symbols ------------------------------------------------
 

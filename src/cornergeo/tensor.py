@@ -1,11 +1,11 @@
 """Chart-level tensor calculus: connection, brackets, exterior calculus, cross product.
 
-All operations work on the field containers from :mod:`cornergeo.fields`.
-A direction or one-form argument may be a field, its jet over ``p``, or
-a plain component array (a constant field); see
-:func:`cornergeo.fields.vector_jets`.  Every ``p``
-may be one point ``(3,)`` or a sample ``(N, 3)``; results then carry the
-sample axis in front, and each row equals the result at that point alone.
+A metric argument is a :class:`cornergeo.fields.MetricField`.  A direction
+or one-form argument may be a field, its jet over ``p``, or a plain
+component array (a constant direction); see
+:func:`cornergeo.fields.vector_jets`.  Every ``p`` may be one point ``(3,)``
+or a sample ``(N, 3)``; results then carry the sample axis in front, and
+each row equals the result at that point alone.
 
 Conventions (see :mod:`cornergeo.conventions`): the wedge of 1-forms and the
 exterior derivative carry the 1/2 alternation factor, degree-(1,2) products
@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import Jet2, as_points, jet_sum, outer
-from .fields import MetricField, TensorField11, _check_det, batch_first, dot, first_order
-from .fields import jet_jacobian, mv, vector_jets
+from .fields import MetricField, _check_det, batch_first, dot, first_order, gnorm, jet_jacobian
+from .fields import mv, vector_jets
 
 __all__ = [
     "christoffel",
@@ -99,10 +99,10 @@ def wedge12_coeff(a, B):
     ) / 3.0
 
 
-def d_twoform_coeff(B: TensorField11, p):
+def d_twoform_coeff(B: Jet2):
     """dx1^dx2^dx3 coefficient of dB for a 2-form whose coefficients B_ij
-    are the field of 3x3 jets ``B``."""
-    dB = B.jets(p).grad
+    are the 3x3 jet ``B``."""
+    dB = B.grad
     return (dB[1, 2, ..., 0] - dB[0, 2, ..., 1] + dB[0, 1, ..., 2]) / 3.0
 
 
@@ -114,7 +114,7 @@ def divergence(g: MetricField, X, p):
 
 
 def _volume_density(g: MetricField, p):
-    det = g.det(p)
+    det = np.linalg.det(g.matrix(p))
     _check_det(p, g.jets(p).value, det)
     return np.sqrt(det)
 
@@ -147,7 +147,8 @@ def probe_vectors(g: MetricField, p, rng=None, n_random: int = 4, extra=()):
     if rng is not None and n_random > 0:
         draws = rng.standard_normal(batch + (n_random, 3))
         dirs += [draws[..., m, :] for m in range(n_random)]
-    norms = [g.norm(x, v) for v in dirs]
+    G = g.matrix(x)
+    norms = [gnorm(G, v) for v in dirs]
     probes = np.stack(np.broadcast_arrays(*[v / n[..., None] for v, n in zip(dirs, norms)]), -2)
     kept = np.stack([n > 0.0 for n in norms], axis=-1)
     kept[..., :3] = True  # the coordinate axes always count

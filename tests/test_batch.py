@@ -14,7 +14,7 @@ import pytest
 from oracles import fd_grad, fd_hess
 from test_expr import SWEEP
 
-from cornergeo.acms import AcmStructure, check_axioms, classify, fundamental_two_form_fields
+from cornergeo.acms import AcmStructure, check_axioms, classify, fundamental_two_form_jets
 from cornergeo.acms import nijenhuis, trans_sasakian_residual
 from cornergeo.construct import (
     DeformationParams,
@@ -54,6 +54,7 @@ from cornergeo.fields import (
     max_abs,
     mv,
     vm,
+    vector_jets,
     vnorm,
 )
 from cornergeo.tensor import probe_vectors
@@ -238,23 +239,23 @@ def test_twin_and_deformed_jets_match_their_per_entry_formulas(params):
 def test_fields_given_by_one_jet_function_expose_their_components():
     s = build_family(PARAMS[3])
     cf = CornerFields(s)
-    v, phi_form = cf.v.jets(POINTS), fundamental_two_form_fields(s)
-    # indexing is bounded, so iterating a field ends after three components
-    assert len(list(cf.v)) == len(cf.theta2.components) == 3
-    with pytest.raises(IndexError):
-        cf.v[3]
+    v, phi_form = cf.v.jets(POINTS), fundamental_two_form_jets(s, POINTS)
+    # a component is a slice of the field's jet, not a field of its own
+    with pytest.raises(TypeError):
+        cf.v[0]
+    G, P = first_order(s.g.jets(POINTS)), s.phi.jets(POINTS)
     for k in range(3):
-        assert same_jet(cf.v[k].jet(POINTS), v[k])
-        assert same_jet(cf.v.components[-1 - k].jet(POINTS), v[2 - k])
+        assert same(cf.v.values(POINTS)[:, k], v[k].value)
+        assert same(cf.v.jacobian(POINTS)[:, k], v[k].grad)
         for j in range(3):
-            assert same_jet(phi_form[k][j].jet(POINTS), phi_form.jets(POINTS)[k, j])
-    assert same(VectorField(cf.v).values(POINTS), cf.v.values(POINTS))
+            assert same_jet(phi_form[k, j], jet_sum(G[k, l] * P[l, j] for l in range(3)))
+    assert same(VectorField(cf.v.jets).values(POINTS), cf.v.values(POINTS))
 
 
 def christoffel_per_entry(g: MetricField, p):
     """Gamma^k_ij entry by entry from the metric's component jets: the
     adjugate inverse and g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
-    G = [[e.jet(p) for e in row] for row in g.components]
+    G = [[g.jets(p)[i, j] for j in range(3)] for i in range(3)]
     idx = ((1, 2), (0, 2), (0, 1))
     c = [[None] * 3 for _ in range(3)]
     for i, r in enumerate(idx):
@@ -510,7 +511,7 @@ def test_a_constant_vector_field_is_its_constant_entries_stacked_bit_for_bit(vec
     vec = np.asarray(vec)
     batch = np.shape(points)[:-1]
     want = Jet2.stack([Jet2.constant(np.broadcast_to(vec[..., k], batch)) for k in range(3)])
-    got = VectorField.constant(vec).jets(points)
+    got = vector_jets(vec, points)
     for a, b in ((got.value, want.value), (got.grad, want.grad), (got.hess, want.hess)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -579,8 +580,8 @@ def test_a_field_evaluates_its_jet_once_per_sample():
     phi_jets, phi_calls = counting(s.phi.jets)
     xi, phi = VectorField(xi_jets), TensorField11(phi_jets)
     for _ in range(2):
-        xi.jets(POINTS), xi.values(POINTS), xi.jacobian(POINTS), xi[1].jet(POINTS)
-        phi.jets(POINTS), phi.matrix(POINTS), phi[2][0].jet(POINTS)
+        xi.jets(POINTS), xi.values(POINTS), xi.jacobian(POINTS), xi.jets(POINTS)[1]
+        phi.jets(POINTS), phi.matrix(POINTS), phi.jets(POINTS)[2, 0]
     assert len(xi_calls) == len(phi_calls) == 1
     xi.values(POINTS[:5])
     assert len(xi_calls) == 2
@@ -591,6 +592,30 @@ def test_a_field_evaluates_its_jet_once_per_sample():
     assert len(phi_calls) == 2
     assert same(nijenhuis(base, np.eye(3)[0], np.eye(3)[1], POINTS[:7]),
                 nijenhuis(s, np.eye(3)[0], np.eye(3)[1], POINTS[:7]))
+
+
+def test_the_deformed_metric_reads_eta_tilde_from_its_field():
+    """g~ = f g - f eta (x) eta + eta~ (x) eta~ reads eta~ = eta - theta2
+    from the deformed eta's memo, so over a fresh sample, with the frame
+    bundle already computed, eta~ and g~ ask eta for its jets once each."""
+    s = build_family(PARAMS[3])
+    calls = []
+
+    class CountingOneForm(OneFormField):
+        __slots__ = ()
+
+        def jets(self, p):
+            calls.append(1)
+            return super().jets(p)
+
+    base = dataclasses.replace(s, eta=CountingOneForm(s.eta.jets))
+    d = deform(base, DeformationParams.of("exp(x1)"))
+    base.corner.bundle(POINTS)
+    calls.clear()
+    eta_t, g_t = d.eta.jets(POINTS), d.g.jets(POINTS)
+    assert len(calls) == 2
+    want = deform(s, DeformationParams.of("exp(x1)"))
+    assert same_jet(eta_t, want.eta.jets(POINTS)) and same_jet(g_t, want.g.jets(POINTS))
 
 
 def test_the_memo_is_keyed_by_the_points_not_the_array():
@@ -608,7 +633,7 @@ def test_a_non_finite_point_raises_at_plain_evaluation():
     pts = POINTS.copy()
     pts[3, 2] = np.nan
     field = VectorField(["x1", "x2", "x3"])
-    for evaluate in (field.values, field.jets, field[0].jet):
+    for evaluate in (field.values, field.jets, field.jacobian):
         with pytest.raises(ValueError, match="non-finite"):
             evaluate(pts)
 

@@ -212,6 +212,18 @@ def test_out_flag_writes_file(tmp_path):
     assert payload["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "where, error", [("missing-dir", "FileNotFoundError"), ("directory", "IsADirectoryError")]
+)
+def test_a_report_that_cannot_be_written_is_an_error(tmp_path, where, error):
+    out = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    proc = run_process("check", "--preset", "family:A", "--samples", "3", "--out", str(out))
+    assert proc.returncode == 2 and proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    assert payload["exit_code"] == 2 and payload["error"]["type"] == error
+    assert str(out) in payload["error"]["message"]
+
+
 def test_report_echoes_conventions_and_config(capsys):
     code, payload = run_main(
         capsys, "check", "--preset", "family:A", "--suites", "axioms", "--seed", "11"

@@ -357,3 +357,49 @@ def test_a_twin_is_classified_at_the_scene_tolerance(tmp_path, capsys):
     pts = ChartDomain().sample(12, 0)
     verdict = acms.classify(twin(s, "v"), pts, tol=1e-3).verdict
     assert theorem["twin_verdict"] == verdict == "Kenmotsu"
+
+
+
+# scene entries as JSON text: json reads 1e999 as infinity, NaN as a NaN and
+# an integer literal of 400 digits as an int that no float holds
+PRESET_A = '"preset": "family:A", '
+HUGE = "1" + "0" * 400
+INFINITE_G11 = ('"structure": {"phi": [[0, 0, 0], [0, 0, -1], [0, 1, 0]], "xi": [1, 0, 0], '
+                '"eta": [1, 0, 0], "g": [[1e999, 0, 0], [0, 1, 0], [0, 0, 1]]}')
+
+
+@pytest.mark.parametrize(
+    "command, entries, key",
+    [
+        ("check", PRESET_A + '"tolerances": {"kernel": 1e999}', "tolerance 'kernel' "),
+        ("scan", PRESET_A + '"tolerances": {"classification": -1e999}',
+         "tolerance 'classification' "),
+        ("twin", PRESET_A + '"tolerances": {"failure_floor": NaN}', "tolerance 'failure_floor' "),
+        ("check", PRESET_A + '"f": 1e999', "f "),
+        ("scan", PRESET_A + '"f": -1e999', "f "),
+        ("deform", PRESET_A + f'"f": {HUGE}', "f "),
+        ("check", PRESET_A + f'"tolerances": {{"kernel": {HUGE}}}', "tolerance 'kernel' "),
+        ("check", PRESET_A + '"box": [[0.1, 1e999], [0.1, 1], [0.1, 1]]', "box: "),
+        ("check", PRESET_A + f'"box": [[0.1, 1], [0.1, {HUGE}], [0.1, 1]]', "box: "),
+        ("check", '"family": {"tau": "exp(x2)", "kappa": 1e999, "mu": "1"}', "family 'kappa' "),
+        ("classify", INFINITE_G11, "structure 'g' "),
+    ],
+    ids=["tolerance", "scan-tolerance", "nan-tolerance", "f", "scan-f", "integer-f",
+         "integer-tolerance", "box", "integer-box", "family-kappa", "structure-g"],
+)
+def test_a_number_in_a_scene_that_is_not_finite_names_its_key(tmp_path, capsys, command,
+                                                              entries, key):
+    cfg = tmp_path / "scene.json"
+    cfg.write_text('{"samples": 3, %s}' % entries)
+    code = main([command, "--config", str(cfg)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"]["type"] == "ConfigError"
+    assert payload["error"]["message"].startswith(key)
+
+
+def test_expression_text_of_a_number_out_of_range_stays_legal(tmp_path, capsys):
+    cfg = tmp_path / "scene.json"
+    cfg.write_text('{"samples": 3, %s}' % (PRESET_A + '"f": "1e999"'))
+    assert main(["check", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["f"] == "1e999"

@@ -194,7 +194,7 @@ def test_alpha_tilde_against_oracle(structures):
     pts = np.array([[0.4, 0.5, 0.6], [0.7, 0.2, 0.9]])
     rep = deformed_type(s, DeformationParams.of("1"), pts)
     for k, p in enumerate(pts):
-        psi = cf.psi.values(p)
+        psi = cf.frame(p).psi
         e_rho = np.sqrt(psi @ s.g.matrix(p) @ psi)
         div_v = fd_divergence(fn, lambda q: cf.v.values(q), p)
         assert rep.alphas[k] == pytest.approx((div_v - e_rho) / 2.0, abs=1e-7)

@@ -91,7 +91,7 @@ def test_phi_v_rho_is_a_directional_derivative(structures, corner_fields, points
     cf = corner_fields["D"]
     for p in points[:4]:
         f = cf.frame(p)
-        want = f.phi_v @ fd_grad(lambda q: cf.rho.value(q), p)
+        want = f.phi_v @ fd_grad(lambda q: cf.bundle(q).rho.value, p)
         assert f.phi_v_rho == pytest.approx(want, abs=5e-8)
 
 
@@ -213,10 +213,10 @@ def test_field_accessors_match_frame(corner_fields, points):
     cf = corner_fields["D"]
     for p in points[:4]:
         f = cf.frame(p)
-        np.testing.assert_allclose(cf.psi.values(p), f.psi, atol=1e-14)
+        np.testing.assert_allclose(cf.bundle(p).psi.value, f.psi, atol=1e-14)
         np.testing.assert_allclose(cf.v.values(p), f.v, atol=1e-14)
         np.testing.assert_allclose(cf.phi_v.values(p), f.phi_v, atol=1e-14)
-        np.testing.assert_allclose(cf.omega.values(p), f.omega, atol=1e-14)
+        np.testing.assert_allclose(cf.bundle(p).omega.value, f.omega, atol=1e-14)
         np.testing.assert_allclose(cf.theta1.values(p), f.theta1, atol=1e-14)
         np.testing.assert_allclose(cf.theta2.values(p), f.theta2, atol=1e-14)
-        assert cf.rho.value(p) == pytest.approx(f.rho, abs=1e-14)
+        assert cf.bundle(p).rho.value == pytest.approx(f.rho, abs=1e-14)

@@ -224,7 +224,7 @@ def test_subfamily_phi_v_of_squared_norm(points):
         frame = cf.frame(p)
 
         def norm2(q):
-            psi = cf.psi.values(q)
+            psi = cf.frame(q).psi
             return psi @ s.g.matrix(q) @ psi
 
         fd = frame.phi_v @ fd_grad(norm2, p)

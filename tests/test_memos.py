@@ -3,19 +3,21 @@ stand for compute afresh: ``s.nabla_xi`` is ``nabla_matrix(g, xi, p)``,
 ``s.basis_normality`` holds ``nijenhuis`` and ``n1_tensor`` on the three
 coordinate pairs, and ``s.corner.frame`` is the frame a new ``CornerFields``
 computes.  Bytes are compared, so signed zeros count.  A report builds a
-pinned number of memos; run as a script, this module prints the memos and
-the Python calls of one report of each benchmark kind and preset."""
+pinned number of memos and of fields; run as a script, this module prints
+the memos, the fields and the Python calls of one report of each benchmark
+kind and preset."""
 
 import contextlib
 import cProfile
 import dataclasses
 import io
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from cornergeo import acms, cli, construct, corner, family, fields
+from cornergeo import acms, cli, construct, family, fields
 from cornergeo.corner import CornerFields
 from cornergeo.fields import ChartDomain
 from cornergeo.tensor import nabla_matrix
@@ -110,14 +112,16 @@ def test_a_non_finite_normality_tensor_names_the_first_point():
 
 @contextlib.contextmanager
 def counting_memos():
-    """The list that gets one entry per memo built while the context is open."""
+    """The list that gets one entry per memo built while the context is open,
+    by ``last_batch`` in every module of the package that binds it."""
     built, memo = [], fields.last_batch
 
     def counted(*args, **kwargs):
         built.append(1)
         return memo(*args, **kwargs)
 
-    modules = (acms, corner, family, fields)  # every module that builds memos
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("cornergeo.") and getattr(m, "last_batch", None) is memo]
     for module in modules:
         module.last_batch = counted
     try:
@@ -127,35 +131,64 @@ def counting_memos():
             module.last_batch = memo
 
 
+@contextlib.contextmanager
+def counting_fields():
+    """The list that gets the class name of each field built while the
+    context is open: every field's ``__init__`` is ``_Field``'s."""
+    built, init = [], fields._Field.__init__
+
+    def counted(self, fn):
+        built.append(type(self).__name__)
+        init(self, fn)
+
+    fields._Field.__init__ = counted
+    try:
+        yield built
+    finally:
+        fields._Field.__init__ = init
+
+
 def counts(argv) -> tuple:
-    """The memos built and the Python calls (cProfile) of one report, after
-    a first run of it.  The calls are summed over the profiler's entries,
-    one per code object: ``pstats`` merges entries by file, line and name,
-    such as the ``__init__`` of every dataclass."""
+    """The memos and the fields built and the Python calls (cProfile) of one
+    report, after a first run of it.  The calls are summed over the
+    profiler's entries, one per code object: ``pstats`` merges entries by
+    file, line and name, such as the ``__init__`` of every dataclass."""
     with contextlib.redirect_stdout(io.StringIO()):
-        with counting_memos() as built:
+        with counting_memos() as memos, counting_fields() as built:
             cli.main(argv)
         profile = cProfile.Profile()
         profile.runcall(cli.main, argv)
-    return len(built), sum(entry.callcount for entry in profile.getstats())
+    return len(memos), len(built), sum(entry.callcount for entry in profile.getstats())
 
 
-# memos per report: a direction or frame quantity read once is computed
-# from jets and builds none (they were 27, 42 and 41 with a field each)
-PINNED_MEMOS = {
-    "check-D": (["check", "--preset", "family:D", "--samples", "200"], 13),
-    "twin-A": (["twin", "--preset", "family:A", "--samples", "50"], 20),
-    "deform-D": (["deform", "--preset", "family:D", "--samples", "50", "--f", "exp(x1)"], 18),
+REPORTS = {
+    "check-D": ["check", "--preset", "family:D", "--samples", "200"],
+    "twin-A": ["twin", "--preset", "family:A", "--samples", "50"],
+    "deform-D": ["deform", "--preset", "family:D", "--samples", "50", "--f", "exp(x1)"],
+    "scan": ["scan", "--draws", "60", "--samples", "10"],
 }
+# memos per report: a direction, frame quantity or fundamental form read
+# once is computed from jets and builds none
+PINNED_MEMOS = {"check-D": 12, "twin-A": 20, "deform-D": 17}
+# fields per report: only the phi, xi, eta and g of a structure, its twins
+# and its deformation are fields
+PINNED_FIELDS = {"check-D": 4, "twin-A": 10, "deform-D": 7, "scan": 4}
 
 
 @pytest.mark.parametrize("report", PINNED_MEMOS)
 def test_a_report_builds_its_pinned_memos(report, capsys):
-    argv, pinned = PINNED_MEMOS[report]
     with counting_memos() as built:
-        assert cli.main(argv) == 0
+        assert cli.main(REPORTS[report]) == 0
     capsys.readouterr()
-    assert len(built) == pinned
+    assert len(built) == PINNED_MEMOS[report]
+
+
+@pytest.mark.parametrize("report", PINNED_FIELDS)
+def test_a_report_builds_its_pinned_fields(report, capsys):
+    with counting_fields() as built:
+        assert cli.main(REPORTS[report]) == 0
+    capsys.readouterr()
+    assert len(built) == PINNED_FIELDS[report], built
 
 
 def benchmark_reports():
@@ -171,7 +204,7 @@ def benchmark_reports():
 
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_memos.py: deterministic counts per report
-    print(f"{'report':<58} {'memos':>5} {'python calls':>12}")
+    print(f"{'report':<58} {'memos':>5} {'fields':>6} {'python calls':>12}")
     for argv in benchmark_reports():
-        memos, calls = counts(argv)
-        print(f"{' '.join(argv):<58} {memos:>5} {calls:>12,}")
+        memos, built, calls = counts(argv)
+        print(f"{' '.join(argv):<58} {memos:>5} {built:>6} {calls:>12,}")

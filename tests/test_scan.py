@@ -30,7 +30,7 @@ def reference_scan(params_list, samples, seed) -> dict:
         degenerate = int(np.count_nonzero(~kept))
         pts = pts[kept]
         if f is not None:
-            max_domega = max([0.0, *max_abs(d_oneform_matrix(cf.omega, pts)).tolist()])
+            max_domega = max([0.0, *max_abs(d_oneform_matrix(cf.bundle(pts).omega, pts)).tolist()])
             max_sigma = max([0.0, *np.abs(f.sigma).tolist()])
             min_gap = min(np.abs(f.sigma - f.e_rho).tolist())
         draws.append({

@@ -117,7 +117,7 @@ def test_frame_quantities_match_the_symbolic_oracle(name):
         "e_rho": f.e_rho,
         "div_v": f.div_v,
         "sigma": f.sigma,
-        "d_omega": tensor.d_oneform_matrix(s.corner.omega, pts),
+        "d_omega": tensor.d_oneform_matrix(s.corner.bundle(pts).omega, pts),
     }
     for kind in construct.TwinKind:
         alpha, beta = acms.olszak_alpha_beta(construct.twin(s, kind), pts)

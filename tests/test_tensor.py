@@ -19,8 +19,9 @@ from cornergeo.fields import (
     MetricField,
     OneFormField,
     SingularMetricError,
-    TensorField11,
     VectorField,
+    jet_partial,
+    vector_jets,
 )
 from cornergeo.tensor import (
     christoffel,
@@ -149,8 +150,7 @@ def test_lie_bracket_antisymmetry_and_coordinates():
     ab = lie_bracket(X_FIELD, Y_FIELD, p)
     ba = lie_bracket(Y_FIELD, X_FIELD, p)
     np.testing.assert_allclose(ab, -ba, atol=0)
-    e1 = VectorField.constant([1.0, 0.0, 0.0])
-    e2 = VectorField.constant([0.0, 1.0, 0.0])
+    e1, e2 = np.eye(3)[:2]
     np.testing.assert_allclose(lie_bracket(e1, e2, p), np.zeros(3), atol=0)
 
 
@@ -179,18 +179,14 @@ def test_d_oneform_two_routes_and_fd():
 
 def test_d_squared_is_zero():
     half = 0.5
-    comps = [THETA.components[i] for i in range(3)]
-
-    def d_theta(p):
+    for p in POINTS:
+        theta = THETA.jets(p)
         entries = [[None] * 3 for _ in range(3)]
         for i in range(3):
             for j in range(3):
-                entries[i][j] = half * (comps[j].partial(i).jet(p) - comps[i].partial(j).jet(p))
-        return Jet2.stack(sum(entries, []), (3, 3))
-
-    entries = TensorField11(d_theta)
-    for p in POINTS:
-        assert d_twoform_coeff(entries, p) == pytest.approx(0.0, abs=1e-13)
+                entries[i][j] = half * (jet_partial(theta[j], i) - jet_partial(theta[i], j))
+        d_theta = Jet2.stack(sum(entries, []), (3, 3))
+        assert d_twoform_coeff(d_theta) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_wedge_conventions():
@@ -269,8 +265,8 @@ def direction_results(x, y, z, p) -> list:
 )
 def test_a_direction_as_an_array_a_constant_field_or_its_jet_gives_the_same_bytes(dirs, p):
     arrays = direction_results(*dirs, p)
-    fields = direction_results(*(VectorField.constant(v) for v in dirs), p)
-    jets = direction_results(*(VectorField.constant(v).jets(p) for v in dirs), p)
+    fields = direction_results(*(VectorField(lambda q, v=v: vector_jets(v, q)) for v in dirs), p)
+    jets = direction_results(*(vector_jets(v, p) for v in dirs), p)
     for a, f, j in zip(arrays, fields, jets):
         assert a.shape == f.shape == j.shape and a.dtype == f.dtype == j.dtype
         assert a.tobytes() == f.tobytes() == j.tobytes()
