@@ -7,17 +7,16 @@ requested residual suites, and emits a deterministic JSON report (stable key
 order, no timestamps).  Exit codes: 0 all suites passed, 1 at least one suite
 failed, 2 configuration or domain error (bad expressions, singular metric,
 degenerate frame, a tau or deformation factor that is not finite and positive,
-an alpha, beta or normality tensor that is not finite, unknown preset) and
-also any report that would hold a number that is not finite, since JSON has
-none, or that cannot be written to ``--out`` (that error goes to stdout).
+an alpha, beta or normality tensor that is not finite, unknown preset or
+scene key, no suite) and also any report that would hold a number that is
+not finite, since JSON has none, or that cannot be written to ``--out``
+(that error goes to stdout).
 The argument parser is built once per process, at import.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -54,8 +53,9 @@ class ConfigError(ValueError):
     """Invalid scene configuration."""
 
 
-# scene keys a config file sets as given (suites and tolerances are checked)
-_FILE_KEYS = ("preset", "family", "structure", "box", "samples", "seed", "f")
+# the keys of a scene file; another key is an error
+_SCENE_KEYS = ("preset", "family", "structure", "box", "samples", "seed", "suites", "f",
+               "tolerances")
 
 # flag -> scene key; a flag overrides the file unless it is None or ""
 _FLAG_KEYS = {"preset": "preset", "samples": "samples", "seed": "seed", "suites": "suites",
@@ -69,7 +69,7 @@ class SceneConfig:
     preset: str | None = None
     family: dict | None = None
     structure: dict | None = None
-    box: tuple = ((0.1, 1.0), (0.1, 1.0), (0.1, 1.0))
+    box: tuple = ChartDomain().bounds
     samples: int = 100
     seed: int = 0
     suites: tuple = DEFAULT_SUITES
@@ -92,10 +92,10 @@ class SceneConfig:
             if not isinstance(data, dict):
                 raise ConfigError("config file must hold a JSON object")
 
-        cfg = cls()
-        for key in _FILE_KEYS:
-            if key in data:
-                setattr(cfg, key, data[key])
+        unknown = [key for key in data if key not in _SCENE_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown scene keys {unknown}; available: {', '.join(_SCENE_KEYS)}")
+        cfg = cls(**data)
         if "suites" in data:
             if not isinstance(data["suites"], list):
                 raise ConfigError(f"suites must be a list of suite names, got {data['suites']!r}")
@@ -142,10 +142,9 @@ class SceneConfig:
             ):
                 raise ConfigError(f"tolerance {name!r} must be finite and positive, got {value!r}")
         unknown = [s for s in self.suites if s not in ALL_SUITES]
-        if unknown:
-            raise ConfigError(
-                f"unknown suites {unknown}; available: {', '.join(ALL_SUITES)}"
-            )
+        if unknown or not self.suites:
+            what = f"unknown suites {unknown}" if unknown else "no suite given"
+            raise ConfigError(f"{what}; available: {', '.join(ALL_SUITES)}")
         try:
             self.box = tuple(tuple(b) for b in self.box)
             ChartDomain(self.box)
@@ -191,7 +190,11 @@ def _check_expression(value, name: str, depth: int = 0) -> None:
 def _entries(block: dict, name: str, depths: dict) -> list:
     """The entries of a family or structure block, in the order of ``depths``,
     each checked as an expression of its depth (see :func:`_check_expression`)
-    and parsed; a :class:`ParseError` names the entry, e.g. ``structure 'eta'[2]``."""
+    and parsed; a :class:`ParseError` names the entry, e.g. ``structure 'eta'[2]``.
+    A key that is not in ``depths`` is a :class:`ConfigError`."""
+    unknown = [key for key in block if key not in depths]
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {unknown}; available: {', '.join(depths)}")
     for key, depth in depths.items():
         if key not in block:
             raise ConfigError(f"{name} config needs {key!r}")
@@ -209,28 +212,26 @@ def _parsed(value, name: str):
         raise ParseError(f"{name}: {err.message}", err.offset) from None
 
 
-def _family_params(cfg: SceneConfig, domain: ChartDomain):
+def _family_params(cfg: SceneConfig):
     tau, kappa, mu = _entries(cfg.family, "family", {"tau": 0, "kappa": 0, "mu": 0})
-    return family.FamilyParams.of(tau, kappa, mu, domain=domain)
+    return family.FamilyParams.of(tau, kappa, mu)
 
 
-def _preset_params(name: str, domain: ChartDomain):
-    """The named preset and its generators on ``domain``."""
+def _preset(name: str):
     try:
-        pre = family.preset(name)
+        return family.preset(name)
     except KeyError as err:
         raise ConfigError(str(err.args[0])) from None
-    return pre, dataclasses.replace(pre.params, domain=domain)
 
 
 def _build_structure(cfg: SceneConfig):
     """Returns (structure, preset-or-None). Raises ConfigError when no source."""
     domain = cfg.domain()
     if cfg.preset is not None:
-        pre, params = _preset_params(cfg.preset, domain)
-        return family.build_family(params), pre
+        pre = _preset(cfg.preset)
+        return family.build_family(pre.params, domain), pre
     if cfg.family is not None:
-        return family.build_family(_family_params(cfg, domain)), None
+        return family.build_family(_family_params(cfg), domain), None
     if cfg.structure is not None:
         parts = _entries(cfg.structure, "structure", {"phi": 2, "xi": 1, "eta": 1, "g": 2})
         return acms.AcmStructure.from_expressions(*parts, domain=domain), None
@@ -389,33 +390,32 @@ def run(cfg: SceneConfig, command: str) -> tuple[dict, int]:
     return payload, code
 
 
-def scan_sigma(params_list, samples: int = 100, seed: int = 0) -> dict:
-    """Sigma diagnostics across family members.
+def scan_sigma(params_list, samples: int = 100, seed: int = 0,
+               domain: ChartDomain = ChartDomain()) -> dict:
+    """Sigma diagnostics across family members, each built on ``domain``.
 
     For each member: the worst |d omega|, the worst |sigma|, and how close
     sigma ever gets to e^rho (the deformation-normality gate), over the
-    points drawn with ``default_rng([seed, i])`` for the member's index i.
-    Members whose frame degenerates at a sample point report the count of
-    skipped points.  Consecutive members of one domain, whatever their tree
-    shapes, are evaluated together as one structure (see :func:`_scan_pass`),
-    up to :data:`STACKED_POINTS` sample points at a time: the 4 presets and
-    60 draws of ``--draws 60`` at 10 samples are one pass, at 100 samples
-    seven.  The entries are those of one member at a time, whatever the pass
-    size.
+    points of ``domain`` drawn with ``default_rng([seed, i])`` for the
+    member's index i.  Members whose frame degenerates at a sample point
+    report the count of skipped points.  Consecutive members, whatever their
+    tree shapes, are evaluated together as one structure (see
+    :func:`_scan_pass`), up to :data:`STACKED_POINTS` sample points at a
+    time: the 4 presets and 60 draws of ``--draws 60`` at 10 samples are one
+    pass, at 100 samples seven.  The entries are those of one member at a
+    time, whatever the pass size.
     """
     size = max(1, STACKED_POINTS // samples)
+    members = list(enumerate(params_list))
     entries = []
-    for _, run in itertools.groupby(enumerate(params_list), key=lambda m: m[1].domain):
-        run = list(run)
-        for start in range(0, len(run), size):
-            entries += _scan_pass(run[start : start + size], samples, seed)
+    for start in range(0, len(members), size):
+        entries += _scan_pass(members[start : start + size], samples, seed, domain)
     gaps = [e["min_sigma_gap"] for e in entries if e["min_sigma_gap"] is not None]
     return {"entries": entries, "min_sigma_gap": min(gaps, default=None)}
 
 
-def _scan_pass(members, samples: int, seed: int) -> list:
-    """The scan entries of M consecutive ``(index, params)`` members of one
-    domain.
+def _scan_pass(members, samples: int, seed: int, domain: ChartDomain) -> list:
+    """The scan entries of M consecutive ``(index, params)`` members on ``domain``.
 
     The members are built, framed and differentiated as one stacked
     structure (see :func:`family.stack_members`) on their points stacked as
@@ -426,17 +426,15 @@ def _scan_pass(members, samples: int, seed: int) -> list:
     its degenerate points.  The first member, in member order, with a
     quantity that is not finite at one of its points raises a ``ValueError``
     naming its index in the sweep and the quantity."""
-    pts = np.stack(
-        [p.domain.sample(samples, np.random.default_rng([seed, i])) for i, p in members]
-    )
+    pts = np.stack([domain.sample(samples, np.random.default_rng([seed, i])) for i, _ in members])
     rows = len(members)
     try:
-        cf = family.build_family(family.stack_members([p for _, p in members])).corner
+        cf = family.build_family(family.stack_members([p for _, p in members]), domain).corner
         kept, f = skipping(cf.frame, pts, DegenerateCornerError if rows == 1 else ())
     except _POINT_ERRORS:
         if rows == 1:
             raise
-        return [entry for m in members for entry in _scan_pass([m], samples, seed)]
+        return [entry for m in members for entry in _scan_pass([m], samples, seed, domain)]
     pts = pts[:, kept]
     folded = {"min_sigma_gap": [None] * rows, "max_d_omega": [0.0] * rows,
               "max_sigma": [0.0] * rows}
@@ -474,14 +472,13 @@ def _scan_command(cfg: SceneConfig) -> dict:
         names = family.PRESET_NAMES  # no explicit member: sweep every bundled preset
     else:
         names = [] if cfg.preset is None else [cfg.preset]
-    domain = cfg.domain()
-    params_list = [_preset_params(name, domain)[1] for name in names]
+    params_list = [_preset(name).params for name in names]
     if cfg.family is not None:
-        params_list.append(_family_params(cfg, domain))
+        params_list.append(_family_params(cfg))
     rng = np.random.default_rng([cfg.seed, 10_000])
     for _ in range(cfg.draws):
-        params_list.append(family.random_family(rng, corner=True, domain=domain))
-    return scan_sigma(params_list, samples=cfg.samples, seed=cfg.seed)
+        params_list.append(family.random_family(rng, corner=True))
+    return scan_sigma(params_list, samples=cfg.samples, seed=cfg.seed, domain=cfg.domain())
 
 
 def _make_parser() -> argparse.ArgumentParser:

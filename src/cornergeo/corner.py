@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .acms import AcmStructure, fundamental_two_form_jets, fundamental_two_form_matrix
-from .expr import PointError, as_points, by_rows, jet_log, jet_sqrt, jet_sum, require, skipping
+from .expr import PointError, by_rows, jet_log, jet_sqrt, jet_sum, require, skipping
 from .fields import OneFormField, VectorField, batch_first, contract, dot
 from .fields import gnorm, jet_jacobian, jet_partials, last_batch, max_abs, mv, vm
 from .report import ResidualReport, ResidualTracker
@@ -62,7 +62,6 @@ class CornerFrame:
     scalars are ``(N,)`` arrays, vectors and covectors ``(N, 3)``.
     """
 
-    point: np.ndarray
     psi: np.ndarray
     omega: np.ndarray
     rho: float
@@ -88,9 +87,10 @@ class CornerFields:
     and deformation reads.  The suites pass the jets of the bundle to
     :mod:`cornergeo.tensor` as they are; ``v``, ``phi_v``, ``theta1`` and
     ``theta2`` build the fields that read them, the xi and eta of the twins.
-    The bundle and the frame scalars (``frame``) are memoized like a field
-    (see :func:`cornergeo.fields.last_batch`), so each is computed once per
-    sample.  It keeps the structure's fields, not the structure.
+    The bundle, the frame and its scalars (``frame``) included, is memoized
+    like a field (see :func:`cornergeo.fields.last_batch`), so it is
+    computed once per sample.  It keeps the structure's fields, not the
+    structure.
     """
 
     # built anew on each access, so the fields refer to this object, never it to them
@@ -102,11 +102,15 @@ class CornerFields:
     def __init__(self, s: AcmStructure):
         self.phi, self.xi, self.eta, self.g = s.phi, s.xi, s.eta, s.g
         self._bundle = last_batch(type(self)._compute_bundle, self)
-        self._frame = last_batch(type(self)._compute_frame, self)
 
     def bundle(self, p) -> SimpleNamespace:
-        """The jets of ``xi``, ``eta`` and the frame quantities over one batch."""
+        """The jets of ``xi``, ``eta`` and the frame quantities over one
+        batch, and the frame (``frame``)."""
         return self._bundle(p)
+
+    def frame(self, p) -> CornerFrame:
+        """The frame and its scalars over one batch."""
+        return self.bundle(p).frame
 
     def _compute_bundle(self, p) -> SimpleNamespace:
         b = SimpleNamespace()
@@ -132,29 +136,15 @@ class CornerFields:
         b.phi_v = contract(phi, b.v)
         b.theta1 = b.omega / b.e_rho
         b.theta2 = -jet_sum(b.omega[:, None] * phi) / b.e_rho
-        return b
-
-    # -- frame scalars -----------------------------------------------------
-
-    def frame(self, p) -> CornerFrame:
-        """The frame and its scalars over one batch."""
-        return self._frame(p)
-
-    def _compute_frame(self, p) -> CornerFrame:
-        b = self.bundle(p)
-        G = self.g.matrix(p)
-        gam = self.g.christoffel(p)
 
         xi_v, v, phi_v = (batch_first(j.value, 1) for j in (b.xi, b.v, b.phi_v))
-        jac_v = jet_jacobian(b.v)
-
-        nabla_xi_v = mv(jac_v, xi_v) + np.einsum("...kij,...i,...j->...k", gam, xi_v, v)
-        sigma = dot(vm(nabla_xi_v, G), phi_v)
+        nabla_xi_v = mv(jet_jacobian(b.v), xi_v) + np.einsum(
+            "...kij,...i,...j->...k", batch_first(gam.value, 3), xi_v, v
+        )
+        sigma = dot(vm(nabla_xi_v, self.g.matrix(p)), phi_v)
         div_v = divergence(self.g, b.v, p)
         phi_v_rho = dot(phi_v, b.rho.grad)
-
-        return CornerFrame(
-            point=np.array(as_points(p)),  # a copy: the memo makes it read-only
+        b.frame = CornerFrame(
             psi=batch_first(b.psi.value, 1),
             omega=batch_first(b.omega.value, 1),
             rho=b.rho.value,
@@ -167,6 +157,7 @@ class CornerFields:
             div_v=div_v,
             phi_v_rho=phi_v_rho,
         )
+        return b
 
 
 def corner_frame(s: AcmStructure, p) -> CornerFrame:

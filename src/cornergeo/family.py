@@ -43,10 +43,6 @@ __all__ = [
 ]
 
 
-# the chart domain of a member given none; shared, since a domain is frozen
-_DEFAULT_DOMAIN = ChartDomain()
-
-
 @dataclass(frozen=True)
 class FamilyParams:
     """Generating functions of one member of the family."""
@@ -54,21 +50,16 @@ class FamilyParams:
     tau: ScalarExpr
     kappa: ScalarExpr
     mu: ScalarExpr
-    domain: ChartDomain = _DEFAULT_DOMAIN
 
     @classmethod
-    def of(cls, tau, kappa, mu, domain=None) -> "FamilyParams":
-        return cls(
-            tau=as_expr(tau),
-            kappa=as_expr(kappa),
-            mu=as_expr(mu),
-            domain=domain or _DEFAULT_DOMAIN,
-        )
+    def of(cls, tau, kappa, mu) -> "FamilyParams":
+        return cls(tau=as_expr(tau), kappa=as_expr(kappa), mu=as_expr(mu))
 
 
-def build_family(params: FamilyParams) -> AcmStructure:
-    """Assemble the structure; validates tau > 0 and tau*kappa*mu != 0 on 50
-    fixed points, and a finite tau > 0 at every point the structure is evaluated at.
+def build_family(params: FamilyParams, domain: ChartDomain = ChartDomain()) -> AcmStructure:
+    """Assemble the structure on ``domain``; validates tau > 0 and
+    tau*kappa*mu != 0 on 50 fixed points of it, and a finite tau > 0 at every
+    point the structure is evaluated at.
 
     phi, xi, eta and g are each one jet function that walks only the seven
     non-zero entries (-(mu/kappa), kappa/mu, 1/tau, tau, tau^2, kappa^2, mu^2),
@@ -78,7 +69,7 @@ def build_family(params: FamilyParams) -> AcmStructure:
     batch (see :func:`last_batch`), and the entries' walks read them from there.
     The tau memo checks tau > 0 and finite; xi, eta and g read it before their entries."""
     tau, kappa, mu = params.tau, params.kappa, params.mu
-    _check_generators(params, params.domain.sample(50, seed_or_rng=0))
+    _check_generators(params, domain.sample(50, seed_or_rng=0))
 
     def guarded_tau(p) -> Jet2:
         t = tau.eval_jet2(p)
@@ -111,7 +102,7 @@ def build_family(params: FamilyParams) -> AcmStructure:
         xi=field(VectorField, (3,), {0: Binary("/", Const(1.0), t)}),
         eta=field(OneFormField, (3,), {0: t}),
         g=field(MetricField, (3, 3), g),
-        domain=params.domain,
+        domain=domain,
     )
 
 
@@ -135,19 +126,16 @@ def _check_generators(params: FamilyParams, points) -> None:
 
 
 def stack_members(members) -> FamilyParams:
-    """M members of one domain as one :class:`FamilyParams`, each generator
-    the :func:`~cornergeo.expr.stack_trees` of the members' trees.  Its
-    structure, evaluated on ``(M, N, 3)`` points, gives on row m member m's
-    jets at its own N points, bit for bit, its derivatives included; a guard
-    raises if any member fails it."""
-    domain = members[0].domain
-    if any(p.domain != domain for p in members):
-        raise ValueError("stacked members must share one domain")
+    """M members as one :class:`FamilyParams`, each generator the
+    :func:`~cornergeo.expr.stack_trees` of the members' trees.  Its
+    structure, built on one domain and evaluated on ``(M, N, 3)`` points,
+    gives on row m member m's jets at its own N points, bit for bit, its
+    derivatives included; a guard raises if any member fails it."""
     tau, kappa, mu = (
         ScalarExpr(stack_trees([e.root for e in generator]))
         for generator in zip(*((p.tau, p.kappa, p.mu) for p in members))
     )
-    return FamilyParams(tau, kappa, mu, domain)
+    return FamilyParams(tau, kappa, mu)
 
 
 @dataclass
@@ -275,7 +263,7 @@ def preset_structure(name: str) -> AcmStructure:
     return build_family(preset(name).params)
 
 
-def random_family(rng: np.random.Generator, corner: bool = True, domain=None) -> FamilyParams:
+def random_family(rng: np.random.Generator, corner: bool = True) -> FamilyParams:
     """Draw a random positive (tau, kappa, mu) triple.
 
     With ``corner=True`` kappa and mu are x1-free, so the structure satisfies
@@ -294,9 +282,7 @@ def random_family(rng: np.random.Generator, corner: bool = True, domain=None) ->
     exponent = _terms(_term("x2", c[0]), ("x3", "x1*x2", "x1*x3", "x1"), c[1:5])
     kappa = _terms(Const(c[5]), ("x2^2", "x2*x3", "x1^2"), c[6:8] + c[11:12])
     mu = _terms(Const(c[8]), ("x3^2", "x2*x3", "x1"), c[9:11] + c[12:13])
-    return FamilyParams.of(
-        ScalarExpr(Call("exp", exponent)), ScalarExpr(kappa), ScalarExpr(mu), domain=domain
-    )
+    return FamilyParams.of(ScalarExpr(Call("exp", exponent)), ScalarExpr(kappa), ScalarExpr(mu))
 
 
 def _term(monomial: str, c: float) -> Binary:

@@ -118,8 +118,8 @@ def test_bundle_and_frame_row_by_row(params):
         for name in ("norm2", "e_rho", "rho"):
             assert_rows_match(getattr(bundle, name), getattr(single, name), n)
         f1 = single_fields.frame(one)
-        for name in ("point", "psi", "omega", "rho", "e_rho", "v", "phi_v", "theta1",
-                     "theta2", "sigma", "div_v", "phi_v_rho"):
+        for name in ("psi", "omega", "rho", "e_rho", "v", "phi_v", "theta1", "theta2",
+                     "sigma", "div_v", "phi_v_rho"):
             assert same(getattr(frame, name)[n], getattr(f1, name)[0]), name
         # a single point, shape (3,), is the batch of one without its axis
         f0 = single_fields.frame(POINTS[n])

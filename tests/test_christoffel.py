@@ -48,10 +48,10 @@ def draw_group(seed=0, members=60, samples=10):
     """``scan``'s stacked structure of ``members`` random draws, on their
     points stacked as ``(members, samples, 3)``."""
     rng = np.random.default_rng([seed, 10_000])
-    draws = [family.random_family(rng, domain=ChartDomain()) for _ in range(members)]
+    draws = [family.random_family(rng) for _ in range(members)]
     pts = np.stack([
-        p.domain.sample(samples, np.random.default_rng([seed, 4 + i]))
-        for i, p in enumerate(draws)
+        ChartDomain().sample(samples, np.random.default_rng([seed, 4 + i]))
+        for i in range(members)
     ])
     return family.build_family(family.stack_members(draws)), pts
 

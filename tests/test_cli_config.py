@@ -403,3 +403,52 @@ def test_expression_text_of_a_number_out_of_range_stays_legal(tmp_path, capsys):
     cfg.write_text('{"samples": 3, %s}' % (PRESET_A + '"f": "1e999"'))
     assert main(["check", "--config", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["f"] == "1e999"
+
+
+SCENE_KEYS = "preset, family, structure, box, samples, seed, suites, f, tolerances"
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("check", {"preset": "family:B", "sample": 5}, f"unknown scene keys ['sample']; "
+         f"available: {SCENE_KEYS}"),
+        # draws is a flag of scan, not a scene key
+        ("scan", {"draws": 7}, f"unknown scene keys ['draws']; available: {SCENE_KEYS}"),
+        ("check", {"preset": "family:B", "Seed": 1, "kind": "v"},
+         f"unknown scene keys ['Seed', 'kind']; available: {SCENE_KEYS}"),
+        ("check", {"family": {"tau": "exp(x2)", "kappa": "1", "mu": "1", "nu": "x1"}},
+         "unknown family keys ['nu']; available: tau, kappa, mu"),
+        ("scan", {"family": {"tau": "exp(x2)", "kappa": "1", "mu": "1", "nu": "x1"}},
+         "unknown family keys ['nu']; available: tau, kappa, mu"),
+        ("check", {"structure": {**FLAT, "psi": [0, 1, 0]}},
+         "unknown structure keys ['psi']; available: phi, xi, eta, g"),
+    ],
+    ids=["sample", "draws", "two-keys", "family-nu", "scan-family-nu", "structure-psi"],
+)
+def test_a_key_outside_the_documented_set_is_named(tmp_path, capsys, command, data, message):
+    code, payload = run_config(tmp_path, capsys, command, {"samples": 5, **data})
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"] == {"type": "ConfigError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["check"], {"suites": []}),
+        (["twin"], {"suites": []}),  # twin runs its own suite; the scene is still refused
+        (["check", "--suites", ","], {}),
+    ],
+    ids=["check-file", "twin-file", "check-flag"],
+)
+def test_an_empty_suite_list_is_an_error(tmp_path, capsys, argv, data):
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps({"preset": "family:B", "samples": 5, **data}))
+    code = main(argv + ["--config", str(cfg)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"] == {
+        "type": "ConfigError",
+        "message": "no suite given; available: axioms, corner, frame, forms, classify, twins, "
+                   "deform",
+    }

@@ -1,11 +1,14 @@
 """Twin structures and the contact-form deformation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from oracles import fd_d_oneform, fd_divergence, metric_fn_of
 
 from cornergeo import construct
+from cornergeo.cli import ALL_SUITES, main
 from cornergeo.acms import (
     COSYMPLECTIC,
     KENMOTSU,
@@ -332,6 +335,59 @@ def test_corollary_gate_closed_on_presets(structures, points):
         assert rep.case is None
         # sigma = 0 on the presets, so the gate misses by e^rho
         assert rep.gate_residual_max > 0.5
+
+
+# two members at which the gate sigma = e^rho opens.  With kappa = mu = 1 and
+# (tau_2, tau_3) = r (cos theta, sin theta), e^rho = r / tau and sigma =
+# d_1 theta / tau, so the gate is d_1 theta = r: the rotation member has
+# theta = x1 and r = 1.  The Sasakian member has sin theta = 0.3 x1 + 0.2 x3,
+# so div V - e^rho = 0.2 and f = 0.1 is its Sasakian factor (div V = e^rho + 2f).
+GATE_OPEN = {
+    "rotation": {"tau": "x2*cos(x1) + x3*sin(x1)", "kappa": "1", "mu": "1"},
+    "sasakian": {"tau": "0.3*x2 - 1.5*sqrt(1 - (0.3*x1 + 0.2*x3)^2) + 2",
+                 "kappa": "1", "mu": "1"},
+}
+
+
+def scene_report(tmp_path, capsys, member, argv) -> tuple:
+    """The exit code and report of ``argv`` on a scene file of the member, 12 samples."""
+    path = tmp_path / f"{member}.json"
+    path.write_text(json.dumps({"family": GATE_OPEN[member], "samples": 12, "seed": 0}))
+    code = main(argv + ["--config", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("member", GATE_OPEN)
+def test_a_gate_open_member_is_a_corner_structure_that_is_not_normal(tmp_path, capsys, member):
+    argv = ["check", "--suites", ",".join(ALL_SUITES)]
+    code, payload = scene_report(tmp_path, capsys, member, argv)
+    assert code == 0 and payload["passed"] and sorted(payload["suites"]) == sorted(ALL_SUITES)
+    code, payload = scene_report(tmp_path, capsys, member, ["classify"])
+    assert code == 0
+    assert payload["suites"]["classify"]["classification"]["verdict"] == "not-normal"
+
+
+@pytest.mark.parametrize(
+    "member, f, case, verdict",
+    [
+        ("rotation", "1", "cosymplectic", "cosymplectic"),
+        ("rotation", "exp(2*(x2*sin(x1) - x3*cos(x1)))", "Kenmotsu", "Kenmotsu"),
+        # the corollary names three special cases; beta-Kenmotsu is trans-Sasakian
+        ("rotation", "exp(x1)", "trans-Sasakian", "beta-Kenmotsu"),
+        ("sasakian", "0.1", "Sasakian", "Sasakian"),
+        ("sasakian", "0.2", "trans-Sasakian", "alpha-Sasakian"),
+    ],
+    ids=["rotation-cosymplectic", "rotation-kenmotsu", "rotation-beta-kenmotsu",
+         "sasakian-sasakian", "sasakian-alpha-sasakian"],
+)
+def test_the_deformation_through_an_open_gate_is_normal(tmp_path, capsys, member, f, case,
+                                                         verdict):
+    code, payload = scene_report(tmp_path, capsys, member, ["deform", "--f", f])
+    deformed = payload["suites"]["deform"]
+    assert code == 0 and deformed["passed"]
+    assert deformed["corollary"]["gate_holds"] is True
+    got = deformed["corollary"]["case"], deformed["classification"]["verdict"]
+    assert got == (case, verdict)
 
 
 def test_twin_theorem_computes_normality_once(structures, points, monkeypatch):

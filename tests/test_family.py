@@ -153,7 +153,7 @@ def terms(first, monomials, coefficients) -> str:
     return " + ".join([first] + [f"{m}*{c!r}" for m, c in zip(monomials, coefficients)])
 
 
-def reference_random_family(rng, corner=True, domain=None) -> FamilyParams:
+def reference_random_family(rng, corner=True) -> FamilyParams:
     """``random_family`` as parsed text and one ``uniform`` call per group of
     coefficients."""
     a = rng.uniform(-1.0, 1.0, size=5).tolist()
@@ -165,7 +165,7 @@ def reference_random_family(rng, corner=True, domain=None) -> FamilyParams:
     if not corner:
         kappa = terms(kappa, ("x1^2",), [rng.uniform(0.5, 1.5)])
         mu = terms(mu, ("x1",), [rng.uniform(0.5, 1.5)])
-    return FamilyParams.of(f"exp({exponent})", kappa, mu, domain=domain)
+    return FamilyParams.of(f"exp({exponent})", kappa, mu)
 
 
 @pytest.mark.parametrize("corner", [True, False])

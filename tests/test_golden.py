@@ -50,6 +50,10 @@ CONFIGS = {
         "family": {"tau": "exp(x2)", "kappa": "1", "mu": "exp(1.00001*x2)"},
         "tolerances": {"classification": 0.001},
     },
+    # the two members at which the corollary's gate sigma = e^rho opens (kappa = mu = 1)
+    "rotation": {"family": {"tau": "x2*cos(x1) + x3*sin(x1)", "kappa": "1", "mu": "1"}},
+    "sasakian": {"family": {"tau": "0.3*x2 - 1.5*sqrt(1 - (0.3*x1 + 0.2*x3)^2) + 2",
+                            "kappa": "1", "mu": "1"}},
 }
 
 SCENES = {
@@ -84,6 +88,11 @@ SCENES = {
     "scan-box-family": ["scan", "--config", "box-family", "--draws", "5"],
     # 404 members of 3 points: a pass of at most 1,024 points ends inside the draws
     "scan-400-draws": ["scan", "--draws", "400", "--samples", "3"],
+    # the gate is open: cosymplectic, Kenmotsu and Sasakian deformations
+    "gate-cosymplectic": ["deform", "--config", "rotation", "--f", "1"],
+    "gate-kenmotsu": ["deform", "--config", "rotation",
+                      "--f", "exp(2*(x2*sin(x1) - x3*cos(x1)))"],
+    "gate-sasakian": ["deform", "--config", "sasakian", "--f", "0.1"],
 }
 
 # sha256 of f"{exit code}\n{stdout}" per scene, on the versions above
@@ -110,6 +119,9 @@ DIGESTS = {
     "degenerate": "946dabe965ec6808417dc84a13cc3755655caca56f7146cf75bccdbfdf0df4a0",
     "f-le-0": "eb52d7b012b1822cfda0557360c45b3d7f36e43f3a0eae72e707bde9d232dd55",
     "family-sigma-check": "950c3b1994423606e671301a0b4cdee9b4889b06b585e7a666bfa6ec3d0559db",
+    "gate-cosymplectic": "629343a29b02b9c63ec4fc5b8f49130f45fb56d3580cca427b93e04266a5d6c6",
+    "gate-kenmotsu": "7e906294ab79b2224c8694c50cac7b82bc0f56455294f86cf41278402e885ba8",
+    "gate-sasakian": "fdb5c8cf1ff145eec095ecc267c7ab799ab37c279063fcc15c18c226e04afed4",
     "non-finite-alpha": "9530d50b21b765bfb0987f6744e4e3608952d90fe3bff4abf04210316d64ec99",
     "non-finite-sigma-gap": "6ace9fb7d98f87c46330234f5b8e6358fe36918b94f3f6d064d3d3449958cf2f",
     "parse-error-f": "4648c435d701140e48ecc21468f232bce266d3f2a07778e91c7180fe7d0a98fa",

@@ -50,7 +50,7 @@ def test_the_first_failing_point_decides_the_deformation_factors_error(first, se
 def test_the_first_failing_point_decides_the_tau_guards_error(first, second):
     # the 50-point pre-check passes on this box; the guard runs at every evaluated point
     box = ChartDomain(((0.6, 1.0), (0.1, 0.2), (0.1, 1.0)))
-    s = build_family(FamilyParams.of(OVERFLOWING, "1", "1", domain=box))
+    s = build_family(FamilyParams.of(OVERFLOWING, "1", "1"), box)
     err = raised(s.eta.values, [[0.8, 0.1, 0.5], first, second])
     assert type(err) is ValueError
     if first is NEGATIVE:

@@ -17,13 +17,13 @@ from cornergeo.fields import ChartDomain, max_abs
 from cornergeo.tensor import d_oneform_matrix
 
 
-def reference_scan(params_list, samples, seed) -> dict:
+def reference_scan(params_list, samples, seed, box=ChartDomain()) -> dict:
     """``scan_sigma`` one member at a time: build, sample, frame and reduce."""
     draws = []
     overall_gap = None
     for i, params in enumerate(params_list):
-        cf = build_family(params).corner
-        pts = params.domain.sample(samples, np.random.default_rng([seed, i]))
+        cf = build_family(params, box).corner
+        pts = box.sample(samples, np.random.default_rng([seed, i]))
         max_domega = max_sigma = 0.0
         min_gap = None
         kept, f = skipping(cf.frame, pts, DegenerateCornerError)
@@ -51,7 +51,7 @@ def presets_and_draws(seed, draws=60):
     """The members of ``scan --draws <draws>``: every preset, then the random draws."""
     members = [family.preset(name).params for name in family.PRESET_NAMES]
     rng = np.random.default_rng([seed, 10_000])
-    return members + [random_family(rng, corner=True, domain=ChartDomain()) for _ in range(draws)]
+    return members + [random_family(rng, corner=True) for _ in range(draws)]
 
 
 def same(a: dict, b: dict) -> bool:
@@ -71,6 +71,14 @@ def member(a, k=(1.0, 0.5, 0.5), m=(1.0, 0.5, 0.5)) -> FamilyParams:
 def test_the_member_axis_keeps_the_bytes(seed):
     members = presets_and_draws(seed)
     assert same(scan_sigma(members, samples=10, seed=seed), reference_scan(members, 10, seed))
+
+
+def test_every_member_is_sampled_on_the_one_domain():
+    box = ChartDomain(((0.2, 1.5), (0.1, 0.8), (0.3, 1.2)))
+    members = presets_and_draws(8, draws=10)
+    got = scan_sigma(members, samples=10, seed=8, domain=box)
+    assert same(got, reference_scan(members, 10, 8, box))
+    assert not same(got, scan_sigma(members, samples=10, seed=8))
 
 
 def nodes(node):
@@ -152,7 +160,7 @@ def test_a_sigma_that_is_nan_at_a_few_points_is_named(tmp_path, capsys):
     # with it, is NaN at 5 of the 40 points, the first of them point 3
     fam = {"tau": "exp(x1*x2 + x3)", "kappa": "1 + x2^2 + 0*exp(750*x1)", "mu": "1 + x3"}
     params = FamilyParams.of(fam["tau"], fam["kappa"], fam["mu"])
-    pts = params.domain.sample(40, np.random.default_rng([0, 0]))
+    pts = ChartDomain().sample(40, np.random.default_rng([0, 0]))
     with np.errstate(all="ignore"):
         sigma = build_family(params).corner.frame(pts).sigma
     assert np.flatnonzero(np.isnan(sigma)).tolist() == [3, 9, 26, 29, 30]
