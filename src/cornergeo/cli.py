@@ -17,6 +17,7 @@ The argument parser is built once per process, at import.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -26,8 +27,8 @@ import numpy as np
 from . import acms, construct, corner, family
 from .conventions import CONVENTION_BANNER, SCHEMA_VERSION
 from .corner import DegenerateCornerError
-from .expr import _POINT_ERRORS, EvalDomainError, ParseError, PointError, as_expr, require
-from .expr import skipping
+from .expr import _POINT_ERRORS, EvalDomainError, ParseError, PointError, Rows, ScalarExpr
+from .expr import as_expr, require, skipping
 from .fields import ChartDomain, max_abs
 from .tensor import d_oneform_matrix
 
@@ -394,47 +395,76 @@ def scan_sigma(params_list, samples: int = 100, seed: int = 0,
                domain: ChartDomain = ChartDomain()) -> dict:
     """Sigma diagnostics across family members, each built on ``domain``.
 
-    For each member: the worst |d omega|, the worst |sigma|, and how close
-    sigma ever gets to e^rho (the deformation-normality gate), over the
-    points of ``domain`` drawn with ``default_rng([seed, i])`` for the
-    member's index i.  Members whose frame degenerates at a sample point
-    report the count of skipped points.  Consecutive members, whatever their
-    tree shapes, are evaluated together as one structure (see
-    :func:`_scan_pass`), up to :data:`STACKED_POINTS` sample points at a
-    time: the 4 presets and 60 draws of ``--draws 60`` at 10 samples are one
-    pass, at 100 samples seven.  The entries are those of one member at a
-    time, whatever the pass size.
+    ``params_list`` holds members and tables of random draws
+    (:class:`family.RandomDraws`), a table giving the report that the list of
+    its rows' own members gives.  For each member: the worst |d omega|, the
+    worst |sigma|, and how close sigma ever gets to e^rho (the
+    deformation-normality gate), over the points of ``domain`` drawn with
+    ``default_rng([seed, i])`` for the member's index i.  Members whose frame
+    degenerates at a sample point report the count of skipped points.
+    Consecutive members, whatever their tree shapes, are evaluated together
+    as one structure (see :func:`_scan_pass`), up to :data:`STACKED_POINTS`
+    sample points at a time, a table cut by row range where a pass ends: the
+    4 presets and 60 draws of ``--draws 60`` at 10 samples are one pass, at
+    100 samples seven.  The entries are those of one member at a time,
+    whatever the pass size.
     """
+    blocks = []  # each run of members as one list, each table as itself
+    for kind, run in itertools.groupby(params_list, type):
+        blocks += list(run) if kind is family.RandomDraws else [list(run)]
     size = max(1, STACKED_POINTS // samples)
-    members = list(enumerate(params_list))
     entries = []
-    for start in range(0, len(members), size):
-        entries += _scan_pass(members[start : start + size], samples, seed, domain)
+    for start in range(0, sum(map(len, blocks)), size):
+        entries += _scan_pass(_rows(blocks, start, start + size), samples, seed, domain)
     gaps = [e["min_sigma_gap"] for e in entries if e["min_sigma_gap"] is not None]
     return {"entries": entries, "min_sigma_gap": min(gaps, default=None)}
 
 
-def _scan_pass(members, samples: int, seed: int, domain: ChartDomain) -> list:
-    """The scan entries of M consecutive ``(index, params)`` members on ``domain``.
+def _rows(blocks, start: int, stop: int) -> list:
+    """``(index of its first member, its members)`` for the part of each of
+    ``blocks`` that holds some of the members ``start`` to ``stop - 1``."""
+    parts, first = [], 0
+    for block in blocks:
+        lo, hi = max(start, first), min(stop, first + len(block))
+        if lo < hi:
+            parts.append((lo, block[lo - first : hi - first]))
+        first += len(block)
+    return parts
 
-    The members are built, framed and differentiated as one stacked
-    structure (see :func:`family.stack_members`) on their points stacked as
-    ``(M, N, 3)``; each member's maxima and minimum are taken over its own
-    row.  Every guard raises if any member fails it, so a pass in which
-    something raises is replayed one member at a time, in member order, and
-    the first failing member raises its own error.  A lone member leaves out
-    its degenerate points.  The first member, in member order, with a
-    quantity that is not finite at one of its points raises a ``ValueError``
-    naming its index in the sweep and the quantity."""
-    pts = np.stack([domain.sample(samples, np.random.default_rng([seed, i])) for i, _ in members])
-    rows = len(members)
+
+def _scan_pass(parts, samples: int, seed: int, domain: ChartDomain) -> list:
+    """The scan entries of M consecutive members on ``domain``, as
+    ``(index of the first, block)`` parts, a block being a list of members
+    or a table of draws.
+
+    The blocks' stacked trees (:func:`family.stack_members` of a list, a
+    table's ``params``), joined by :class:`~cornergeo.expr.Rows`, are built,
+    framed and differentiated as one structure on the members' points
+    stacked as ``(M, N, 3)``; each member's maxima and minimum are taken over
+    its own row, and its text comes from its block.  Every guard raises if
+    any member fails it, so a pass in which something raises is replayed one
+    member at a time, in member order, and the first failing member raises
+    its own error.  A lone member runs on its own tree (a draw's as
+    :func:`family.random_family` builds it) and leaves out its degenerate
+    points.  The first member, in member order, with a quantity that is not
+    finite at one of its points raises a ``ValueError`` naming its index in
+    the sweep and the quantity."""
+    indices = [i for first, block in parts for i in range(first, first + len(block))]
+    pts = np.stack([domain.sample(samples, np.random.default_rng([seed, i])) for i in indices])
+    rows = len(indices)
+    stacked = [_stacked(block) for _, block in parts]
+    roots = zip(*((p.tau.root, p.kappa.root, p.mu.root) for p, _ in stacked))
+    counts = tuple(len(block) for _, block in parts)
     try:
-        cf = family.build_family(family.stack_members([p for _, p in members]), domain).corner
+        params = parts[0][1][0] if rows == 1 else family.FamilyParams(
+            *(ScalarExpr(r[0] if len(r) == 1 else Rows(r, counts)) for r in roots))
+        cf = family.build_family(params, domain).corner
         kept, f = skipping(cf.frame, pts, DegenerateCornerError if rows == 1 else ())
     except _POINT_ERRORS:
         if rows == 1:
             raise
-        return [entry for m in members for entry in _scan_pass([m], samples, seed, domain)]
+        return [entry for first, block in parts for k in range(len(block))
+                for entry in _scan_pass([(first + k, block[k : k + 1])], samples, seed, domain)]
     pts = pts[:, kept]
     folded = {"min_sigma_gap": [None] * rows, "max_d_omega": [0.0] * rows,
               "max_sigma": [0.0] * rows}
@@ -449,20 +479,23 @@ def _scan_pass(members, samples: int, seed: int, domain: ChartDomain) -> list:
         table = np.stack(list(columns.values()), axis=1)  # (member, quantity, point)
         require(np.moveaxis(np.indices(table.shape), 0, -1), ~np.isfinite(table),
                 lambda at, v: ValueError(f"{list(columns)[int(at[1])]} of scan member "
-                                         f"{members[int(at[0])][0]} is not finite: {v}"), table)
+                                         f"{indices[int(at[0])]} is not finite: {v}"), table)
         folded = {name: (np.min if name == "min_sigma_gap" else np.max)(c, axis=1).tolist()
                   for name, c in columns.items()}
     degenerate = int(np.count_nonzero(~kept))
+    texts = [text for _, block_texts in stacked for text in block_texts]
     return [
-        {
-            "tau": str(params.tau),
-            "kappa": str(params.kappa),
-            "mu": str(params.mu),
-            **{name: values[m] for name, values in folded.items()},
-            "degenerate_points": degenerate,
-        }
-        for m, (_, params) in enumerate(members)
+        {"tau": tau, "kappa": kappa, "mu": mu,
+         **{name: values[m] for name, values in folded.items()}, "degenerate_points": degenerate}
+        for m, (tau, kappa, mu) in enumerate(texts)
     ]
+
+
+def _stacked(block) -> tuple:
+    """A block's members as one member, and each one's (tau, kappa, mu) text."""
+    if isinstance(block, family.RandomDraws):
+        return block.params, block.texts()
+    return family.stack_members(block), [(str(p.tau), str(p.kappa), str(p.mu)) for p in block]
 
 
 def _scan_command(cfg: SceneConfig) -> dict:
@@ -475,9 +508,8 @@ def _scan_command(cfg: SceneConfig) -> dict:
     params_list = [_preset(name).params for name in names]
     if cfg.family is not None:
         params_list.append(_family_params(cfg))
-    rng = np.random.default_rng([cfg.seed, 10_000])
-    for _ in range(cfg.draws):
-        params_list.append(family.random_family(rng, corner=True))
+    params_list.append(family.RandomDraws.draw(np.random.default_rng([cfg.seed, 10_000]),
+                                               cfg.draws))
     return scan_sigma(params_list, samples=cfg.samples, seed=cfg.seed, domain=cfg.domain())
 
 
@@ -528,8 +560,11 @@ def _error(command: str, err: Exception) -> str:
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        cfg = SceneConfig.load(args)
-        payload, code = run(cfg, args.command)
+        # numpy's floating-point warnings would only repeat on stderr what the
+        # finiteness checks and domain guards report as the JSON error
+        with np.errstate(all="ignore"):
+            cfg = SceneConfig.load(args)
+            payload, code = run(cfg, args.command)
         text = _dumps(payload)  # raises a ValueError on NaN or infinity
     except (ValueError, EvalDomainError, PointError) as err:
         code, text = 2, _error(args.command, err)

@@ -60,6 +60,7 @@ __all__ = [
     "parse",
     "as_expr",
     "to_str",
+    "row_texts",
 ]
 
 
@@ -414,6 +415,11 @@ def _pow_const(a: Jet2, c: float) -> Jet2:
 
 
 def _pow(base: np.ndarray, c: float) -> np.ndarray:
+    if c == 1.0 or c == 0.0:
+        # pow(x, 1) is x and pow(x, 0) is 1, exactly, for every x, signed
+        # zeros, infinities and NaN included (C99 Annex F; Python returns 1.0
+        # for a zero exponent before it calls libm)
+        return np.array(base, dtype=float) if c else np.ones(np.shape(base))
     try:
         return np.asarray(_POW(base, c), dtype=float)
     except OverflowError:
@@ -553,10 +559,14 @@ def _binary_text(node: Binary) -> tuple:
     return f"{_wrap(node.left, level)}{op}{_wrap(node.right, level + 1)}", level
 
 
-# each node type's source text and precedence level; a negative literal renders
-# with a leading '-', so it parenthesizes like a unary node
+def _const_text(v: float) -> tuple:
+    # a negative literal renders with a leading '-', so it parenthesizes like a unary node
+    return _fmt_number(v), _LEVEL_UNARY if v < 0 else _LEVEL_ATOM
+
+
+# each node type's source text and precedence level
 _TEXT = {
-    Const: lambda n: (_fmt_number(n.value), _LEVEL_UNARY if n.value < 0 else _LEVEL_ATOM),
+    Const: lambda n: _const_text(n.value),
     Var: lambda n: (f"x{n.index + 1}", _LEVEL_ATOM),
     Call: lambda n: (f"{n.name}({to_str(n.arg)})", _LEVEL_ATOM),
     Unary: lambda n: ("-" + _wrap(n.arg, _LEVEL_UNARY), _LEVEL_UNARY),
@@ -565,13 +575,47 @@ _TEXT = {
 
 
 def to_str(node: Node) -> str:
-    """Render a node back to source text; parse(to_str(n)) rebuilds n."""
-    return _TEXT[type(node)](node)[0]
+    """Render a node back to source text; parse(to_str(n)) rebuilds n.  A
+    stacked coefficient column (see :func:`stack_trees`) renders as a slot
+    ``{:L}``, L the level it stands at, which :func:`row_texts` fills."""
+    return _wrap(node, 0)
 
 
 def _wrap(node: Node, min_level: int) -> str:
-    text, level = _TEXT[type(node)](node)
+    if type(node) is Const and np.ndim(node.value):
+        return f"{{:{min_level}}}"
+    return _parenthesized(*_TEXT[type(node)](node), min_level)
+
+
+def _parenthesized(text: str, level: int, min_level: int) -> str:
     return f"({text})" if level < min_level else text
+
+
+class _Coefficient(float):
+    """A coefficient in a slot of :func:`to_str`: formatted at the slot's
+    level as the printer writes a ``Const`` of its value at that level."""
+
+    def __format__(self, min_level: str) -> str:
+        return _parenthesized(*_const_text(float(self)), int(min_level))
+
+
+def row_texts(node: Node) -> list:
+    """The text of each row of a stacked tree with coefficient columns and no
+    ``Rows`` node: ``to_str`` of the trees :func:`stack_trees` took.  The
+    tree is printed once, and each row's coefficients fill its slots."""
+    template = to_str(node)
+    rows = np.hstack(list(_columns(node))).tolist()
+    return [template.format(*map(_Coefficient, row)) for row in rows]
+
+
+def _columns(node: Node):
+    """The coefficient columns of a stacked tree, in the order ``to_str`` prints them."""
+    if isinstance(node, Const):
+        if np.ndim(node.value):
+            yield node.value
+    elif not isinstance(node, Var):
+        for kid in (node.arg,) if isinstance(node, (Unary, Call)) else (node.left, node.right):
+            yield from _columns(kid)
 
 
 # ---------------------------------------------------------------------------

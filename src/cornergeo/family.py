@@ -18,13 +18,14 @@ and the derived frame quantities feed every construction downstream.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .acms import AcmStructure
 from .expr import Binary, Call, Const, Jet2, ScalarExpr, Unary, _jets_at, as_expr, as_points
-from .expr import by_rows, require, stack_trees
+from .expr import by_rows, require, row_texts, stack_trees
 from .fields import ChartDomain, MetricField, OneFormField, TensorField11, VectorField, last_batch
 from .report import ResidualReport
 from .corner import corner_residual
@@ -39,6 +40,7 @@ __all__ = [
     "preset_structure",
     "PRESET_NAMES",
     "random_family",
+    "RandomDraws",
     "stack_members",
 ]
 
@@ -270,22 +272,68 @@ def random_family(rng: np.random.Generator, corner: bool = True) -> FamilyParams
     the defining condition; tau may couple x1 with x2/x3, which is what makes
     sigma and d(omega) nonzero in general.
 
-    The coefficients are one ``rng.random`` call of 11 (13 with
-    ``corner=False``), each mapped to its range as ``rng.uniform`` maps a
-    draw, so they equal one ``uniform`` call per coefficient in this order.
-    The trees are built node by node, as ``parse`` builds the text
-    ``m1*c1 + m2*c2 + ...`` with each coefficient written as its ``repr``.
+    It is the one-row case of :class:`RandomDraws`: the coefficients are one
+    ``rng.random`` call of 11 (13 with ``corner=False``), each mapped to its
+    range as ``rng.uniform`` maps a draw, so they equal one ``uniform`` call
+    per coefficient in this order.  The trees are built node by node, as
+    ``parse`` builds the text ``m1*c1 + m2*c2 + ...`` with each coefficient
+    written as its ``repr``.
     """
-    n = 11 if corner else 13
-    c = (_LOW[:n] + _SPAN[:n] * rng.random(n)).tolist()
+    return RandomDraws.draw(rng, 1, corner)[0]
+
+
+@dataclass(frozen=True, eq=False)
+class RandomDraws:
+    """N draws of :func:`random_family` as one table of coefficients, row m
+    holding those of the m-th of N calls on the same generator.
+
+    ``draws[m]`` is draw m with its own tree, as :func:`random_family` builds
+    it, and ``draws[a:b]`` the table of rows a to b - 1.  :attr:`params` is
+    every row as one member, and :meth:`texts` each row's text, so that only
+    a draw that runs alone needs a tree of its own."""
+
+    table: np.ndarray  # (N, 11), or (N, 13) for draws that are not corner ones
+
+    @classmethod
+    def draw(cls, rng: np.random.Generator, n: int, corner: bool = True) -> "RandomDraws":
+        """N draws from one ``rng.random((n, 11))`` call (13 columns with
+        ``corner=False``), which leaves ``rng`` where N calls of
+        :func:`random_family` leave it."""
+        k = 11 if corner else 13
+        return cls(_LOW[:k] + _SPAN[:k] * rng.random((n, k)))
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RandomDraws(self.table[index])
+        return _random_params(self.table[index].tolist())
+
+    @functools.cached_property
+    def params(self) -> FamilyParams:
+        """The rows as one member: the tree :func:`stack_members` builds from
+        the rows' own trees, with each coefficient an ``(N, 1)`` column of the
+        table.  On ``(N, n, 3)`` points row m of its jets is draw m's."""
+        return _random_params(list(self.table.T[..., None]))
+
+    def texts(self) -> list:
+        """Each row's (tau, kappa, mu) text: ``str()`` of draw m's own generators."""
+        p = self.params
+        return list(zip(*(row_texts(e.root) for e in (p.tau, p.kappa, p.mu))))
+
+
+def _random_params(c: list) -> FamilyParams:
+    """The member with the coefficients ``c`` in drawing order: floats give
+    one draw's trees, ``(N, 1)`` columns the N draws' stacked trees."""
     # an exponential keeps tau positive whatever the coefficients are
     exponent = _terms(_term("x2", c[0]), ("x3", "x1*x2", "x1*x3", "x1"), c[1:5])
     kappa = _terms(Const(c[5]), ("x2^2", "x2*x3", "x1^2"), c[6:8] + c[11:12])
     mu = _terms(Const(c[8]), ("x3^2", "x2*x3", "x1"), c[9:11] + c[12:13])
-    return FamilyParams.of(ScalarExpr(Call("exp", exponent)), ScalarExpr(kappa), ScalarExpr(mu))
+    return FamilyParams(ScalarExpr(Call("exp", exponent)), ScalarExpr(kappa), ScalarExpr(mu))
 
 
-def _term(monomial: str, c: float) -> Binary:
+def _term(monomial: str, c) -> Binary:
     return Binary("*", _MONOMIALS[monomial].root, Const(c))
 
 

@@ -1,13 +1,14 @@
 """Malformed scene configurations exit with code 2 and a JSON error."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from cornergeo import acms
 from cornergeo.cli import main
-from cornergeo.expr import MAX_DEPTH
+from cornergeo.expr import MAX_DEPTH, AbsAtZeroWarning
 from cornergeo.fields import ChartDomain, SingularMetricError
 
 
@@ -452,3 +453,43 @@ def test_an_empty_suite_list_is_an_error(tmp_path, capsys, argv, data):
         "message": "no suite given; available: axioms, corner, frame, forms, classify, twins, "
                    "deform",
     }
+
+
+OVERFLOWING_FAMILY = {"tau": "exp(x2)", "kappa": "exp(x3)*1e400", "mu": "0*exp(1000) + 1"}
+FIVE = ChartDomain().sample(5, 0)  # the points of a 5-sample scene
+# the first of them where exp(1000*x1) overflows
+OVERFLOWING_F = FIVE[np.argmax(1000 * FIVE[:, 0] > np.log(np.finfo(float).max))]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--config", "scene.json"], f"g is not finite at {FIVE[0].tolist()}"),
+        (["scan", "--config", "scene.json"], "min_sigma_gap of scan member 0 is not finite: nan"),
+        (["deform", "--preset", "family:D", "--samples", "5", "--f", "exp(1000*x1)"],
+         f"deformation factor is not finite at {OVERFLOWING_F.tolist()}: f = inf"),
+    ],
+    ids=["check", "scan", "deform"],
+)
+def test_a_scene_that_overflows_reports_its_error_without_numpy_warnings(tmp_path, capsys, argv,
+                                                                           message):
+    """numpy warns of the overflows and the NaN they make, but the JSON error
+    already names them: stderr stays quiet, and stdout holds the error."""
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"family": OVERFLOWING_FAMILY, "samples": 5}))
+    argv = [str(path) if a == "scene.json" else a for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"] == {"type": "ValueError", "message": message}
+
+
+def test_the_abs_at_zero_warning_still_reaches_the_caller(tmp_path, capsys):
+    family = {"tau": "exp(x2)", "kappa": "1 + abs(x2 - x2)", "mu": "1"}
+    with pytest.warns(AbsAtZeroWarning):
+        code, _ = run_config(tmp_path, capsys, "check",
+                             {"family": family, "samples": 5, "suites": ["axioms"]})
+    assert code == 0

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import fd_grad, fd_hess
 
+from cornergeo import expr as expr_module
 from cornergeo.expr import (
     AbsAtZeroWarning,
     EvalDomainError,
@@ -238,3 +239,43 @@ def test_jet_orders():
     shallow = Jet2.constant(3.0, order=1)
     assert (full * shallow).hess is None
     assert (full + shallow).grad is not None
+
+
+# --------------------------------------------------------------------------
+# literal powers: libm's pow, element by element
+
+
+def libm_pow(base, c):
+    """``expr._pow`` as Python's float pow of every element, whatever ``c`` is."""
+    try:
+        return np.asarray(np.frompyfunc(pow, 2, 1)(base, c), dtype=float)
+    except OverflowError:
+        raise EvalDomainError("power overflows the float range") from None
+
+
+POW_BASES = [0.0, -0.0, np.inf, -np.inf, np.nan, -2.5, -1.0, 5e-324, -5e-324, 2.2e-308, 0.3,
+             1.0, 7.0, 1e308]
+
+
+def pow_outcome(a: Jet2, c: float):
+    """The bytes of the jet of ``a^c``, or the text of the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            j = expr_module._pow_const(a, c)
+    except EvalDomainError as err:
+        return str(err)
+    return [np.asarray(x).tobytes() for x in (j.value, j.grad, j.hess)]
+
+
+@pytest.mark.parametrize("c", [2.0, 3.0, -1.0, 0.5, 1.0, 0.0])
+def test_a_literal_power_is_libm_pow_bit_for_bit(c, monkeypatch):
+    """pow(x, 1) is x and pow(x, 0) is 1 for every x, so the first and
+    second derivatives of a square or a cube may skip libm; every value,
+    derivative and error stays that of pow element by element."""
+    rng = np.random.default_rng(5)
+    jets = [Jet2(np.array(v), rng.normal(size=3), rng.normal(size=(3, 3))) for v in POW_BASES]
+    n = len(POW_BASES)
+    jets.append(Jet2(np.array(POW_BASES), rng.normal(size=(n, 3)), rng.normal(size=(n, 3, 3))))
+    got = [pow_outcome(a, c) for a in jets]
+    monkeypatch.setattr(expr_module, "_pow", libm_pow)
+    assert got == [pow_outcome(a, c) for a in jets]

@@ -13,7 +13,9 @@ from cornergeo.family import (
     family_corner_criterion,
     preset,
     preset_structure,
+    RandomDraws,
     random_family,
+    stack_members,
 )
 from cornergeo.fields import ChartDomain
 
@@ -180,6 +182,51 @@ def test_random_family_equals_the_operator_built_draws(corner):
         ]
     # both consumed the same stream
     assert got_rng.random() == ref_rng.random()
+
+
+def hand_made(corner: bool) -> np.ndarray:
+    """Rows with negative, zero and integer-valued coefficients: the printer
+    writes -1.0 as ``-1`` and 2.0 as ``2``, in every coefficient's place."""
+    n = 11 if corner else 13
+    return np.array([np.resize(row, n) for row in ([-1.0, 0.0, 2.0], [2.0, -1.0, 0.0, 0.5],
+                                                   [0.0, 2.0, -1.0, -0.25, 3.0])])
+
+
+def jets_bits(params: FamilyParams, pts) -> list:
+    jets = [e.eval_jet2(pts) for e in (params.tau, params.kappa, params.mu)]
+    return [np.asarray(a).tobytes() for j in jets for a in (j.value, j.grad, j.hess)]
+
+
+@pytest.mark.parametrize("corner", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_a_table_of_draws_is_n_random_family_draws(corner, n):
+    """One ``rng.random`` call gives the coefficients of n draws, and leaves
+    the generator where n draws do; each row's text is ``str()`` of its own
+    draw, and parses back to it; the stacked trees' jets on (n, N, 3) points
+    are those of the stacked draws, bit for bit."""
+    got_rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    table = RandomDraws.draw(got_rng, n, corner)
+    draws = [random_family(ref_rng, corner) for _ in range(n)]
+    assert got_rng.random() == ref_rng.random()
+    assert len(table) == n and [table[m] for m in range(n)] == draws
+    assert_rows_are_members(table, draws)
+
+
+@pytest.mark.parametrize("corner", [True, False])
+def test_a_hand_made_table_prints_and_stacks_as_its_members(corner):
+    table = RandomDraws(hand_made(corner))
+    members = [table[m] for m in range(len(table))]
+    assert str(members[0].kappa).startswith("2 + x2^2*-1 + x2*x3*0")
+    assert str(members[1].tau) == "exp(x2*2 + x3*-1 + x1*x2*0 + x1*x3*0.5 + x1*2)"
+    assert_rows_are_members(table, members)
+
+
+def assert_rows_are_members(table: RandomDraws, members: list) -> None:
+    texts = [(str(p.tau), str(p.kappa), str(p.mu)) for p in members]
+    assert table.texts() == texts
+    assert [FamilyParams.of(*text) for text in texts] == members
+    pts = np.stack([ChartDomain().sample(5, m) for m in range(len(members))])
+    assert jets_bits(table.params, pts) == jets_bits(stack_members(members), pts)
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,10 @@ stand for compute afresh: ``s.nabla_xi`` is ``nabla_matrix(g, xi, p)``,
 ``s.basis_normality`` holds ``nijenhuis`` and ``n1_tensor`` on the three
 coordinate pairs, and ``s.corner.frame`` is the frame a new ``CornerFields``
 computes.  Bytes are compared, so signed zeros count.  A report builds a
-pinned number of memos and of fields; run as a script, this module prints
-the memos, the fields and the Python calls of one report of each benchmark
-kind and preset, and the lines of the package's modules."""
+pinned number of memos, fields and expression nodes; run as a script, this
+module prints the memos, the fields, the expression nodes and the Python
+calls of one report of each benchmark kind and preset, and the lines of the
+package's modules."""
 
 import ast
 import contextlib
@@ -21,6 +22,7 @@ import pytest
 
 from cornergeo import acms, cli, construct, family, fields
 from cornergeo.corner import CornerFields
+from cornergeo.expr import Binary, Call, Const, Rows, Unary, Var
 from cornergeo.fields import ChartDomain
 from cornergeo.tensor import nabla_matrix
 
@@ -152,17 +154,42 @@ def counting_fields():
         fields._Field.__init__ = init
 
 
+@contextlib.contextmanager
+def counting_nodes():
+    """The list that gets the class name of each expression node built while
+    the context is open, by the ``__init__`` of every node class."""
+    built = []
+    inits = {cls: cls.__init__ for cls in (Const, Var, Unary, Binary, Call, Rows)}
+
+    def counted(init):
+        def wrapper(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        return wrapper
+
+    for cls, init in inits.items():
+        cls.__init__ = counted(init)
+    try:
+        yield built
+    finally:
+        for cls, init in inits.items():
+            cls.__init__ = init
+
+
 def counts(argv) -> tuple:
-    """The memos and the fields built and the Python calls (cProfile) of one
-    report, after a first run of it.  The calls are summed over the
-    profiler's entries, one per code object: ``pstats`` merges entries by
-    file, line and name, such as the ``__init__`` of every dataclass."""
+    """The memos, the fields and the expression nodes built and the Python
+    calls (cProfile) of one report, after a first run of it.  The calls are
+    summed over the profiler's entries, one per code object: ``pstats``
+    merges entries by file, line and name, such as the ``__init__`` of every
+    dataclass."""
     with contextlib.redirect_stdout(io.StringIO()):
-        with counting_memos() as memos, counting_fields() as built:
+        with counting_memos() as memos, counting_fields() as built, counting_nodes() as nodes:
             cli.main(argv)
         profile = cProfile.Profile()
         profile.runcall(cli.main, argv)
-    return len(memos), len(built), sum(entry.callcount for entry in profile.getstats())
+    calls = sum(entry.callcount for entry in profile.getstats())
+    return len(memos), len(built), len(nodes), calls
 
 
 REPORTS = {
@@ -179,6 +206,12 @@ PINNED_MEMOS = {"check-D": 11, "twin-A": 19, "deform-D": 16, "scan": 9}
 PINNED_FIELDS = {"check-D": 4, "twin-A": 10, "deform-D": 7, "scan": 4}
 
 
+# expression nodes per report: a structure's seven entries and their
+# constants, and for scan the stacked trees of the presets and of the table
+# of draws, with one Rows node per generator to join them
+PINNED_NODES = {"check-D": 11, "twin-A": 11, "deform-D": 13, "scan": 47}
+
+
 @pytest.mark.parametrize("report", PINNED_MEMOS)
 def test_a_report_builds_its_pinned_memos(report, capsys):
     with counting_memos() as built:
@@ -193,6 +226,14 @@ def test_a_report_builds_its_pinned_fields(report, capsys):
         assert cli.main(REPORTS[report]) == 0
     capsys.readouterr()
     assert len(built) == PINNED_FIELDS[report], built
+
+
+@pytest.mark.parametrize("report", PINNED_NODES)
+def test_a_report_builds_its_pinned_expression_nodes(report, capsys):
+    with counting_nodes() as built:
+        assert cli.main(REPORTS[report]) == 0
+    capsys.readouterr()
+    assert len(built) == PINNED_NODES[report], built
 
 
 def benchmark_reports():
@@ -228,9 +269,9 @@ def source_lines() -> dict:
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_memos.py: deterministic counts per
     # report, then the package's lines
-    print(f"{'report':<58} {'memos':>5} {'fields':>6} {'python calls':>12}")
+    print(f"{'report':<58} {'memos':>5} {'fields':>6} {'nodes':>6} {'python calls':>12}")
     for argv in benchmark_reports():
-        memos, built, calls = counts(argv)
-        print(f"{' '.join(argv):<58} {memos:>5} {built:>6} {calls:>12,}")
+        memos, built, nodes, calls = counts(argv)
+        print(f"{' '.join(argv):<58} {memos:>5} {built:>6} {nodes:>6,} {calls:>12,}")
     print("lines of src/cornergeo/*.py: "
           + ", ".join(f"{kind} {n:,}" for kind, n in source_lines().items()))

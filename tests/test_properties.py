@@ -8,6 +8,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from oracles import fd_grad, fd_hess  # noqa: E402
+
 from cornergeo.expr import (  # noqa: E402
     _FUNCTIONS,
     Binary,
@@ -20,6 +22,7 @@ from cornergeo.expr import (  # noqa: E402
     Var,
     _fold,
     parse,
+    row_texts,
     stack_trees,
     to_str,
 )
@@ -186,9 +189,52 @@ def test_a_stacked_tree_is_each_tree_alone_bit_for_bit(trees, n, rnd):
         assert jet_bits(got[m]) == jet_bits(want), (m, [to_str(t) for t in trees])
 
 
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(STACKED, st.lists(SHIFTS, min_size=1, max_size=4))
+def test_row_texts_print_each_tree_of_a_stack(first, coefficients):
+    """A stack of copies that shift only coefficients prints once, and each
+    row's coefficients fill its slots: the text of each tree, parentheses
+    around a negative coefficient and integer-valued ones included."""
+    trees = [first] + [shifted(first, c, 0.0) for c in coefficients]
+    stack = stack_trees(trees)
+    hypothesis.assume(any(isinstance(n, Const) and np.ndim(n.value) for n in post_order(stack)))
+    assert row_texts(stack) == [to_str(t) for t in trees]
+
+
+def test_a_negative_coefficient_slot_takes_the_parentheses_its_place_needs():
+    trees = [parse(src).root for src in ("(-1)^x1 + x2*-0.5", "2^x1 + x2*3", "(-0.25)^x1 + x2*0")]
+    assert row_texts(stack_trees(trees)) == ["(-1)^x1 + x2*-0.5", "2^x1 + x2*3",
+                                             "(-0.25)^x1 + x2*0"]
+
+
 def test_a_literal_exponent_splits_the_stack_above_its_power():
     square, cube = parse("x1^2").root, parse("x1^3").root
     assert stack_trees([square, cube]) == Rows((square, cube), (1, 1))
     assert stack_trees([Call("exp", square), Call("exp", cube)]) == Call(
         "exp", Rows((square, cube), (1, 1))
     )
+
+
+POINTS = st.tuples(*[st.floats(0.1, 1.0) for _ in range(3)]).map(np.array)
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.given(TREES, POINTS)
+def test_jets_match_finite_differences(root, p):
+    """A tree's gradient and Hessian, literal integer and fractional powers
+    included, match central differences of its value, within the tolerances
+    of ``test_expr.test_jets_match_finite_differences`` scaled by the size of
+    the jet; trees that raise, or whose jet passes 1e6, are left out."""
+    e = ScalarExpr(root)
+    try:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            jet = e.eval_jet2(p)
+            grad, hess = fd_grad(e.value, p), fd_hess(e.value, p)
+    except (ArithmeticError, ValueError):
+        hypothesis.assume(False)
+    parts = [jet.value, jet.grad, jet.hess, grad, hess]
+    hypothesis.assume(all(np.all(np.abs(a) <= 1e6) for a in parts))
+    scale = 1.0 + max(np.max(np.abs(a)) for a in parts[:3])
+    np.testing.assert_allclose(jet.grad, grad, rtol=0, atol=2e-8 * scale, err_msg=to_str(root))
+    np.testing.assert_allclose(jet.hess, hess, rtol=0, atol=2e-6 * scale, err_msg=to_str(root))

@@ -369,3 +369,55 @@ def test_the_first_failing_member_of_a_mixed_pass_raises(order):
     assert str(got.value) == str(ref.value)
     first = "power overflows" if order == "draw-first" else "family requires tau > 0"
     assert str(got.value).startswith(first)
+
+
+@pytest.mark.parametrize("samples, points", [(10, None), (100, None), (10, 70)],
+                         ids=["10-samples", "100-samples", "cut-inside-the-table"])
+@pytest.mark.parametrize("draws", [1, 60])
+def test_scan_draws_the_members_of_n_random_family_calls(capsys, monkeypatch, samples, points,
+                                                         draws):
+    """``scan --draws N`` reports the presets and N ``random_family`` draws,
+    whether a pass holds the whole table or cuts it by row range (70 points
+    at 10 samples: the presets and 3 draws, then 7 draws a pass)."""
+    from cornergeo import cli
+
+    if points:
+        monkeypatch.setattr(cli, "STACKED_POINTS", points)
+    argv = ["scan", "--draws", str(draws), "--samples", str(samples), "--seed", "13"]
+    assert main(argv) == 0
+    got = json.loads(capsys.readouterr().out)["scan"]
+    assert same(got, scan_sigma(presets_and_draws(13, draws), samples=samples, seed=13))
+
+
+@pytest.mark.parametrize("a2, message", [
+    (900.0, "power overflows the float range in 'exp(x2*900 + "),
+    (-900.0, "family requires tau*kappa*mu != 0; value at ["),
+], ids=["overflow", "underflow"])
+def test_a_failing_draw_inside_the_table(a2, message):
+    """A failing row of a table raises what it raises as a member of a list,
+    as in ``test_a_failing_member_inside_a_group``."""
+    table = family.RandomDraws.draw(np.random.default_rng([5, 10_000]), 9).table.copy()
+    table[4] = [a2, 0.1, 0.2, 0.3, 0.4] + [1.0, 0.5, 0.5] * 2
+    draws = family.RandomDraws(table)
+    presets = presets_and_draws(5, draws=0)
+    assert draws[4] == member((a2, 0.1, 0.2, 0.3, 0.4))
+    errors = []
+    for members in (presets + [draws], presets + [draws[m] for m in range(len(draws))]):
+        with pytest.raises((EvalDomainError, ValueError)) as err:
+            scan_sigma(members, samples=10, seed=5)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1].startswith(message)
+
+
+def test_scan_builds_one_tree_for_its_draws(capsys, monkeypatch):
+    """A report that passes calls no ``random_family`` and builds the draws'
+    trees once, as the table's stacked trees."""
+    built = []
+    random_params = family._random_params
+    monkeypatch.setattr(family, "random_family", lambda *args: built.append("random_family"))
+    monkeypatch.setattr(family, "_random_params",
+                        lambda c: built.append(np.shape(c[0])) or random_params(c))
+    assert main(["scan", "--draws", "60", "--samples", "10"]) == 0
+    capsys.readouterr()
+    assert built == [(60, 1)]
