@@ -44,7 +44,6 @@ from .expr import EvalDomainError, Jet2, ParseError, PointError, ScalarExpr, par
 from .family import (
     FamilyParams,
     build_family,
-    family_corner_criterion,
     preset,
     preset_structure,
     random_family,
@@ -90,7 +89,6 @@ __all__ = [
     "corollary_gate",
     "deform",
     "deformed_type",
-    "family_corner_criterion",
     "form_identities_residuals",
     "n1_tensor",
     "nijenhuis",

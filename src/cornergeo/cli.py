@@ -17,7 +17,6 @@ The argument parser is built once per process, at import.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ import numpy as np
 from . import acms, construct, corner, family
 from .conventions import CONVENTION_BANNER, SCHEMA_VERSION
 from .corner import DegenerateCornerError
-from .expr import _POINT_ERRORS, EvalDomainError, ParseError, PointError, Rows, ScalarExpr
+from .expr import _POINT_ERRORS, EvalDomainError, ParseError, PointError
 from .expr import as_expr, require, skipping
 from .fields import ChartDomain, max_abs
 from .tensor import d_oneform_matrix
@@ -409,62 +408,62 @@ def scan_sigma(params_list, samples: int = 100, seed: int = 0,
     100 samples seven.  The entries are those of one member at a time,
     whatever the pass size.
     """
-    blocks = []  # each run of members as one list, each table as itself
-    for kind, run in itertools.groupby(params_list, type):
-        blocks += list(run) if kind is family.RandomDraws else [list(run)]
     size = max(1, STACKED_POINTS // samples)
+    total = sum(map(_count, params_list))
     entries = []
-    for start in range(0, sum(map(len, blocks)), size):
-        entries += _scan_pass(_rows(blocks, start, start + size), samples, seed, domain)
+    for start in range(0, total, size):
+        entries += _scan_pass(params_list, start, min(start + size, total), samples, seed, domain)
     gaps = [e["min_sigma_gap"] for e in entries if e["min_sigma_gap"] is not None]
     return {"entries": entries, "min_sigma_gap": min(gaps, default=None)}
 
 
-def _rows(blocks, start: int, stop: int) -> list:
-    """``(index of its first member, its members)`` for the part of each of
-    ``blocks`` that holds some of the members ``start`` to ``stop - 1``."""
-    parts, first = [], 0
-    for block in blocks:
-        lo, hi = max(start, first), min(stop, first + len(block))
-        if lo < hi:
-            parts.append((lo, block[lo - first : hi - first]))
-        first += len(block)
-    return parts
+def _count(member) -> int:
+    """The members a list entry holds: a table's rows, or one."""
+    return len(member) if isinstance(member, family.RandomDraws) else 1
 
 
-def _scan_pass(parts, samples: int, seed: int, domain: ChartDomain) -> list:
-    """The scan entries of M consecutive members on ``domain``, as
-    ``(index of the first, block)`` parts, a block being a list of members
-    or a table of draws.
+def _rows(params_list, start: int, stop: int) -> list:
+    """The members ``start`` to ``stop - 1`` of ``params_list``: its members
+    and the row ranges of its tables, a single row as that draw's own member."""
+    members, first = [], 0
+    for member in params_list:
+        lo, hi = max(start - first, 0), min(stop - first, _count(member))
+        if lo < hi and isinstance(member, family.RandomDraws):
+            members.append(member[lo] if hi - lo == 1 else member[lo:hi])
+        elif lo < hi:
+            members.append(member)
+        first += _count(member)
+    return members
 
-    The blocks' stacked trees (:func:`family.stack_members` of a list, a
-    table's ``params``), joined by :class:`~cornergeo.expr.Rows`, are built,
-    framed and differentiated as one structure on the members' points
+
+def _scan_pass(params_list, start: int, stop: int, samples: int, seed: int,
+               domain: ChartDomain) -> list:
+    """The scan entries of the members ``start`` to ``stop - 1`` of
+    ``params_list``, M of them, on ``domain``.
+
+    :func:`family.stack_members` joins them (see :func:`_rows`) into one
+    structure, built, framed and differentiated on the members' points
     stacked as ``(M, N, 3)``; each member's maxima and minimum are taken over
-    its own row, and its text comes from its block.  Every guard raises if
-    any member fails it, so a pass in which something raises is replayed one
-    member at a time, in member order, and the first failing member raises
-    its own error.  A lone member runs on its own tree (a draw's as
-    :func:`family.random_family` builds it) and leaves out its degenerate
-    points.  The first member, in member order, with a quantity that is not
-    finite at one of its points raises a ``ValueError`` naming its index in
-    the sweep and the quantity."""
-    indices = [i for first, block in parts for i in range(first, first + len(block))]
-    pts = np.stack([domain.sample(samples, np.random.default_rng([seed, i])) for i in indices])
-    rows = len(indices)
-    stacked = [_stacked(block) for _, block in parts]
-    roots = zip(*((p.tau.root, p.kappa.root, p.mu.root) for p, _ in stacked))
-    counts = tuple(len(block) for _, block in parts)
+    its own row, and its text comes from its member or table.  Every guard
+    raises if any member fails it, so a pass in which something raises is
+    replayed one member at a time, in member order, and the first failing
+    member raises its own error.  A lone member runs on its own tree (a
+    draw's as :func:`family.random_family` builds it) and leaves out its
+    degenerate points.  The first member, in member order, with a quantity
+    that is not finite at one of its points raises a ``ValueError`` naming
+    its index in the sweep and the quantity."""
+    members = _rows(params_list, start, stop)
+    pts = np.stack([domain.sample(samples, np.random.default_rng([seed, i]))
+                    for i in range(start, stop)])
+    rows = stop - start
     try:
-        params = parts[0][1][0] if rows == 1 else family.FamilyParams(
-            *(ScalarExpr(r[0] if len(r) == 1 else Rows(r, counts)) for r in roots))
-        cf = family.build_family(params, domain).corner
+        cf = family.build_family(family.stack_members(members), domain).corner
         kept, f = skipping(cf.frame, pts, DegenerateCornerError if rows == 1 else ())
     except _POINT_ERRORS:
         if rows == 1:
             raise
-        return [entry for first, block in parts for k in range(len(block))
-                for entry in _scan_pass([(first + k, block[k : k + 1])], samples, seed, domain)]
+        return [entry for i in range(start, stop)
+                for entry in _scan_pass(params_list, i, i + 1, samples, seed, domain)]
     pts = pts[:, kept]
     folded = {"min_sigma_gap": [None] * rows, "max_d_omega": [0.0] * rows,
               "max_sigma": [0.0] * rows}
@@ -479,11 +478,11 @@ def _scan_pass(parts, samples: int, seed: int, domain: ChartDomain) -> list:
         table = np.stack(list(columns.values()), axis=1)  # (member, quantity, point)
         require(np.moveaxis(np.indices(table.shape), 0, -1), ~np.isfinite(table),
                 lambda at, v: ValueError(f"{list(columns)[int(at[1])]} of scan member "
-                                         f"{indices[int(at[0])]} is not finite: {v}"), table)
+                                         f"{start + int(at[0])} is not finite: {v}"), table)
         folded = {name: (np.min if name == "min_sigma_gap" else np.max)(c, axis=1).tolist()
                   for name, c in columns.items()}
     degenerate = int(np.count_nonzero(~kept))
-    texts = [text for _, block_texts in stacked for text in block_texts]
+    texts = [text for member in members for text in _texts(member)]
     return [
         {"tau": tau, "kappa": kappa, "mu": mu,
          **{name: values[m] for name, values in folded.items()}, "degenerate_points": degenerate}
@@ -491,11 +490,11 @@ def _scan_pass(parts, samples: int, seed: int, domain: ChartDomain) -> list:
     ]
 
 
-def _stacked(block) -> tuple:
-    """A block's members as one member, and each one's (tau, kappa, mu) text."""
-    if isinstance(block, family.RandomDraws):
-        return block.params, block.texts()
-    return family.stack_members(block), [(str(p.tau), str(p.kappa), str(p.mu)) for p in block]
+def _texts(member) -> list:
+    """The (tau, kappa, mu) text of a member, or of each row of a table."""
+    if isinstance(member, family.RandomDraws):
+        return member.texts()
+    return [(str(member.tau), str(member.kappa), str(member.mu))]
 
 
 def _scan_command(cfg: SceneConfig) -> dict:

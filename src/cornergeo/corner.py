@@ -40,7 +40,6 @@ __all__ = [
     "frame_residuals",
     "form_identities_residuals",
     "closed_omega_check",
-    "phi_derivative_residual",
 ]
 
 # |psi| at or below this counts as a degenerate corner point (frame undefined)
@@ -368,48 +367,3 @@ def closed_omega_check(
         }
     )
     return report
-
-
-@by_rows
-def phi_derivative_residual(
-    s: AcmStructure, points, rng=None, n_random: int = 2, tol: float = 1e-8
-) -> ResidualReport:
-    """Residual of the covariant-derivative characterization
-    ``(nabla_X phi) Y = eta(X) (omega(phi Y) xi + eta(Y) phi psi)``.
-
-    Optional companion to :func:`corner_residual`; kept separate so the
-    defining Eq-style residual stays canonical.
-    """
-    p = np.atleast_2d(points)
-    tracker = ResidualTracker(p)
-    G = s.g.matrix(p)
-    P = s.phi.matrix(p)
-    eta = s.eta.values(p)
-    xi = s.xi.values(p)
-    gam = s.g.christoffel(p)
-    A = s.nabla_xi(p)
-    psi = -mv(A, xi)
-    omega = mv(G, psi)
-    phi_psi = mv(P, psi)
-    # nabla phi as a (1,2)-tensor: D[..., i, k, j] = (nabla_i phi)^k_j
-    grad = s.phi.jets(p).grad
-    dphi = batch_first(grad.transpose(-1, *range(grad.ndim - 1)), 3)
-    D = (
-        dphi
-        + np.einsum("...kim,...mj->...ikj", gam, P)
-        - np.einsum("...mij,...km->...ikj", gam, P)
-    )
-    probes, kept = probe_vectors(s.g, p, rng, n_random, extra=[xi])
-    n = probes.shape[1]
-    res = np.empty((len(p), n, n))
-    for a in range(n):
-        x = probes[:, a]
-        for c in range(n):
-            y = probes[:, c]
-            lhs = np.einsum("...ikj,...i,...j->...k", D, x, y)
-            rhs = dot(eta, x)[:, None] * (
-                dot(omega, mv(P, y))[:, None] * xi + dot(eta, y)[:, None] * phi_psi
-            )
-            res[:, a, c] = gnorm(G, lhs - rhs)
-    tracker.update("nabla_phi", res, kept[:, :, None] & kept[:, None, :])
-    return tracker.report("phi_derivative", tol)

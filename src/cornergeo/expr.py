@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import itertools
 import math
 import operator
 import re
@@ -78,7 +77,7 @@ class EvalDomainError(ArithmeticError):
 
     ``subexpr`` names the offending subexpression when the evaluation came
     from a parsed expression; it is None for raw jet arithmetic.  For a
-    stacked tree (see :func:`stack_trees`), which has no source text, it is
+    stacked tree (see :func:`_row_trees`), which has no source text, it is
     the subexpression of the first row that raises alone.  It may be given
     as the node, which is rendered only when the error is read.
     """
@@ -576,8 +575,8 @@ _TEXT = {
 
 def to_str(node: Node) -> str:
     """Render a node back to source text; parse(to_str(n)) rebuilds n.  A
-    stacked coefficient column (see :func:`stack_trees`) renders as a slot
-    ``{:L}``, L the level it stands at, which :func:`row_texts` fills."""
+    coefficient column (see :func:`_row_trees`) renders as a slot ``{:L}``,
+    L the level it stands at, which :func:`row_texts` fills."""
     return _wrap(node, 0)
 
 
@@ -600,9 +599,9 @@ class _Coefficient(float):
 
 
 def row_texts(node: Node) -> list:
-    """The text of each row of a stacked tree with coefficient columns and no
-    ``Rows`` node: ``to_str`` of the trees :func:`stack_trees` took.  The
-    tree is printed once, and each row's coefficients fill its slots."""
+    """The text of each row of a tree with coefficient columns and no
+    ``Rows`` node: ``to_str`` of its rows' trees (see :func:`_row_trees`).
+    The tree is printed once, and each row's coefficients fill its slots."""
     template = to_str(node)
     rows = np.hstack(list(_columns(node))).tolist()
     return [template.format(*map(_Coefficient, row)) for row in rows]
@@ -619,56 +618,14 @@ def _columns(node: Node):
 
 
 # ---------------------------------------------------------------------------
-# stacked trees
+# stacked trees: M members on a member axis, each row one member's tree
 # ---------------------------------------------------------------------------
 
 
-def _head(node: Node, root: bool = False) -> tuple:
-    """What trees must share for :func:`stack_trees` to keep one node for
-    them: its type; its operator, function or variable; and the bits of a
-    constant read as a float, at the root or as a literal ``^`` exponent
-    (which is part of the ``^`` node's head)."""
-    kind = type(node)
-    if kind is Const:
-        return kind, float(node.value).hex() if root else None
-    if kind is Var:
-        return kind, node.index
-    if kind is Binary:
-        literal = node.op == "^" and type(node.right) is Const
-        return kind, node.op, float(node.right.value).hex() if literal else None
-    return kind, node.name if kind is Call else node.op
-
-
-def stack_trees(roots, root: bool = True) -> Node:
-    """One tree for M trees of any shapes (subtrees, if not ``root``), walked
-    in parallel.  Where their nodes agree the first one's node is kept, and a
-    coefficient that differs becomes a ``Const`` holding an ``(M, 1)`` array,
-    row m from tree m.  Where their heads differ (see :func:`_head`), the
-    trees are cut into runs of consecutive trees of one head, each run is
-    stacked, and the runs are joined by :class:`Rows`.  So on ``(M, N, 3)``
-    points row m of every jet is tree m's jet at its own N points, bit for
-    bit, and a stack raises if any of its trees raises alone.  A stacked tree
-    has no source text; it is only ever evaluated."""
-    heads = [_head(r, root) for r in roots]
-    if heads.count(heads[0]) < len(heads):
-        pairs = itertools.groupby(zip(heads, roots), operator.itemgetter(0))
-        runs = [[r for _, r in run] for _, run in pairs]
-        return Rows(tuple(stack_trees(run, root) for run in runs), tuple(map(len, runs)))
-    first = roots[0]
-    if isinstance(first, (Const, Var)):
-        # by bits (a root constant's are in its head), so that -0.0 and 0.0 stay apart
-        if root or isinstance(first, Var) or len({float(r.value).hex() for r in roots}) == 1:
-            return first
-        return Const(np.reshape([r.value for r in roots], (-1, 1)))
-    names = ("arg",) if isinstance(first, (Unary, Call)) else ("left", "right")
-    kids = {k: stack_trees([getattr(r, k) for r in roots], False) for k in names}
-    same = all(v is getattr(first, k) for k, v in kids.items())
-    return first if same else replace(first, **kids)
-
-
 def _row_trees(node: Node) -> list:
-    """The tree of each row of a stacked tree, as :func:`stack_trees` took
-    it; none for a tree that is not stacked."""
+    """The tree of each row of a stacked tree: a tree whose coefficients are
+    ``(M, 1)`` columns gives one with row m's coefficients, a :class:`Rows`
+    node its parts' rows; none for a tree that is not stacked."""
     if isinstance(node, Rows):
         parts = zip(node.parts, node.counts)
         return [t for part, n in parts for t in (_row_trees(part) or [part] * n)]
@@ -685,18 +642,20 @@ def _row_trees(node: Node) -> list:
 
 @dataclass(frozen=True)
 class Rows:
-    """Runs of trees of different heads as one tree on the member axis, as
-    :func:`stack_trees` builds it: ``parts[r]`` gives the next ``counts[r]``
-    rows.  On ``(M, N, 3)`` points each part is walked on its own rows only,
-    and on points without a member axis on all of them; the parts' jets are
-    concatenated.  So row m of every jet is the jet its own part gives it,
-    bit for bit.  Like a stacked tree it has no source text."""
+    """Trees joined on the member axis, as :func:`~cornergeo.family.stack_members`
+    joins a pass's members: ``parts[r]`` gives the next ``counts[r]`` rows.
+    On ``(M, N, 3)`` points, M the sum of the counts, each part is walked on
+    its own rows only, and on points without a member axis on all of them;
+    the parts' jets are concatenated.  So row m of every jet is the jet its
+    own part gives it, bit for bit.  It has no source text."""
 
     parts: tuple
     counts: tuple
 
 
 def _walk_rows(node: Rows, x: np.ndarray, order: int, known) -> Jet2:
+    if x.ndim > 2 and len(x) != sum(node.counts):
+        raise ValueError(f"points of {len(x)} members for a tree of {sum(node.counts)} rows")
     jets, start = [], 0
     for part, count in zip(node.parts, node.counts):
         if x.ndim > 2:  # points with a member axis

@@ -17,24 +17,19 @@ and the derived frame quantities feed every construction downstream.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .acms import AcmStructure
-from .expr import Binary, Call, Const, Jet2, ScalarExpr, Unary, _jets_at, as_expr, as_points
-from .expr import by_rows, require, row_texts, stack_trees
+from .expr import Binary, Call, Const, Jet2, Rows, ScalarExpr, Unary, _jets_at, as_expr
+from .expr import as_points, by_rows, require, row_texts
 from .fields import ChartDomain, MetricField, OneFormField, TensorField11, VectorField, last_batch
-from .report import ResidualReport
-from .corner import corner_residual
 
 __all__ = [
     "FamilyParams",
     "build_family",
-    "family_corner_criterion",
-    "FamilyCriterionReport",
     "Preset",
     "preset",
     "preset_structure",
@@ -66,7 +61,8 @@ def build_family(params: FamilyParams, domain: ChartDomain = ChartDomain()) -> A
     phi, xi, eta and g are each one jet function that walks only the seven
     non-zero entries (-(mu/kappa), kappa/mu, 1/tau, tau, tau^2, kappa^2, mu^2),
     built node by node over the generators' trees with no constant folded, so
-    that a member stacked with others (see :func:`stack_members`) has its own jets.
+    that row m of stacked members (see :func:`stack_members`) has member m's
+    own jets.
     tau, kappa and mu are walked once per sample: each keeps the jet of the last
     batch (see :func:`last_batch`), and the entries' walks read them from there.
     The tau memo checks tau > 0 and finite; xi, eta and g read it before their entries."""
@@ -128,59 +124,22 @@ def _check_generators(params: FamilyParams, points) -> None:
 
 
 def stack_members(members) -> FamilyParams:
-    """M members as one :class:`FamilyParams`, each generator the
-    :func:`~cornergeo.expr.stack_trees` of the members' trees.  Its
-    structure, built on one domain and evaluated on ``(M, N, 3)`` points,
-    gives on row m member m's jets at its own N points, bit for bit, its
-    derivatives included; a guard raises if any member fails it."""
-    tau, kappa, mu = (
-        ScalarExpr(stack_trees([e.root for e in generator]))
-        for generator in zip(*((p.tau, p.kappa, p.mu) for p in members))
-    )
-    return FamilyParams(tau, kappa, mu)
-
-
-@dataclass
-class FamilyCriterionReport:
-    """The x1-independence criterion versus the connection-level residual."""
-
-    max_kappa1: float
-    max_mu1: float
-    criterion_holds: bool
-    corner_residual_max: float
-    corner_holds: bool
-    consistent: bool
-    criterion_tol: float
-    residual_tol: float
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def family_corner_criterion(
-    params: FamilyParams,
-    points,
-    criterion_tol: float = 1e-8,
-    residual_tol: float = 1e-8,
-) -> FamilyCriterionReport:
-    """Evaluate d(kappa)/dx1 and d(mu)/dx1 and cross-check the corner residual."""
-    points = np.atleast_2d(points)
-    max_k1 = float(np.max(np.abs(params.kappa.eval_jet2(points).grad[:, 0])))
-    max_m1 = float(np.max(np.abs(params.mu.eval_jet2(points).grad[:, 0])))
-    criterion = max_k1 < criterion_tol and max_m1 < criterion_tol
-
-    rep: ResidualReport = corner_residual(build_family(params), points, tol=residual_tol)
-    corner_holds = rep.worst() < residual_tol
-    return FamilyCriterionReport(
-        max_kappa1=float(max_k1),
-        max_mu1=float(max_m1),
-        criterion_holds=criterion,
-        corner_residual_max=float(rep.worst()),
-        corner_holds=corner_holds,
-        consistent=criterion == corner_holds,
-        criterion_tol=criterion_tol,
-        residual_tol=residual_tol,
-    )
+    """Members and tables of draws (:class:`RandomDraws`) as one
+    :class:`FamilyParams` of M rows: each generator one
+    :class:`~cornergeo.expr.Rows` node whose parts are a member's own tree,
+    one row, and a table's :attr:`~RandomDraws.params`, a row per draw.  A
+    lone part is not joined.  Its structure, built on one domain and
+    evaluated on ``(M, N, 3)`` points, gives on row m member m's jets at its
+    own N points, bit for bit, its derivatives included; a guard raises if
+    any member fails it."""
+    parts = [(m.params, len(m)) if isinstance(m, RandomDraws) else (m, 1) for m in members]
+    if len(parts) == 1:
+        return parts[0][0]
+    counts = tuple(n for _, n in parts)
+    return FamilyParams(*(
+        ScalarExpr(Rows(tuple(e.root for e in generator), counts))
+        for generator in zip(*((p.tau, p.kappa, p.mu) for p, _ in parts))
+    ))
 
 
 @dataclass(frozen=True)
@@ -312,9 +271,9 @@ class RandomDraws:
 
     @functools.cached_property
     def params(self) -> FamilyParams:
-        """The rows as one member: the tree :func:`stack_members` builds from
-        the rows' own trees, with each coefficient an ``(N, 1)`` column of the
-        table.  On ``(N, n, 3)`` points row m of its jets is draw m's."""
+        """The rows as one member: a draw's trees with each coefficient an
+        ``(N, 1)`` column of the table, the only trees with coefficient
+        columns.  On ``(N, n, 3)`` points row m of its jets is draw m's."""
         return _random_params(list(self.table.T[..., None]))
 
     def texts(self) -> list:

@@ -32,7 +32,6 @@ from cornergeo.corner import (
     corner_residual_forms,
     form_identities_residuals,
     frame_residuals,
-    phi_derivative_residual,
 )
 from cornergeo import expr
 from cornergeo.expr import Binary, Const, EvalDomainError, Jet2, ScalarExpr, Unary, as_expr
@@ -374,7 +373,6 @@ SUITES = {
     "trans_sasakian": lambda s, pts, rng: trans_sasakian_residual(
         s, 0.5 * np.atleast_2d(pts)[:, 0], 0.25, pts, rng
     ),
-    "phi_derivative": lambda s, pts, rng: phi_derivative_residual(s, pts, rng),
 }
 
 

@@ -15,7 +15,6 @@ from cornergeo.corner import (
     corner_residual_forms,
     form_identities_residuals,
     frame_residuals,
-    phi_derivative_residual,
 )
 from cornergeo.family import FamilyParams, build_family, random_family
 from cornergeo.fields import ChartDomain
@@ -176,15 +175,6 @@ def test_form_identities(structures, points, sigma_structure):
     assert rep.passed
     names = {r.name for r in rep.residuals}
     assert {"phi_as_two_theta2_theta1", "d_theta1", "d_theta2", "d_theta2_via_d_eta"} <= names
-
-
-def test_phi_derivative_residual(structures, points, rng):
-    for name in CORNER_PRESETS:
-        rep = phi_derivative_residual(structures[name], points, rng)
-        assert rep.passed
-        assert rep.worst() < 1e-12
-    rep = phi_derivative_residual(structures["C"], points, rng)
-    assert rep.max_abs("nabla_phi") > 1e-2
 
 
 def test_closed_omega_presets(structures, points):

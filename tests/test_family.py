@@ -5,12 +5,11 @@ import pytest
 
 from oracles import fd_grad, fd_hess
 
-from cornergeo.corner import CornerFields
+from cornergeo.corner import CornerFields, corner_residual
 from cornergeo.family import (
     PRESET_NAMES,
     FamilyParams,
     build_family,
-    family_corner_criterion,
     preset,
     preset_structure,
     RandomDraws,
@@ -91,33 +90,44 @@ def test_sigma_closed_form(points):
     assert abs(cf.frame(points[0]).sigma) > 1e-3  # genuinely nonzero member
 
 
+def max_x1_derivative(params: FamilyParams, points) -> float:
+    """The largest |d kappa/dx1| or |d mu/dx1| at ``points``: the corner
+    criterion of the family is that both are 0."""
+    return max(float(np.max(np.abs(e.eval_jet2(points).grad[:, 0])))
+               for e in (params.kappa, params.mu))
+
+
+def corner_worst(params: FamilyParams, points) -> float:
+    """The worst residual of the corner condition nabla_X xi = -eta(X) psi."""
+    return corner_residual(build_family(params), points, tol=1e-8).worst()
+
+
 def test_criterion_consistent_on_presets(points, rng):
     for name in ("A", "B", "D"):
-        rep = family_corner_criterion(preset(name).params, points)
-        assert rep.criterion_holds and rep.corner_holds and rep.consistent
-        assert rep.max_kappa1 < 1e-12 and rep.max_mu1 < 1e-12
+        assert max_x1_derivative(preset(name).params, points) < 1e-12
+        assert corner_worst(preset(name).params, points) < 1e-8
 
 
 def test_criterion_violated_on_preset_c(points):
-    rep = family_corner_criterion(preset("C").params, points)
-    assert not rep.criterion_holds
-    assert not rep.corner_holds
-    assert rep.consistent  # both routes agree the structure is not corner
+    params = preset("C").params
     # kappa = e^{x1}: d1 kappa = kappa, maximized at the largest sampled x1
-    assert rep.max_kappa1 == pytest.approx(
+    assert max_x1_derivative(params, points) == pytest.approx(
         max(np.exp(p[0]) for p in points), rel=1e-12
     )
-    assert rep.corner_residual_max > 1e-3
+    assert corner_worst(params, points) > 1e-3
 
 
 def test_criterion_on_random_draws(rng, points):
+    """Both routes agree: the x1-free draws are corner structures, and the
+    draws with x1 terms in kappa and mu are not."""
     for _ in range(4):
-        rep = family_corner_criterion(random_family(rng), points[:8])
-        assert rep.criterion_holds and rep.corner_holds
+        params = random_family(rng)
+        assert max_x1_derivative(params, points[:8]) < 1e-8
+        assert corner_worst(params, points[:8]) < 1e-8
     for _ in range(4):
-        rep = family_corner_criterion(random_family(rng, corner=False), points[:8])
-        assert not rep.criterion_holds
-        assert rep.consistent, rep.to_dict()
+        params = random_family(rng, corner=False)
+        assert max_x1_derivative(params, points[:8]) >= 1e-8
+        assert corner_worst(params, points[:8]) >= 1e-8
 
 
 def test_preset_lookup():

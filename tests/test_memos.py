@@ -207,9 +207,9 @@ PINNED_FIELDS = {"check-D": 4, "twin-A": 10, "deform-D": 7, "scan": 4}
 
 
 # expression nodes per report: a structure's seven entries and their
-# constants, and for scan the stacked trees of the presets and of the table
-# of draws, with one Rows node per generator to join them
-PINNED_NODES = {"check-D": 11, "twin-A": 11, "deform-D": 13, "scan": 47}
+# constants, and for scan the trees of the table of draws, with one Rows node
+# per generator to join them to the presets' own trees
+PINNED_NODES = {"check-D": 11, "twin-A": 11, "deform-D": 13, "scan": 43}
 
 
 @pytest.mark.parametrize("report", PINNED_MEMOS)

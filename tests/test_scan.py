@@ -11,7 +11,8 @@ from test_family import terms
 from cornergeo import family
 from cornergeo.cli import STACKED_POINTS, main, scan_sigma
 from cornergeo.corner import CornerFields, DegenerateCornerError
-from cornergeo.expr import EvalDomainError, Rows, ScalarExpr, as_expr, skipping, stack_trees
+from cornergeo.expr import Binary, Call, Const, EvalDomainError, Rows, ScalarExpr, Var, as_expr
+from cornergeo.expr import skipping
 from cornergeo.family import FamilyParams, build_family, random_family, stack_members
 from cornergeo.fields import ChartDomain, max_abs
 from cornergeo.tensor import d_oneform_matrix
@@ -93,9 +94,9 @@ def nodes(node):
 
 
 def test_the_random_draws_stack_into_one_tree():
-    """60 draws differ only in coefficients: each generator stacks into one
-    tree with no ``Rows`` node, whose coefficients are (60, 1) arrays."""
-    params = stack_members(presets_and_draws(3)[len(family.PRESET_NAMES) :])
+    """60 draws differ only in coefficients: each generator of their table is
+    one tree with no ``Rows`` node, whose coefficients are (60, 1) arrays."""
+    params = family.RandomDraws.draw(np.random.default_rng([3, 10_000]), 60).params
     for e in (params.tau, params.kappa, params.mu):
         tree = list(nodes(e.root))
         assert not any(isinstance(n, Rows) for n in tree)
@@ -256,14 +257,14 @@ def test_a_mixed_pass_gives_each_member_its_own_frame():
     """Row m of a mixed pass's phi, xi, eta and g, Christoffel symbols, psi,
     omega and frame scalars is member m's own, bit for bit, derivatives and
     the signs of their zeros included: presets of four shapes (B's kappa and
-    mu are constants), draws, and a member with negative constants."""
-    rng = np.random.default_rng([3, 10_000])
-    members = [family.preset(name).params for name in family.PRESET_NAMES]
-    members += [random_family(rng) for _ in range(5)]
-    members.append(FamilyParams.of("exp(x2 + x1*x3)", "-2", "-1"))
+    mu are constants), a table of draws, and a member with negative constants."""
+    draws = family.RandomDraws.draw(np.random.default_rng([3, 10_000]), 5)
+    presets = [family.preset(name).params for name in family.PRESET_NAMES]
+    negative = FamilyParams.of("exp(x2 + x1*x3)", "-2", "-1")
+    members = presets + [draws[m] for m in range(len(draws))] + [negative]
     pts = np.stack([ChartDomain().sample(7, i) for i in range(len(members))])
-    params = stack_members(members)
-    assert any(isinstance(n, Rows) for n in nodes(params.tau.root))
+    params = stack_members(presets + [draws, negative])
+    assert isinstance(params.tau.root, Rows) and params.tau.root.counts == (1, 1, 1, 1, 5, 1)
     stacked = build_family(params)
 
     def read(s, p) -> list:
@@ -306,21 +307,31 @@ def test_a_rows_tree_walks_each_part_on_its_own_rows():
         assert bits(flat[m]) == bits(want)
 
 
+def ln_of_x1_minus(column) -> Call:
+    """``ln(x1 - c)`` with a coefficient column: row m is ``ln(x1 - c_m)``."""
+    return Call("ln", Binary("-", Var(0), Const(np.reshape(column, (-1, 1)))))
+
+
 @pytest.mark.parametrize("points", [np.full((3, 2, 3), 1.0), np.full((2, 3), 1.0)])
 @pytest.mark.parametrize(
     "second, named",
     [
-        ("ln(x1 - 2)", "ln of a non-positive value in 'ln(x1 - 2)'"),  # one stacked tree
-        ("sqrt(x1 - 2)", "sqrt of a non-positive value in 'sqrt(x1 - 2)'"),  # a Rows tree
-        ("ln(x1^2 - 2)", "ln of a non-positive value in 'ln(x1^2 - 2)'"),  # Rows below ln
+        # also one tree with a coefficient column
+        ("ln(x1 - 2)", "ln of a non-positive value in 'ln(x1 - 2)'"),
+        ("sqrt(x1 - 2)", "sqrt of a non-positive value in 'sqrt(x1 - 2)'"),
+        ("ln(x1^2 - 2)", "ln of a non-positive value in 'ln(x1^2 - 2)'"),
     ],
 )
 def test_a_stacked_tree_names_the_first_failing_rows_own_subtree(points, second, named):
     # at x1 = 1 the first tree is defined and the other two are not
     trees = [as_expr(src).root for src in ("ln(x1 - 0.5)", second, "ln(x1 - 3)")]
-    with pytest.raises(EvalDomainError) as err:
-        ScalarExpr(stack_trees(trees)).eval_jet2(points)
-    assert str(err.value) == named
+    stacks = [Rows(tuple(trees), (1, 1, 1))]
+    if second == "ln(x1 - 2)":
+        stacks.append(ln_of_x1_minus([0.5, 2.0, 3.0]))
+    for stack in stacks:
+        with pytest.raises(EvalDomainError) as err:
+            ScalarExpr(stack).eval_jet2(points)
+        assert str(err.value) == named
 
 
 def test_a_stacked_tree_walks_each_rows_own_tree_on_that_rows_points():
@@ -329,9 +340,23 @@ def test_a_stacked_tree_walks_each_rows_own_tree_on_that_rows_points():
     trees = [as_expr(src).root for src in ("ln(x1 - 0.5)", "ln(x1 - 2)", "ln(x1 - 5)")]
     points = np.full((3, 2, 3), 3.0)
     points[0] = 1.0
-    with pytest.raises(EvalDomainError) as err:
-        ScalarExpr(stack_trees(trees)).eval_jet2(points)
-    assert str(err.value) == "ln of a non-positive value in 'ln(x1 - 5)'"
+    for stack in (Rows(tuple(trees), (1, 1, 1)), ln_of_x1_minus([0.5, 2.0, 5.0])):
+        with pytest.raises(EvalDomainError) as err:
+            ScalarExpr(stack).eval_jet2(points)
+        assert str(err.value) == "ln of a non-positive value in 'ln(x1 - 5)'"
+
+
+@pytest.mark.parametrize("members", [2, 6])
+def test_points_of_another_number_of_members_are_refused(members):
+    """A ``Rows`` tree on points whose member axis is not its number of rows
+    raises, naming both numbers, for a generator and for the frame."""
+    params = stack_members([family.preset(name).params for name in "ABCD"])
+    points = np.full((members, 5, 3), 0.5)
+    message = f"points of {members} members for a tree of 4 rows"
+    with pytest.raises(ValueError, match=message):
+        params.kappa.eval_jet2(points)
+    with pytest.raises(ValueError, match=message):
+        build_family(params).corner.frame(points)
 
 
 def test_a_partly_degenerate_member_inside_a_mixed_pass():
