@@ -23,7 +23,6 @@ from .corner import (
     DegenerateCornerError,
     closed_omega_check,
     connection_table_residuals,
-    corner_frame,
     corner_residual,
     corner_residual_forms,
     form_identities_residuals,
@@ -83,7 +82,6 @@ __all__ = [
     "classify",
     "closed_omega_check",
     "connection_table_residuals",
-    "corner_frame",
     "corner_residual",
     "corner_residual_forms",
     "corollary_gate",

@@ -137,10 +137,13 @@ class SceneConfig:
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {name!r}")
+            # the forms, frame and deformation checks take it times and over 10
             if isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and 0.0 < value <= sys.float_info.max
+                isinstance(value, (int, float)) and value <= sys.float_info.max
+                and 0.0 < value / 10.0 and value * 10.0 <= sys.float_info.max
             ):
-                raise ConfigError(f"tolerance {name!r} must be finite and positive, got {value!r}")
+                raise ConfigError(f"tolerance {name!r} must stay finite and positive when "
+                                  f"multiplied or divided by 10, got {value!r}")
         unknown = [s for s in self.suites if s not in ALL_SUITES]
         if unknown or not self.suites:
             what = f"unknown suites {unknown}" if unknown else "no suite given"
@@ -445,11 +448,11 @@ def _scan_pass(params_list, start: int, stop: int, samples: int, seed: int,
     structure, built, framed and differentiated on the members' points
     stacked as ``(M, N, 3)``; each member's maxima and minimum are taken over
     its own row, and its text comes from its member or table.  Every guard
-    raises if any member fails it, so a pass in which something raises is
-    replayed one member at a time, in member order, and the first failing
-    member raises its own error.  A lone member runs on its own tree (a
-    draw's as :func:`family.random_family` builds it) and leaves out its
-    degenerate points.  The first member, in member order, with a quantity
+    raises if any member fails it, and a stacked tree names no failing
+    subexpression, so a failing pass is replayed one member at a time, in
+    member order: the first failing member raises its own error, named on its
+    own tree (a draw's as :func:`family.random_family` builds it).  A lone
+    member leaves out its degenerate points.  The first member, in member order, with a quantity
     that is not finite at one of its points raises a ``ValueError`` naming
     its index in the sweep and the quantity."""
     members = _rows(params_list, start, stop)

@@ -33,7 +33,6 @@ __all__ = [
     "DegenerateCornerError",
     "CornerFrame",
     "CornerFields",
-    "corner_frame",
     "corner_residual",
     "corner_residual_forms",
     "connection_table_residuals",
@@ -157,11 +156,6 @@ class CornerFields:
             phi_v_rho=phi_v_rho,
         )
         return b
-
-
-def corner_frame(s: AcmStructure, p) -> CornerFrame:
-    """The fundamental frame at one point or a sample (degenerate points raise)."""
-    return s.corner.frame(p)
 
 
 @by_rows

@@ -33,7 +33,7 @@ import math
 import operator
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -75,25 +75,19 @@ class ParseError(ValueError):
 class EvalDomainError(ArithmeticError):
     """An evaluation left the domain of a primitive (ln, sqrt, /, ^).
 
-    ``subexpr`` names the offending subexpression when the evaluation came
-    from a parsed expression; it is None for raw jet arithmetic.  For a
-    stacked tree (see :func:`_row_trees`), which has no source text, it is
-    the subexpression of the first row that raises alone.  It may be given
-    as the node, which is rendered only when the error is read.
+    ``subexpr`` is the source text of the offending subexpression when the
+    evaluation came from a parsed expression.  It is None for raw jet
+    arithmetic, and for a node that holds a coefficient column or a
+    :class:`Rows` node, which has no source text (see :func:`_has_text`).
     """
 
-    def __init__(self, message: str, subexpr=None):
+    def __init__(self, message: str, subexpr: str | None = None):
         super().__init__(message)
         self.message = message
-        self._subexpr = subexpr
-
-    @property
-    def subexpr(self) -> str | None:
-        s = self._subexpr
-        return s if s is None or isinstance(s, str) else to_str(s)
+        self.subexpr = subexpr
 
     def __str__(self) -> str:
-        return self.message if self._subexpr is None else f"{self.message} in '{self.subexpr}'"
+        return self.message if self.subexpr is None else f"{self.message} in '{self.subexpr}'"
 
 
 class AbsAtZeroWarning(RuntimeWarning):
@@ -575,8 +569,8 @@ _TEXT = {
 
 def to_str(node: Node) -> str:
     """Render a node back to source text; parse(to_str(n)) rebuilds n.  A
-    coefficient column (see :func:`_row_trees`) renders as a slot ``{:L}``,
-    L the level it stands at, which :func:`row_texts` fills."""
+    coefficient column (an ``(M, 1)`` constant) renders as a slot ``{:L}``, L
+    the level it stands at, which :func:`row_texts` fills; ``Rows`` has none."""
     return _wrap(node, 0)
 
 
@@ -600,44 +594,38 @@ class _Coefficient(float):
 
 def row_texts(node: Node) -> list:
     """The text of each row of a tree with coefficient columns and no
-    ``Rows`` node: ``to_str`` of its rows' trees (see :func:`_row_trees`).
-    The tree is printed once, and each row's coefficients fill its slots."""
+    ``Rows`` node: ``to_str`` of the tree with that row's coefficients.  The
+    tree is printed once, and each row's coefficients fill its slots."""
     template = to_str(node)
     rows = np.hstack(list(_columns(node))).tolist()
     return [template.format(*map(_Coefficient, row)) for row in rows]
 
 
+def _kids(node) -> tuple:
+    """The operands of a node, in the order the printer and a walk take them."""
+    if isinstance(node, (Unary, Call)):
+        return (node.arg,)
+    return (node.left, node.right) if isinstance(node, Binary) else ()
+
+
 def _columns(node: Node):
     """The coefficient columns of a stacked tree, in the order ``to_str`` prints them."""
-    if isinstance(node, Const):
-        if np.ndim(node.value):
-            yield node.value
-    elif not isinstance(node, Var):
-        for kid in (node.arg,) if isinstance(node, (Unary, Call)) else (node.left, node.right):
-            yield from _columns(kid)
+    if isinstance(node, Const) and np.ndim(node.value):
+        yield node.value
+    for kid in _kids(node):
+        yield from _columns(kid)
+
+
+def _has_text(node) -> bool:
+    """Whether ``to_str`` prints the tree: it has no coefficient column and no ``Rows``."""
+    if isinstance(node, Rows) or isinstance(node, Const) and np.ndim(node.value):
+        return False
+    return all(map(_has_text, _kids(node)))
 
 
 # ---------------------------------------------------------------------------
 # stacked trees: M members on a member axis, each row one member's tree
 # ---------------------------------------------------------------------------
-
-
-def _row_trees(node: Node) -> list:
-    """The tree of each row of a stacked tree: a tree whose coefficients are
-    ``(M, 1)`` columns gives one with row m's coefficients, a :class:`Rows`
-    node its parts' rows; none for a tree that is not stacked."""
-    if isinstance(node, Rows):
-        parts = zip(node.parts, node.counts)
-        return [t for part, n in parts for t in (_row_trees(part) or [part] * n)]
-    if isinstance(node, Var):
-        return []
-    if isinstance(node, Const):
-        return [Const(float(v)) for v in np.ravel(node.value)] if np.ndim(node.value) else []
-    names = ("arg",) if isinstance(node, (Unary, Call)) else ("left", "right")
-    kids = {k: _row_trees(getattr(node, k)) for k in names}
-    rows = max(map(len, kids.values()))
-    return [replace(node, **{k: t[m] if t else getattr(node, k) for k, t in kids.items()})
-            for m in range(rows)]
 
 
 @dataclass(frozen=True)
@@ -647,7 +635,9 @@ class Rows:
     On ``(M, N, 3)`` points, M the sum of the counts, each part is walked on
     its own rows only, and on points without a member axis on all of them;
     the parts' jets are concatenated.  So row m of every jet is the jet its
-    own part gives it, bit for bit.  It has no source text."""
+    own part gives it, bit for bit.  It has no source text, so a domain
+    error raised at or above it names no subexpression; a part that is a
+    member's own tree names its own."""
 
     parts: tuple
     counts: tuple
@@ -703,21 +693,9 @@ def _walk(node: Node, x: np.ndarray, order: int, known=None) -> Jet2:
         b = _walk(node.right, x, 2 if node.op == "^" else order, known)
         return _OPS[node.op].jet(a, b)
     except EvalDomainError as err:
-        if err._subexpr is None:
-            raise _own_error(err, node, x, order) from None
+        if err.subexpr is None and _has_text(node):
+            raise EvalDomainError(err.message, to_str(node)) from None
         raise
-
-
-def _own_error(err: EvalDomainError, node: Node, x: np.ndarray, order: int) -> EvalDomainError:
-    """``err``, raised by ``node`` itself on the points ``x``, naming ``node``;
-    or, for a stacked ``node``, the error of the first row whose own tree
-    raises alone on its own points, naming that tree."""
-    for m, tree in enumerate(_row_trees(node)):
-        try:
-            _walk(tree, x[m] if x.ndim > 2 else x, order)
-        except EvalDomainError as own:
-            return own
-    return EvalDomainError(err.message, node)
 
 
 def _jets_at(root: Node, point, order: int, known=None) -> Jet2:
@@ -776,8 +754,7 @@ def _tokenize(src: str) -> list[tuple]:
 def _fold(node: Node) -> Node:
     """A node whose operands are all constants as its value, unless it leaves
     a domain or its value is NaN, which has no literal to print."""
-    operands = (node.arg,) if isinstance(node, (Unary, Call)) else (node.left, node.right)
-    if not all(isinstance(o, Const) for o in operands):
+    if not all(isinstance(o, Const) for o in _kids(node)):
         return node
     try:
         with warnings.catch_warnings():

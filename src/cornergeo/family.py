@@ -131,7 +131,7 @@ def stack_members(members) -> FamilyParams:
     lone part is not joined.  Its structure, built on one domain and
     evaluated on ``(M, N, 3)`` points, gives on row m member m's jets at its
     own N points, bit for bit, its derivatives included; a guard raises if
-    any member fails it."""
+    any member fails it, naming no subexpression above the join or at a column."""
     parts = [(m.params, len(m)) if isinstance(m, RandomDraws) else (m, 1) for m in members]
     if len(parts) == 1:
         return parts[0][0]

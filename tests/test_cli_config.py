@@ -44,6 +44,17 @@ def test_boolean_tolerance(tmp_path, capsys):
     assert "kernel" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("kernel", [1e308, 5e-324])
+def test_a_tolerance_the_suites_scale_out_of_range_names_itself(tmp_path, capsys, kernel):
+    """The suites take the kernel tolerance times and over 10: 1e308 would
+    become infinity in the report, 5e-324 a frame tolerance of 0."""
+    code, payload = run_config(tmp_path, capsys, "check",
+                               {"preset": "family:B", "samples": 5, "tolerances": {"kernel": kernel}})
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"]["type"] == "ConfigError"
+    assert payload["error"]["message"].startswith("tolerance 'kernel' ")
+
+
 def test_scan_family_without_kappa(tmp_path, capsys):
     code, payload = run_config(
         tmp_path, capsys, "scan", {"family": {"tau": "exp(x2)", "mu": "1"}, "samples": 5}

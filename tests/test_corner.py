@@ -10,7 +10,6 @@ from cornergeo.corner import (
     DegenerateCornerError,
     closed_omega_check,
     connection_table_residuals,
-    corner_frame,
     corner_residual,
     corner_residual_forms,
     form_identities_residuals,
@@ -51,7 +50,7 @@ def test_degenerate_frame_raises():
 
 
 def test_frame_frozen_preset_b(structures):
-    f = corner_frame(structures["B"], np.zeros(3))
+    f = structures["B"].corner.frame(np.zeros(3))
     assert f.e_rho == pytest.approx(1.0)
     assert f.rho == pytest.approx(0.0)
     np.testing.assert_allclose(f.v, [0.0, 1.0, 0.0], atol=1e-14)
@@ -66,7 +65,7 @@ def test_frame_frozen_preset_b(structures):
 def test_frame_frozen_preset_a(structures):
     # tau = mu = e^{x2}, kappa = 1: unit psi everywhere, div V = 2
     p = np.array([0.0, np.log(2.0), 0.0])
-    f = corner_frame(structures["A"], p)
+    f = structures["A"].corner.frame(p)
     assert f.e_rho == pytest.approx(1.0)
     assert f.div_v == pytest.approx(2.0)
     assert f.theta2 @ np.array([0.0, 0.0, 1.0]) == pytest.approx(2.0)

@@ -182,11 +182,12 @@ def post_order(node):
     yield node
 
 
-def first_to_fail(groups, pts) -> int | None:
-    """The row whose error the :func:`joined` groups raise on the
-    ``(M, N, 3)`` points: at the first sample index where any row fails, the
-    first group with a failing row, and in it the row whose failing node the
-    walk reaches first, of equals the first."""
+def first_to_fail(groups, pts) -> tuple | None:
+    """The group whose row raises the error of the :func:`joined` groups on
+    the ``(M, N, 3)`` points, the walk position of the failing node, and the
+    error that row's tree raises alone: at the first sample index where any
+    row fails, the first group with a failing row, and in it the row whose
+    failing node the walk reaches first, of equals the first."""
     for n in range(pts.shape[1]):
         start = 0
         for group in groups:
@@ -197,12 +198,17 @@ def first_to_fail(groups, pts) -> int | None:
                         warnings.simplefilter("ignore")
                         ScalarExpr(tree).eval_jet2(pts[m, n])
                 except EvalDomainError as err:
-                    walk = [id(node) for node in post_order(tree)]
-                    failing.append((walk.index(id(err._subexpr)), m))
+                    walk = [to_str(node) for node in post_order(tree)]
+                    failing.append((walk.index(err.subexpr), m, err))
             if failing:
-                return min(failing)[1]
+                k, _, err = min(failing, key=lambda f: f[:2])
+                return group, k, err
             start += len(group)
     return None
+
+
+def has_column(node) -> bool:
+    return any(isinstance(n, Const) and np.ndim(n.value) for n in post_order(node))
 
 
 @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
@@ -210,16 +216,23 @@ def first_to_fail(groups, pts) -> int | None:
 def test_a_stacked_tree_is_each_tree_alone_bit_for_bit(groups, n, rnd):
     """Row m of the joined groups' jet on (M, N, 3) points is tree m's own
     jet at its N points; if any tree raises alone, the stack raises the
-    error, with the text, that the tree :func:`first_to_fail` names raises
-    alone."""
+    message that the tree :func:`first_to_fail` names raises alone, naming
+    the failing node as that tree does unless the node holds a coefficient
+    column, and then naming none."""
     trees = [tree for group in groups for tree in group]
     pts = np.array([rnd.uniform(0.1, 1.0) for _ in range(len(trees) * n * 3)])
     pts = pts.reshape(len(trees), n, 3)
     alone = [outcome(lambda: ScalarExpr(t).eval_jet2(p)) for t, p in zip(trees, pts)]
-    got = outcome(lambda: ScalarExpr(joined(groups)).eval_jet2(pts))
     if any(isinstance(j, tuple) for j in alone):
-        assert got == alone[first_to_fail(groups, pts)], [to_str(t) for t in trees]
+        group, k, own = first_to_fail(groups, pts)
+        column = has_column(list(post_order(columns(group)))[k])
+        with pytest.raises(EvalDomainError) as err, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ScalarExpr(joined(groups)).eval_jet2(pts)
+        got = (err.value.message, err.value.subexpr)
+        assert got == (own.message, None if column else own.subexpr), [to_str(t) for t in trees]
         return
+    got = outcome(lambda: ScalarExpr(joined(groups)).eval_jet2(pts))
     for m, want in enumerate(alone):
         assert jet_bits(got[m]) == jet_bits(want), (m, [to_str(t) for t in trees])
 
@@ -232,7 +245,7 @@ def test_row_texts_print_each_tree_of_a_stack(first, coefficients):
     around a negative coefficient and integer-valued ones included."""
     trees = [first] + [shifted(first, c, 0.0) for c in coefficients]
     stack = columns(trees)
-    hypothesis.assume(any(isinstance(n, Const) and np.ndim(n.value) for n in post_order(stack)))
+    hypothesis.assume(has_column(stack))
     assert row_texts(stack) == [to_str(t) for t in trees]
 
 

@@ -12,7 +12,6 @@ SOURCE = pathlib.Path(cornergeo.__file__).parent
 
 # the names no package code uses, each with the reason it stays
 KEPT = {
-    "corner_frame": "the README tour",
     "preset_structure": "the README tour",
     "christoffel": "tests/test_acceptance.py imports it",
     "volume_form": "tests/test_acceptance.py imports it",
@@ -54,3 +53,29 @@ def unused() -> list:
 def test_every_function_and_class_is_used_or_kept():
     names = unused()
     assert sorted(name.split(".")[1] for name in names) == sorted(KEPT), names
+
+
+def unused_imports() -> list:
+    """The names that a module of the package imports, at any depth, and
+    neither names in its code nor lists in its ``__all__``, as ``module.name``."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        found += [f"{path.stem}.{name}" for name in sorted(imported - used)]
+    return found
+
+
+def test_every_imported_name_is_used_or_exported():
+    assert unused_imports() == []

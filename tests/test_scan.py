@@ -325,13 +325,14 @@ def ln_of_x1_minus(column) -> Call:
 def test_a_stacked_tree_names_the_first_failing_rows_own_subtree(points, second, named):
     # at x1 = 1 the first tree is defined and the other two are not
     trees = [as_expr(src).root for src in ("ln(x1 - 0.5)", second, "ln(x1 - 3)")]
-    stacks = [Rows(tuple(trees), (1, 1, 1))]
+    with pytest.raises(EvalDomainError) as err:
+        ScalarExpr(Rows(tuple(trees), (1, 1, 1))).eval_jet2(points)
+    assert str(err.value) == named
     if second == "ln(x1 - 2)":
-        stacks.append(ln_of_x1_minus([0.5, 2.0, 3.0]))
-    for stack in stacks:
+        # a node that holds a coefficient column has no text to name
         with pytest.raises(EvalDomainError) as err:
-            ScalarExpr(stack).eval_jet2(points)
-        assert str(err.value) == named
+            ScalarExpr(ln_of_x1_minus([0.5, 2.0, 3.0])).eval_jet2(points)
+        assert str(err.value) == "ln of a non-positive value" and err.value.subexpr is None
 
 
 def test_a_stacked_tree_walks_each_rows_own_tree_on_that_rows_points():
@@ -340,10 +341,17 @@ def test_a_stacked_tree_walks_each_rows_own_tree_on_that_rows_points():
     trees = [as_expr(src).root for src in ("ln(x1 - 0.5)", "ln(x1 - 2)", "ln(x1 - 5)")]
     points = np.full((3, 2, 3), 3.0)
     points[0] = 1.0
-    for stack in (Rows(tuple(trees), (1, 1, 1)), ln_of_x1_minus([0.5, 2.0, 5.0])):
-        with pytest.raises(EvalDomainError) as err:
-            ScalarExpr(stack).eval_jet2(points)
-        assert str(err.value) == "ln of a non-positive value in 'ln(x1 - 5)'"
+    with pytest.raises(EvalDomainError) as err:
+        ScalarExpr(Rows(tuple(trees), (1, 1, 1))).eval_jet2(points)
+    assert str(err.value) == "ln of a non-positive value in 'ln(x1 - 5)'"
+    # the same rows as one tree with a coefficient column: the error names nothing
+    with pytest.raises(EvalDomainError) as err:
+        ScalarExpr(ln_of_x1_minus([0.5, 2.0, 5.0])).eval_jet2(points)
+    assert str(err.value) == "ln of a non-positive value" and err.value.subexpr is None
+    # and with the third coefficient defined on its row, each row is its own tree's
+    got = ScalarExpr(ln_of_x1_minus([0.5, 2.0, 2.5])).value(points)
+    for m, src in enumerate(("ln(x1 - 0.5)", "ln(x1 - 2)", "ln(x1 - 2.5)")):
+        assert bits(got[m]) == bits(as_expr(src).value(points[m]))
 
 
 @pytest.mark.parametrize("members", [2, 6])

@@ -5,8 +5,12 @@ sympy derives the Christoffel symbols, psi (the closed form of the
 ``family`` docstring), e^rho, div V, sigma = g(nabla_xi V, phi V), d omega
 and the Olszak functions (alpha, beta) of both twins from the generators'
 source text alone.  The jet pipeline must agree with them to about machine
-precision, far tighter than the finite-difference oracles.
+precision, far tighter than the finite-difference oracles.  So must the
+Olszak functions of the paper's deformation on the two members whose gate
+sigma = e^rho is open: alpha~ = (div V - e^rho) / (2f), beta~ = xi(ln f) / 2.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -24,18 +28,28 @@ NAMES = {"x1": X[0], "x2": X[1], "x3": X[2], "ln": sp.log, "exp": sp.exp, "sqrt"
 RTOL = 1e-12
 
 # the presets' generators (sigma = 0 on all four, and C is not a corner
-# structure), one member with sigma != 0 and two random corner members
+# structure), one member with sigma != 0, two random corner members, and the
+# two members with sigma = e^rho of tests/test_construct.py's GATE_OPEN
 MEMBERS = {
     **{name: family.preset(name).params for name in "ABCD"},
     "sigma": family.FamilyParams.of("exp(x1*x2 + x3)", "1 + x2^2", "1 + x3"),
     **{f"random-{seed}": family.random_family(np.random.default_rng(seed)) for seed in (0, 1)},
+    "rotation": family.FamilyParams.of("x2*cos(x1) + x3*sin(x1)", "1", "1"),
+    "sasakian": family.FamilyParams.of("0.3*x2 - 1.5*sqrt(1 - (0.3*x1 + 0.2*x3)^2) + 2",
+                                       "1", "1"),
 }
+# deformation factors on the gate-open members: f = 1, a constant, one that
+# varies along xi, and the rotation member's Kenmotsu factor
+DEFORMATIONS = [(name, f) for name in ("rotation", "sasakian") for f in ("1", "0.1", "exp(x1)")]
+DEFORMATIONS.append(("rotation", "exp(2*(x2*sin(x1) - x3*cos(x1)))"))
+PTS = np.random.default_rng(2024).uniform(0.1, 1.0, (40, 3))
 
 
 def symbolic(text: str):
     return parse_expr(text.replace("^", "**"), local_dict=NAMES)
 
 
+@functools.lru_cache
 def oracle(tau, kappa, mu) -> dict:
     """Closed forms of the frame quantities of one family member."""
     g = sp.diag(tau**2, kappa**2, mu**2)
@@ -104,12 +118,24 @@ def evaluate(expr, pts) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), len(pts))
 
 
+def generators(name) -> tuple:
+    """The member's tau, kappa and mu as sympy expressions."""
+    params = MEMBERS[name]
+    return tuple(symbolic(str(e)) for e in (params.tau, params.kappa, params.mu))
+
+
+def assert_matches(key, value, exact, pts):
+    want = evaluate(exact, pts)
+    assert value.shape == want.shape, key
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(value - want)) <= RTOL * scale, (key, np.max(np.abs(value - want)))
+
+
 @pytest.mark.parametrize("name", sorted(MEMBERS))
 def test_frame_quantities_match_the_symbolic_oracle(name):
-    params = MEMBERS[name]
-    exact = oracle(*(symbolic(str(e)) for e in (params.tau, params.kappa, params.mu)))
-    pts = np.random.default_rng(2024).uniform(0.1, 1.0, (40, 3))
-    s = family.build_family(params)
+    exact = oracle(*generators(name))
+    pts = PTS
+    s = family.build_family(MEMBERS[name])
     f = s.corner.frame(pts)
     computed = {
         "christoffel": s.g.christoffel(pts),
@@ -123,7 +149,15 @@ def test_frame_quantities_match_the_symbolic_oracle(name):
         alpha, beta = acms.olszak_alpha_beta(construct.twin(s, kind), pts)
         computed.update({f"{kind.value}_twin_alpha": alpha, f"{kind.value}_twin_beta": beta})
     for key, value in computed.items():
-        want = evaluate(exact[key], pts)
-        assert value.shape == want.shape, key
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.max(np.abs(value - want)) <= RTOL * scale, (key, np.max(np.abs(value - want)))
+        assert_matches(key, value, exact[key], pts)
+
+
+@pytest.mark.parametrize("name, f", DEFORMATIONS)
+def test_the_deformed_olszak_functions_match_the_symbolic_oracle(name, f):
+    tau, kappa, mu = generators(name)
+    exact, f_exact = oracle(tau, kappa, mu), symbolic(f)
+    deformed = construct.deform(family.build_family(MEMBERS[name]),
+                                construct.DeformationParams.of(f))
+    alpha, beta = acms.olszak_alpha_beta(deformed, PTS)
+    assert_matches("alpha", alpha, (exact["div_v"] - exact["e_rho"]) / (2 * f_exact), PTS)
+    assert_matches("beta", beta, sp.log(f_exact).diff(X[0]) / (2 * tau), PTS)
