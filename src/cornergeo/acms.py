@@ -213,15 +213,13 @@ def olszak_alpha_beta(s: AcmStructure, p):
     return alpha, beta
 
 
-def trans_sasakian_residual(
-    s: AcmStructure, alpha, beta, points, rng=None, n_random: int = 4
-) -> ResidualReport:
+def trans_sasakian_residual(s: AcmStructure, alpha, beta, points, rng=None) -> ResidualReport:
     """Worst g-norm of ``nabla_X xi + alpha phi X + beta phi^2 X`` over probes.
 
     ``alpha`` and ``beta`` are each a number, or an array of one value per
     point (as ``classify`` gives them in ``alphas`` and ``betas``).  Probe
-    directions are the g-normalized coordinate axes, xi itself, and optional
-    seeded random unit vectors.
+    directions are the g-normalized coordinate axes, xi itself, and, with an
+    ``rng``, four seeded random unit vectors.
     """
     p = np.atleast_2d(points)
     a, b = (np.asarray(v, dtype=float)[..., None, None] for v in (alpha, beta))
@@ -229,7 +227,7 @@ def trans_sasakian_residual(
     G = s.g.matrix(p)
     P = s.phi.matrix(p)
     R = s.nabla_xi(p) + a * P + b * (P @ P)
-    probes, kept = probe_vectors(s.g, p, rng, n_random, extra=[s.xi.values(p)])
+    probes, kept = probe_vectors(s.g, p, rng, 4, extra=[s.xi.values(p)])
     tracker.update("trans_sasakian", gnorm(G[:, None], mv(R[:, None], probes)), kept)
     return tracker.report("trans_sasakian")
 

@@ -159,9 +159,7 @@ class CornerFields:
 
 
 @by_rows
-def corner_residual(
-    s: AcmStructure, points, rng=None, n_random: int = 4, tol: float = 1e-8
-) -> ResidualReport:
+def corner_residual(s: AcmStructure, points, rng=None, tol: float = 1e-8) -> ResidualReport:
     """Worst violation of the defining condition ``nabla_X xi = -eta(X) psi``.
 
     Two routes are tracked: the defining equation over probe directions, and
@@ -176,7 +174,7 @@ def corner_residual(
     xi = s.xi.values(p)
     A = s.nabla_xi(p)
     psi = -mv(A, xi)
-    x, kept = probe_vectors(s.g, p, rng, n_random, extra=[xi])
+    x, kept = probe_vectors(s.g, p, rng, 4, extra=[xi])
     A, G, P = A[:, None], G[:, None], P[:, None]
     r1 = mv(A, x) + dot(eta[:, None], x)[..., None] * psi[:, None]
     tracker.update("nabla_xi", gnorm(G, r1), kept)
@@ -211,7 +209,7 @@ def corner_residual_forms(s: AcmStructure, points, tol: float = 1e-7) -> Residua
 
 @by_rows
 def connection_table_residuals(
-    s: AcmStructure, points, rng=None, n_random: int = 2, tol: float = 1e-8
+    s: AcmStructure, points, rng=None, tol: float = 1e-8
 ) -> ResidualReport:
     """The seven frame covariant-derivative identities of a corner structure.
 
@@ -231,7 +229,7 @@ def connection_table_residuals(
     Mv = nabla_matrix(s.g, b.v, p)
     Mpv = nabla_matrix(s.g, b.phi_v, p)
 
-    x, kept = probe_vectors(s.g, p, rng, n_random, extra=[xi])
+    x, kept = probe_vectors(s.g, p, rng, 2, extra=[xi])
     r = mv(A[:, None], x) + (f.e_rho[:, None] * dot(eta[:, None], x))[..., None] * f.v[:, None]
     tracker.update("nabla_xi", gnorm(G[:, None], r), kept)
     rows = {

@@ -21,8 +21,11 @@ Grammar accepted by :func:`parse`::
 means ``-(x1^2)``.  Numbers are decimal with optional exponent; one too
 large for a float is infinite, and an infinite constant prints as ``1e999``.
 Constant subexpressions are folded at parse time, except one that leaves a
-domain or whose value is NaN.  A tree, or a nesting, deeper than
-:data:`MAX_DEPTH` is refused.
+domain or whose value is NaN.  So an exponent written as a constant
+(``x1^-2``, ``x1^(1/2)``) is a literal, and a power with a literal exponent
+is libm's ``pow``: integer powers of a negative base are defined.  Any other
+exponent b gives exp(b ln a), which needs a > 0.  A tree, or a nesting,
+deeper than :data:`MAX_DEPTH` is refused.
 """
 
 from __future__ import annotations
@@ -343,39 +346,20 @@ class Jet2:
         return _lift(other) / self
 
     def __pow__(self, other) -> "Jet2":
+        """``self ** other``: a number exponent c is libm's ``pow`` (see
+        :func:`_pow_const`); a jet exponent b gives exp(b ln a), which needs a
+        positive base a at every point."""
         if not isinstance(other, Jet2):
             return _pow_const(self, float(other))
-        const = _const_rows(other)
-        c = np.reshape(other.value, -1)
-        if np.all(const) and (c.size == 1 or np.all(c == c[0])):
-            return _pow_const(self, float(c[0]))
-        if not np.any(const):
-            # general exponent: a^b = exp(b ln a), requires a > 0
-            if np.any(self.value <= 0.0):
-                raise EvalDomainError(
-                    "power with non-constant exponent requires a positive base"
-                )
-            return jet_exp(other * jet_log(self))
-        # constant on some rows only: take each row on its own
-        shape = np.broadcast_shapes(np.shape(self.value), np.shape(other.value))
-        a, b = self.broadcast(shape), other.broadcast(shape)
-        return Jet2.stack((a[i] ** b[i] for i in np.ndindex(shape)), shape)
+        if np.any(self.value <= 0.0):
+            raise EvalDomainError("power with a non-literal exponent requires a positive base")
+        return jet_exp(other * jet_log(self))
 
 
 def _lift(value) -> Jet2:
     if isinstance(value, Jet2):
         return value
     return Jet2.constant(value)
-
-
-def _const_rows(j: Jet2) -> np.ndarray:
-    """Rows on which ``j`` has an all-zero gradient (and Hessian, if tracked)."""
-    if j.grad is None:
-        return np.zeros(np.shape(j.value), dtype=bool)
-    const = ~np.any(j.grad != 0.0, axis=-1)
-    if j.hess is not None:
-        const = const & ~np.any(j.hess != 0.0, axis=(-2, -1))
-    return const
 
 
 def _pow_const(a: Jet2, c: float) -> Jet2:
@@ -686,12 +670,10 @@ def _walk(node: Node, x: np.ndarray, order: int, known=None) -> Jet2:
             return _FUNCTIONS[node.name](_walk(node.arg, x, order, known))
         a = _walk(node.left, x, order, known)
         if node.op == "^" and isinstance(node.right, Const):
-            # a literal exponent keeps integer powers of negative bases legal
+            # a literal exponent keeps integer powers of negative bases legal;
+            # any other exponent is exp(b ln a), on a positive base only
             return a**node.right.value
-        # a power reads its exponent's derivatives to tell a constant exponent
-        # from a general one, so it walks the exponent to full order
-        b = _walk(node.right, x, 2 if node.op == "^" else order, known)
-        return _OPS[node.op].jet(a, b)
+        return _OPS[node.op].jet(a, _walk(node.right, x, order, known))
     except EvalDomainError as err:
         if err.subexpr is None and _has_text(node):
             raise EvalDomainError(err.message, to_str(node)) from None
@@ -709,7 +691,8 @@ def _jets_at(root: Node, point, order: int, known=None) -> Jet2:
 @dataclass(frozen=True)
 class ScalarExpr:
     """A parsed scalar expression in the chart coordinates; ``str()``
-    renders minimal-parenthesis source."""
+    renders minimal-parenthesis source, and raises a TypeError for a stacked
+    tree, which has none."""
 
     root: Node
 
@@ -724,6 +707,8 @@ class ScalarExpr:
         return _jets_at(self.root, point, 0).value
 
     def __str__(self) -> str:
+        if not _has_text(self.root):
+            raise TypeError("a stacked tree has no source text")
         return to_str(self.root)
 
 

@@ -75,7 +75,8 @@ class ChartDomain:
         if len(b) != 3:
             raise ValueError("domain needs bounds for exactly three coordinates")
         for lo, hi in b:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            # a finite width keeps sampled points finite, and implies finite bounds
+            if not (lo < hi and np.isfinite(hi - lo)):
                 raise ValueError(f"invalid coordinate interval ({lo}, {hi})")
         object.__setattr__(self, "bounds", b)
 

@@ -132,7 +132,7 @@ def volume_cross(g: MetricField, X, Y, p) -> np.ndarray:
     return mv(g.inverse(p), lower)
 
 
-def probe_vectors(g: MetricField, p, rng=None, n_random: int = 4, extra=()):
+def probe_vectors(g: MetricField, p, rng, n_random: int, extra=()):
     """Deterministic g-unit probe directions: coordinate axes, extras, randoms.
 
     For one point, the list of probes.  For a sample ``(N, 3)``, the pair

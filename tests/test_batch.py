@@ -393,8 +393,9 @@ def test_suites_match_a_point_by_point_loop(suite, params):
 
 
 def test_exponent_constant_at_some_points_only():
-    # x2^3 has zero gradient and Hessian at x2 = 0 only: there the power
-    # takes the constant-exponent rule, elsewhere exp(b ln a)
+    # x2^3 has zero gradient and Hessian at x2 = 0 only; the power is
+    # exp(b ln a) at every point all the same, so a row of the batch is that
+    # point alone, and b = 0 gives exp(0) = 1 exactly
     expr = parse("x1^(x2^3)")
     pts = np.array([[0.5, 0.0, 0.1], [0.5, 0.4, 0.1], [0.7, 0.0, 0.3]])
     batch = expr.eval_jet2(pts)

@@ -143,6 +143,17 @@ def test_overflow_in_an_expression_is_a_domain_error(tmp_path, capsys):
     assert "exp(800*x1*x2)^2" in payload["error"]["message"]
 
 
+def test_a_non_literal_power_of_a_negative_base_is_a_domain_error(tmp_path, capsys):
+    # (x1 - 2)^(0*x3) would read 1 under pow, but its exponent is no literal
+    family = {"tau": "exp(x2)*(x1 - 2)^(0*x3)", "kappa": "1", "mu": "1"}
+    code, payload = run_config(tmp_path, capsys, "check", {"family": family, "samples": 5})
+    assert code == 2
+    assert payload["error"]["type"] == "EvalDomainError"
+    assert payload["error"]["message"] == (
+        "power with a non-literal exponent requires a positive base in '(x1 - 2)^(0*x3)'"
+    )
+
+
 def test_overflow_while_folding_constants_is_a_domain_error(capsys):
     code = main(["deform", "--preset", "family:B", "--f", "10^400"])
     payload = json.loads(capsys.readouterr().out)
@@ -393,11 +404,13 @@ INFINITE_G11 = ('"structure": {"phi": [[0, 0, 0], [0, 0, -1], [0, 1, 0]], "xi": 
         ("check", PRESET_A + f'"tolerances": {{"kernel": {HUGE}}}', "tolerance 'kernel' "),
         ("check", PRESET_A + '"box": [[0.1, 1e999], [0.1, 1], [0.1, 1]]', "box: "),
         ("check", PRESET_A + f'"box": [[0.1, 1], [0.1, {HUGE}], [0.1, 1]]', "box: "),
+        # finite bounds whose width overflows
+        ("check", '"preset": "family:D", "box": [[-1e308, 1e308], [0.1, 1], [0.1, 1]]', "box: "),
         ("check", '"family": {"tau": "exp(x2)", "kappa": 1e999, "mu": "1"}', "family 'kappa' "),
         ("classify", INFINITE_G11, "structure 'g' "),
     ],
     ids=["tolerance", "scan-tolerance", "nan-tolerance", "f", "scan-f", "integer-f",
-         "integer-tolerance", "box", "integer-box", "family-kappa", "structure-g"],
+         "integer-tolerance", "box", "integer-box", "box-width", "family-kappa", "structure-g"],
 )
 def test_a_number_in_a_scene_that_is_not_finite_names_its_key(tmp_path, capsys, command,
                                                               entries, key):

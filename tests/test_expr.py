@@ -1,5 +1,8 @@
 """Parser, printer and second-order jet arithmetic."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -128,6 +131,18 @@ def test_constant_folding():
         e.value(ORIGIN)
 
 
+def test_the_documented_grammar_is_the_parsers():
+    """The grammar in the module docstring quotes the parser's functions and
+    binary operators, and the README lists the same functions."""
+    rules = dict(line.split(":=") for line in expr_module.__doc__.splitlines() if ":=" in line)
+    rules = {name.strip(): set(re.findall(r"'([^']+)'", body)) for name, body in rules.items()}
+    assert rules["FUNC"] == set(expr_module._FUNCTIONS)
+    assert rules["expr"] | rules["term"] | rules["factor"] == set(expr_module._OPS)
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"one-argument functions\s+`([^`]*)`", readme).group(1)
+    assert set(listed.split()) == set(expr_module._FUNCTIONS)
+
+
 # --------------------------------------------------------------------------
 # jets: frozen values first, then the finite-difference sweep
 
@@ -214,9 +229,19 @@ def test_integer_power_at_zero_base():
 
 @pytest.mark.parametrize("src", ["(x1 - 2)^(0*x2)", "x1^(0*x2 + 2.5)"])
 def test_value_equals_the_jet_value_under_a_non_literal_exponent(src):
-    # the exponent has zero derivatives, so both walks take the constant-power rule
+    # both walks take exp(b ln a) for any exponent that is not a literal, even
+    # one with zero derivatives, so they agree bit for bit, and both refuse a
+    # base that is not positive (x1 - 2 < 0 at every point here)
     e = parse(src)
     pts = np.random.default_rng(7).uniform(0.1, 1.0, size=(200, 3))
+    if src == "(x1 - 2)^(0*x2)":
+        for walk in (e.value, e.eval_jet2):
+            with pytest.raises(EvalDomainError) as err:
+                walk(pts)
+            assert str(err.value) == (
+                f"power with a non-literal exponent requires a positive base in '{src}'"
+            )
+        return
     assert e.value(pts).tobytes() == e.eval_jet2(pts).value.tobytes()
     for p in pts[:5]:
         assert e.value(p) == e.eval_jet2(p).value

@@ -6,6 +6,7 @@ import pytest
 from oracles import fd_grad, fd_hess
 
 from cornergeo.corner import CornerFields, corner_residual
+from cornergeo.expr import EvalDomainError
 from cornergeo.family import (
     PRESET_NAMES,
     FamilyParams,
@@ -35,11 +36,13 @@ def test_components_frozen():
     assert P[0, 0] == P[1, 1] == P[2, 2] == 0.0
 
 
-def test_a_tau_with_a_constant_power_builds(points):
-    # tau = (x1 - 2)^(0*x2) is 1 everywhere, although its base is negative
-    s = build_family(FamilyParams.of("(x1 - 2)^(0*x2)", "1 + x2^2", "1 + x2*x3"))
-    np.testing.assert_array_equal(s.g.matrix(points)[:, 0, 0], 1.0)
-    np.testing.assert_array_equal(s.xi.values(points)[:, 0], 1.0)
+def test_a_tau_with_a_non_literal_power_of_a_negative_base_is_refused():
+    # (x1 - 2)^(0*x2) would read 1 under pow, but a non-literal exponent is
+    # exp(b ln a), so build's check of tau at its fixed points names the power
+    with pytest.raises(EvalDomainError) as err:
+        build_family(FamilyParams.of("(x1 - 2)^(0*x2)", "1 + x2^2", "1 + x2*x3"))
+    assert err.value.message == "power with a non-literal exponent requires a positive base"
+    assert err.value.subexpr == "(x1 - 2)^(0*x2)"
 
 
 def test_positivity_is_enforced():

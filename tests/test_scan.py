@@ -367,6 +367,17 @@ def test_points_of_another_number_of_members_are_refused(members):
         build_family(params).corner.frame(points)
 
 
+@pytest.mark.parametrize("stacked", [
+    lambda: stack_members([family.preset("A").params, family.preset("D").params]).tau,
+    lambda: family.RandomDraws.draw(np.random.default_rng(3), 3).params.tau,
+], ids=["rows", "columns"])
+def test_a_stacked_tree_has_no_source_text(stacked):
+    """``str()`` of a generator joined by ``Rows``, or of a table's generator
+    with coefficient columns, raises: only a member's own tree has text."""
+    with pytest.raises(TypeError, match="a stacked tree has no source text"):
+        str(stacked())
+
+
 def test_a_partly_degenerate_member_inside_a_mixed_pass():
     # psi = 0 where x2 < 0.5: the exponent is 0.5 there, whatever x2 is
     partly = FamilyParams.of("exp(abs(x2 - 0.5) + x2)", "1", "1 + x3")
